@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import csv
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import doublegreedy, naive_variants, reference, variants
@@ -141,42 +139,28 @@ def build_synthetic_oracle(n: int, d: int | None, seed: int, input_kind: str,
 
 
 def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=0.5,
-                input_kind="B", scale=None, shift=None, timeout_s=None,
-                workers: int | None = None) -> list[dict]:
-    """Sweep a (n x k x seed x algo) grid of synthetic instances.
+                input_kind="B", scale=None, shift=None, timeout_s=None) -> list[dict]:
+    """Sweep a (n x k x seed x algo) grid of synthetic instances, serially.
 
-    Instances are generated per (n, seed); each worker owns its oracle so
-    evaluation counters stay honest.  Cells that hit the per-cell timeout are
-    recorded with ``terminated_early=timeout``.
+    Instances are generated per (n, seed); each algorithm gets its own oracle
+    so evaluation counters stay honest.  Cells that hit the per-cell timeout
+    are recorded with ``terminated_early=timeout``.
     """
-    if workers is None:
-        workers = int(os.environ.get("DPP_THREADS", "1"))
-
-    def run_instance(n, seed):
-        rows = []
-        for algo in algos:
-            cell_scale, cell_shift = resolve_adjustment(algo, scale, shift)
-            oracle = build_synthetic_oracle(n, d, seed, input_kind, cell_scale, cell_shift)
-            for k in k_values:
-                deadline = None if timeout_s is None else time.perf_counter() + timeout_s
-                try:
-                    report = run_algorithm(algo, oracle, k, seed=seed,
-                                           epsilon=epsilon, deadline=deadline)
-                    rows.append(_report_row(report))
-                except Exception as exc:  # noqa: BLE001 - recorded per cell
-                    rows.append(_failed_row(algo, oracle, k, seed, epsilon,
-                                            f"error:{type(exc).__name__}"))
-        return rows
-
-    cells = [(n, seed) for n in n_values for seed in seeds]
     rows: list[dict] = []
-    if workers <= 1:
-        for n, seed in cells:
-            rows.extend(run_instance(n, seed))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(lambda c: run_instance(*c), cells):
-                rows.extend(chunk)
+    for n in n_values:
+        for seed in seeds:
+            for algo in algos:
+                cell_scale, cell_shift = resolve_adjustment(algo, scale, shift)
+                oracle = build_synthetic_oracle(n, d, seed, input_kind, cell_scale, cell_shift)
+                for k in k_values:
+                    deadline = None if timeout_s is None else time.perf_counter() + timeout_s
+                    try:
+                        report = run_algorithm(algo, oracle, k, seed=seed,
+                                               epsilon=epsilon, deadline=deadline)
+                        rows.append(_report_row(report))
+                    except Exception as exc:  # noqa: BLE001 - recorded per cell
+                        rows.append(_failed_row(algo, oracle, k, seed, epsilon,
+                                                f"error:{type(exc).__name__}"))
     return rows
 
 

@@ -95,7 +95,7 @@ def cmd_bench(args) -> int:
         algos, n_values, k_values, d=args.d, seeds=seeds,
         epsilon=args.epsilon, input_kind=args.input_kind,
         scale=args.scale, shift=args.shift,
-        timeout_s=args.timeout_s, workers=args.workers)
+        timeout_s=args.timeout_s)
     benchmod.write_rows(args.out, rows)
     for warning in benchmod.soft_speed_warnings(rows):
         print(warning, file=sys.stderr)
@@ -165,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--shift", type=float, default=None)
     p.add_argument("--timeout-s", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel instance cells (default: DPP_THREADS or 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bench)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import reference
 from .cholesky import CholeskyState
-from .errors import SingularKernelError, SingularPivotError
+from .errors import SelectionDriftError, SingularKernelError, SingularPivotError
 from .greedy import _deadline_hit, _ms
 from .kernel import KernelOracle
 from .report import RunReport
@@ -111,7 +111,8 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
 
     # the shrink-side selection must be exactly the rejected prefix items
     rejected = [i for i in range(report.steps_attempted) if not grow.in_selection[i]]
-    assert shrink.selection == rejected, "shrink-side selection drifted"
+    if shrink.selection != rejected:
+        raise SelectionDriftError("shrink-side selection drifted from the rejected items")
 
     report.selection = list(grow.selection)
     report.gains = [2.0 * math.log(p) for p in grow.selected_pivots]

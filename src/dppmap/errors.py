@@ -15,3 +15,7 @@ class StaleRowError(RuntimeError):
 
 class EnumerationLimitError(ValueError):
     """Exhaustive enumeration was requested beyond the hard size guard."""
+
+
+class SelectionDriftError(RuntimeError):
+    """Two coupled factors disagree on which items a run selected."""

@@ -10,6 +10,8 @@ the dense/sparse storage of the same features.
 
 from __future__ import annotations
 
+import copy
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,15 +24,19 @@ L_DENSE = "ldense"
 def seq_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product accumulated strictly left to right.
 
-    ``np.cumsum`` walks the array with a single running accumulator, which
-    pins the floating-point result to one summation order regardless of how
-    the operands are stored.  Zero terms are exact no-ops, so a dense vector
-    and its zeros-dropped sparse counterpart produce identical sums.
+    ``np.add.accumulate`` (the ufunc behind ``np.cumsum``, called directly to
+    skip its dispatch) walks the array with a single running accumulator,
+    which pins the floating-point result to one summation order regardless of
+    how the operands are stored.  Adding ``0.0`` turns a ``-0.0`` sum into
+    ``+0.0``, so the result equals the left fold ``((0.0 + p0) + p1) + ...``
+    bit for bit.  That fold is unchanged by inserting zero terms of either
+    sign, so a dense vector and its zeros-dropped sparse counterpart produce
+    identical sums, sign of zero included.
     """
     p = a * b
     if p.size == 0:
         return 0.0
-    return float(np.cumsum(p)[-1])
+    return float(np.add.accumulate(p)[-1]) + 0.0
 
 
 @dataclass
@@ -50,8 +56,49 @@ class SparseColumns:
         return len(self.indices)
 
     def validate(self) -> None:
+        """Raise ``ValueError`` naming the first malformed column, if any.
+
+        One vectorized pass over the concatenated columns accepts well-formed
+        input; only when it fails does the per-column scan run, to name the
+        first bad column.
+        """
         if len(self.indices) != len(self.values):
             raise ValueError("index/value column count mismatch")
+        if not self._all_columns_valid():
+            self._raise_first_fault()
+
+    def _all_columns_valid(self) -> bool:
+        """Whether every column passes, checked over the concatenated arrays.
+
+        Conservative: ``False`` only sends the caller to the per-column scan.
+        """
+        if not self.indices:
+            return True
+        sizes = np.fromiter((idx.size for idx in self.indices), np.intp, len(self.indices))
+        if not np.array_equal(sizes, np.fromiter((val.size for val in self.values),
+                                                 np.intp, len(self.values))):
+            return False
+        try:
+            flat_idx = np.concatenate(self.indices)
+            flat_val = np.concatenate(self.values)
+        except ValueError:  # 0-d or mixed-rank columns
+            return False
+        if flat_idx.ndim != 1 or flat_val.ndim != 1:
+            return False
+        if np.any(flat_val == 0.0):
+            return False
+        if not flat_idx.size:
+            return True
+        signed = flat_idx.astype(np.int64)
+        if signed.min() < 0 or signed.max() >= self.dim:
+            return False
+        steps = np.diff(signed)
+        starts = np.cumsum(sizes[:-1])
+        starts = starts[(starts > 0) & (starts < signed.size)]
+        steps[starts - 1] = 1  # the step into a new column's first index is not checked
+        return not np.any(steps <= 0)
+
+    def _raise_first_fault(self) -> None:
         for c, (idx, val) in enumerate(zip(self.indices, self.values)):
             if idx.shape != val.shape:
                 raise ValueError(f"column {c}: index/value length mismatch")
@@ -82,23 +129,43 @@ class SparseColumns:
         return out
 
 
+def _scatter_dot(scratch: np.ndarray, a_idx: np.ndarray, a_val: np.ndarray,
+                 b_idx: np.ndarray, b_val: np.ndarray) -> float:
+    """Sparse inner product through a zeroed dense scratch vector.
+
+    ``b`` is scattered into ``scratch``, gathered back at ``a``'s indices and
+    the products are summed by :func:`seq_dot` in ascending index order.  The
+    products at indices ``b`` lacks are zeros, which that sum ignores, so the
+    result equals :func:`seq_dot` on the dense equivalents.  O(nnz) per call;
+    ``scratch`` (intp indices below its length) is all zeros again on return.
+    """
+    scratch[b_idx] = b_val
+    try:
+        return seq_dot(scratch[a_idx], a_val)
+    finally:
+        scratch[b_idx] = 0.0
+
+
 def sparse_dot(a_idx: np.ndarray, a_val: np.ndarray, b_idx: np.ndarray, b_val: np.ndarray) -> float:
     """Inner product of two sparse columns over their common indices.
 
-    The common indices are found by binary search over the sorted shorter
-    side and the surviving products are summed in ascending index order,
-    matching :func:`seq_dot` on the dense equivalents exactly.
+    Matches :func:`seq_dot` on the dense equivalents exactly.  Allocates a
+    scratch vector up to the largest index; :class:`KernelOracle` reuses one
+    per thread instead.
     """
     if a_idx.size == 0 or b_idx.size == 0:
         return 0.0
-    if a_idx.size > b_idx.size:
-        a_idx, a_val, b_idx, b_val = b_idx, b_val, a_idx, a_val
-    pos = np.searchsorted(b_idx, a_idx)
-    pos_clip = np.minimum(pos, b_idx.size - 1)
-    hit = b_idx[pos_clip] == a_idx
-    if not np.any(hit):
-        return 0.0
-    return seq_dot(a_val[hit], b_val[pos_clip[hit]])
+    a_idx = a_idx.astype(np.intp)
+    b_idx = b_idx.astype(np.intp)
+    scratch = np.zeros(int(max(a_idx[-1], b_idx[-1])) + 1)
+    return _scatter_dot(scratch, a_idx, a_val, b_idx, b_val)
+
+
+class _Scratch(threading.local):
+    """A zeroed length-``dim`` vector per thread, allocated on its first lookup."""
+
+    def __init__(self, dim: int):
+        self.buf = np.zeros(dim)
 
 
 class KernelOracle:
@@ -109,8 +176,11 @@ class KernelOracle:
     default ``scale=1, shift=0`` leaves the kernel untouched; a positive
     ``shift`` regularizes a singular kernel without materializing a new one.
 
-    Oracles are immutable after construction and safe for concurrent reads.
-    ``eval_count`` tallies entry lookups for instrumentation.
+    Oracles are immutable after construction and safe for concurrent reads:
+    a sparse lookup writes only to a scratch vector private to the calling
+    thread (see :func:`_scatter_dot`), and restores it to zeros before it
+    returns.  ``eval_count`` tallies entry lookups for instrumentation; its
+    increments are not synchronized, so concurrent readers may undercount.
     """
 
     def __init__(self, kind, n, d, scale=1.0, shift=0.0, feats=None, sparse=None, matrix=None):
@@ -124,6 +194,9 @@ class KernelOracle:
         self._feats = feats          # item-major (n, d), rows contiguous
         self._sparse = sparse
         self._matrix = matrix
+        if sparse is not None:
+            self._sparse_idx = [idx.astype(np.intp) for idx in sparse.indices]
+            self._scratch = _Scratch(self.d)
         self.eval_count = 0
 
     # -- constructors ------------------------------------------------------
@@ -153,9 +226,18 @@ class KernelOracle:
         return cls(L_DENSE, matrix.shape[0], 0, scale, shift, matrix=matrix)
 
     def with_adjustment(self, scale: float, shift: float) -> "KernelOracle":
-        """Same backing storage, different affine adjustment."""
-        return KernelOracle(self.kind, self.n, self.d, scale, shift,
-                            feats=self._feats, sparse=self._sparse, matrix=self._matrix)
+        """Same backing storage, different affine adjustment.
+
+        The twin shares the converted sparse indices and the per-thread
+        scratch vectors instead of building its own.
+        """
+        if shift < 0:
+            raise ValueError("shift must be nonnegative")
+        twin = copy.copy(self)
+        twin.scale = float(scale)
+        twin.shift = float(shift)
+        twin.eval_count = 0
+        return twin
 
     # -- access ------------------------------------------------------------
 
@@ -176,8 +258,12 @@ class KernelOracle:
         elif self.kind == B_DENSE:
             raw = seq_dot(self._feats[i], self._feats[j])
         else:
-            s = self._sparse
-            raw = sparse_dot(s.indices[i], s.values[i], s.indices[j], s.values[j])
+            values = self._sparse.values
+            if i == j:
+                raw = seq_dot(values[i], values[i])
+            else:
+                idx = self._sparse_idx
+                raw = _scatter_dot(self._scratch.buf, idx[i], values[i], idx[j], values[j])
         v = self.scale * raw
         if i == j:
             v += self.shift

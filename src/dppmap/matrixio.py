@@ -32,15 +32,26 @@ def write_dense(path, matrix: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int, path, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated {what}")
+    return data
+
+
+def _expect_end(fh, path) -> None:
+    if fh.read(1):
+        raise ValueError(f"{path}: trailing bytes after payload")
+
+
 def read_dense(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(5)
         if magic != DENSE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {DENSE_MAGIC!r}")
-        rows, cols = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-        if data.size != rows * cols:
-            raise ValueError(f"{path}: truncated payload")
+        rows, cols = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        data = np.frombuffer(_read_exact(fh, rows * cols * 8, path, "payload"), dtype="<f8")
+        _expect_end(fh, path)
     return data.reshape(rows, cols).astype(np.float64)
 
 
@@ -62,15 +73,15 @@ def read_sparse(path) -> SparseColumns:
         magic = fh.read(5)
         if magic != SPARSE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {SPARSE_MAGIC!r}")
-        dim, ncols = struct.unpack("<II", fh.read(8))
+        dim, ncols = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
         cols = SparseColumns(dim=dim)
         for _ in range(ncols):
-            (nnz,) = struct.unpack("<I", fh.read(4))
-            rec = np.frombuffer(fh.read(nnz * _PAIR_DTYPE.itemsize), dtype=_PAIR_DTYPE)
-            if rec.size != nnz:
-                raise ValueError(f"{path}: truncated column")
+            (nnz,) = struct.unpack("<I", _read_exact(fh, 4, path, "column"))
+            rec = np.frombuffer(_read_exact(fh, nnz * _PAIR_DTYPE.itemsize, path, "column"),
+                                dtype=_PAIR_DTYPE)
             cols.indices.append(rec["i"].astype(np.uint32))
             cols.values.append(rec["v"].astype(np.float64))
+        _expect_end(fh, path)
     cols.validate()
     return cols
 

@@ -170,8 +170,10 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
 def _interlaced_pair(oracle: KernelOracle, k: int, seed_item: int | None, deadline):
     """Build two interlaced selections with mutual exclusion.
 
-    Returns (state_a, state_b, prefix-objective lists, pq op count, timed_out).
-    Prefix objectives are read off the commit traces, never recomputed.
+    Returns ``(state_a, state_b, pq_ops, timed_out)``: the two factor states,
+    the priority-queue operations spent and whether the deadline hit.  The
+    caller reads prefix objectives off the states' commit traces, never
+    recomputing them.
     """
     state_a = CholeskyState(oracle, k)
     state_b = CholeskyState(oracle, k)

@@ -7,6 +7,7 @@ import pytest
 from dppmap import matrixio
 from dppmap.bench import CSV_COLUMNS
 from dppmap.cli import main
+from dppmap.kernel import SparseColumns
 from dppmap.report import RunReport
 
 
@@ -141,6 +142,24 @@ def test_ingested_matrix_runs(tmp_path):
     rc = main(["run", "--algo", "lazyfast", "--input", str(out), "--input-kind", "B",
                "--k", "2", "--check", "--out", str(rep_path)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("algo", ["fast", "lazyfast", "random", "stochastic", "interlace"])
+def test_sparse_file_and_dense_twin_give_identical_reports(tmp_path, algo):
+    rng = np.random.default_rng(6)
+    features = rng.standard_normal((30, 24))
+    features[rng.random(features.shape) < 0.6] = 0.0
+    sparse_path, dense_path = tmp_path / "f.dpps1", tmp_path / "f.dppm1"
+    matrixio.write_sparse(sparse_path, SparseColumns.from_dense(features))
+    matrixio.write_dense(dense_path, features)
+    reports = []
+    for path in (sparse_path, dense_path):
+        out = tmp_path / f"{path.suffix}.json"
+        assert main(["run", "--algo", algo, "--input", str(path), "--k", "5",
+                     "--seed", "3", "--epsilon", "0.5", "--out", str(out)]) == 0
+        reports.append(RunReport.from_json(out.read_text()).to_json(include_timings=False))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["selection"]
 
 
 def test_verify_quick_exits_zero(capsys):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dppmap import doublegreedy
 from dppmap.bench import build_synthetic_oracle
+from dppmap.cholesky import CholeskyState
 from dppmap.doublegreedy import fast_double_greedy, jacobi_gain_check, naive_double_greedy
-from dppmap.errors import SingularKernelError
+from dppmap.errors import SelectionDriftError, SingularKernelError
 from dppmap.kernel import KernelOracle
 from dppmap.stream import DecisionStream
 from dppmap.verify import check_double, check_jacobi
@@ -120,3 +122,25 @@ def test_double_battery():
 def test_jacobi_battery():
     result = check_jacobi(trials=60)
     assert result.ok, result.detail
+
+
+def test_shrink_side_drift_raises_typed_error(monkeypatch):
+    oracle = build_synthetic_oracle(10, 10, 1, "L", 0.9, 0.1)
+    baseline = fast_double_greedy(oracle, DecisionStream(1))
+    assert len(baseline.selection) < 10  # the shrink side commits at least once
+
+    states = []
+
+    class DroppedCommits(CholeskyState):
+        def commit(self, i):
+            if self is states[1]:  # the factor of the inverse kernel loses every commit
+                return len(self.selection)
+            return super().commit(i)
+
+    def make_state(*args, **kwargs):
+        states.append(DroppedCommits(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(doublegreedy, "CholeskyState", make_state)
+    with pytest.raises(SelectionDriftError, match="drifted"):
+        fast_double_greedy(oracle, DecisionStream(1))

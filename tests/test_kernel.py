@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -144,3 +148,149 @@ def test_cost_class_labels():
     assert KernelOracle.from_dense_features(np.eye(2)).cost_class == "O(d)"
     cols = SparseColumns.from_dense(np.eye(2))
     assert KernelOracle.from_sparse_features(cols).cost_class == "O(nnz)"
+
+
+def _searchsorted_dot(a_idx, a_val, b_idx, b_val):
+    """The binary-search sparse inner product the scatter/gather lookup replaced."""
+    if a_idx.size == 0 or b_idx.size == 0:
+        return 0.0
+    if a_idx.size > b_idx.size:
+        a_idx, a_val, b_idx, b_val = b_idx, b_val, a_idx, a_val
+    pos = np.searchsorted(b_idx, a_idx)
+    pos_clip = np.minimum(pos, b_idx.size - 1)
+    hit = b_idx[pos_clip] == a_idx
+    if not np.any(hit):
+        return 0.0
+    return float(np.cumsum(a_val[hit] * b_val[pos_clip[hit]])[-1])
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _structured_features(seed, d=40, n=24):
+    """Random signed features plus empty, disjoint and single-overlap columns."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((d, n))
+    dense[rng.random((d, n)) < 0.7] = 0.0
+    dense[:, 0] = 0.0                                            # empty column
+    dense[:, 1] = 0.0
+    dense[0::2, 1] = -rng.random(d // 2) - 0.5                   # even rows only
+    dense[:, 2] = 0.0
+    dense[1::2, 2] = -rng.random(d // 2) - 0.5                   # odd rows only: disjoint from 1
+    dense[:, 3] = 0.0
+    dense[[4, 7, 9], 3] = [-1.5, 2.0, -0.25]
+    dense[:, 4] = 0.0
+    dense[[7, 11, 30], 4] = [3.0, -1.0, 0.5]                     # shares only index 7 with 3
+    return dense
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_lookup_bitwise_matches_dense_and_searchsorted(seed):
+    dense = _structured_features(seed)
+    n = dense.shape[1]
+    cols = SparseColumns.from_dense(dense)
+    ora_d = KernelOracle.from_dense_features(dense)
+    ora_s = KernelOracle.from_sparse_features(cols)
+    for i in range(n):
+        for j in range(n):
+            want = _searchsorted_dot(cols.indices[i], cols.values[i], cols.indices[j], cols.values[j])
+            got = ora_s.entry(i, j)
+            assert _bits(got) == _bits(want), (i, j)
+            assert _bits(got) == _bits(ora_d.entry(i, j)), (i, j)
+            assert _bits(sparse_dot(cols.indices[i], cols.values[i],
+                                    cols.indices[j], cols.values[j])) == _bits(want), (i, j)
+
+
+def test_zero_entries_are_positive_zero_in_both_storages():
+    # every product is -0.0: a bare cumsum over the dense products would return -0.0
+    dense = np.array([[-1.0, 0.0], [0.0, -1.0]])
+    ora_d = KernelOracle.from_dense_features(dense)
+    ora_s = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
+    assert _bits(ora_d.entry(0, 1)) == _bits(ora_s.entry(0, 1)) == _bits(0.0)
+    assert _bits(seq_dot(np.array([-1.0, 0.0]), np.array([0.0, -1.0]))) == _bits(0.0)
+
+
+def test_sparse_lookup_is_o_nnz_in_huge_dimension():
+    d, n = 1_000_000, 40
+    rng = np.random.default_rng(3)
+    cols = SparseColumns(dim=d)
+    for _ in range(n):
+        nnz = int(rng.integers(0, 6))
+        cols.indices.append(np.sort(rng.choice(d, nnz, replace=False)).astype(np.uint32))
+        cols.values.append(rng.standard_normal(nnz) + 3.0)
+    ora = KernelOracle.from_sparse_features(cols)
+    ora.entry(0, 1)  # first lookup in this thread allocates the scratch vector
+    t0 = time.perf_counter()
+    for i in range(n):
+        for j in range(n):
+            ora.entry(i, j)
+    per_lookup_ms = (time.perf_counter() - t0) * 1000.0 / (n * n)
+    # a length-d pass (allocation or cumsum) costs about a millisecond per lookup
+    assert per_lookup_ms < 0.2
+
+
+def test_two_threads_read_one_sparse_oracle():
+    dense = _structured_features(11, d=60, n=30)
+    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
+    pairs = [(i, j) for i in range(30) for j in range(30)]
+    serial = [_bits(ora.entry(i, j)) for i, j in pairs]
+    results = [None, None]
+
+    def read(slot):
+        results[slot] = [_bits(ora.entry(i, j)) for _ in range(5) for i, j in pairs]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results[0] == results[1] == serial * 5
+
+
+def _malformed(dim, columns):
+    cols = SparseColumns(dim=dim)
+    for idx, val in columns:
+        cols.indices.append(np.array(idx, dtype=np.uint32))
+        cols.values.append(np.array(val, dtype=float))
+    return cols
+
+
+@pytest.mark.parametrize("cols, message", [
+    (SparseColumns(dim=3, indices=[np.array([0], dtype=np.uint32)], values=[]),
+     "index/value column count mismatch"),
+    (_malformed(5, [([0], [1.0]), ([1, 2], [1.0])]),
+     "column 1: index/value length mismatch"),
+    (_malformed(5, [([0, 1], [1.0, 2.0]), ([], []), ([3, 3], [1.0, 1.0])]),
+     "column 2: indices not strictly increasing"),
+    (_malformed(5, [([2, 1], [1.0, 1.0])]),
+     "column 0: indices not strictly increasing"),
+    (_malformed(5, [([1], [1.0]), ([2, 5], [1.0, 1.0])]),
+     "column 1: index out of range"),
+    (SparseColumns(dim=5, indices=[np.array([-1, 2])], values=[np.array([1.0, 1.0])]),
+     "column 0: index out of range"),
+    (_malformed(5, [([4], [1.0]), ([1, 3], [2.0, 0.0])]),
+     "column 1: explicit zero stored"),
+    # only the first bad column is named, and a column's checks run in a fixed order
+    (_malformed(5, [([0], [1.0]), ([3, 1], [0.0, 1.0]), ([9], [0.0])]),
+     "column 1: indices not strictly increasing"),
+    (_malformed(5, [([], []), ([1, 7], [1.0, 0.0]), ([1, 1], [1.0, 1.0])]),
+     "column 1: index out of range"),
+])
+def test_sparse_columns_validation_messages(cols, message):
+    with pytest.raises(ValueError) as err:
+        cols.validate()
+    assert str(err.value) == message
+
+
+def test_sparse_columns_validation_accepts_boundary_steps():
+    # a column may start at or below the previous column's last index
+    cols = _malformed(6, [([3, 5], [1.0, -1.0]), ([], []), ([0, 5], [2.0, 1.0]), ([5], [1.0])])
+    assert cols._all_columns_valid()  # accepted by the vectorized pass, no per-column scan
+    cols.validate()

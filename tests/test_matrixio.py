@@ -74,3 +74,45 @@ def test_load_matrix_sniffs(tmp_path):
     matrixio.write_dense_csv(csv_path, mat)
     kind, payload = matrixio.load_matrix(csv_path)
     assert kind == "dense" and np.array_equal(payload, mat)
+
+
+def _dense_file(tmp_path):
+    path = tmp_path / "m.dppm1"
+    matrixio.write_dense(path, np.arange(6.0).reshape(2, 3))
+    return path
+
+
+def _sparse_file(tmp_path):
+    path = tmp_path / "m.dpps1"
+    matrixio.write_sparse(path, SparseColumns.from_dense(np.array([[1.0, 0.0], [2.0, 3.0]])))
+    return path
+
+
+@pytest.mark.parametrize("make, read", [
+    (_dense_file, matrixio.read_dense),
+    (_sparse_file, matrixio.read_sparse),
+])
+@pytest.mark.parametrize("cut, message", [
+    (lambda raw: raw + b"\x00", "trailing bytes after payload"),
+    (lambda raw: raw[:9], "truncated header"),
+    (lambda raw: raw[:-3], "truncated"),
+])
+def test_malformed_files_raise_value_error_naming_path(tmp_path, make, read, cut, message):
+    path = make(tmp_path)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=message) as err:
+        read(path)
+    assert str(path) in str(err.value)
+
+
+def test_truncation_names_the_cut_section(tmp_path):
+    dense = _dense_file(tmp_path)
+    dense.write_bytes(dense.read_bytes()[:-3])
+    with pytest.raises(ValueError, match="truncated payload"):
+        matrixio.read_dense(dense)
+    sparse = _sparse_file(tmp_path)
+    raw = sparse.read_bytes()
+    for cut in (len(raw) - 3, 13 + 2):  # inside the last record; inside the first count
+        sparse.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated column"):
+            matrixio.read_sparse(sparse)
