@@ -9,6 +9,19 @@ without changing any computed value bit-for-bit.
 
 Rows live in one contiguous (n, capacity) block and are filled in place,
 which keeps per-row refreshes cache-local.
+
+Two per-row counters track a row's progress.  ``stamps[i]`` is the number of
+committed columns row ``i`` has been caught up through *for use*: its gain is
+readable once the stamp equals the selection length, and only
+:meth:`CholeskyState.update_row` advances it, counting the columns it adopts
+in ``offdiag_count``.  The private ``_ready[i]`` (never below the stamp) is the
+number of columns whose factor entries, and the pivot, are already computed.
+:meth:`CholeskyState.prefetch` advances ``_ready`` for a block of rows with
+one vectorized sweep per column; a later ``update_row`` then only adopts those
+values, and computes the rest with its scalar loop.  Both paths use the same
+arithmetic in the same order, so a row's values do not depend on which one
+computed them.  Between a prefetch and the adopting ``update_row`` a row's
+pivot is ahead of its stamp; only fresh rows' gains are ever read.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ class CholeskyState:
         self.factor = np.zeros((n, self.capacity))
         self.pivots = np.empty(n)
         self.stamps = np.zeros(n, dtype=np.int64)
+        self._ready = np.zeros(n, dtype=np.int64)
         self.selection: list[int] = []
         self.selected_pivots: list[float] = []
         self.objective_trace: list[float] = []
@@ -81,7 +95,8 @@ class CholeskyState:
         For each missing column t the new factor entry is
         ``(K[i, j_t] - <row_i[:t], row_jt[:t]>) / p_jt`` with ``p_jt`` the
         pivot frozen when ``j_t`` was committed, after which the row's own
-        pivot shrinks by the Pythagorean update.  Each executed column bumps
+        pivot shrinks by the Pythagorean update.  Columns a :meth:`prefetch`
+        already computed are adopted as they are.  Each adopted column bumps
         the off-diagonal counter exactly once.
         """
         if self.in_selection[i]:
@@ -93,7 +108,7 @@ class CholeskyState:
             return float(self.pivots[i])
         row = self.factor[i]
         piv = float(self.pivots[i])
-        for t in range(start, m):
+        for t in range(int(self._ready[i]), m):
             jt = self.selection[t]
             denom = self.selected_pivots[t]
             if denom < PIVOT_FLOOR:
@@ -104,7 +119,44 @@ class CholeskyState:
         self.pivots[i] = piv
         self.offdiag_count += m - start
         self.stamps[i] = m
+        self._ready[i] = m
         return piv
+
+    def prefetch(self, lo: int) -> None:
+        """Compute the missing columns of the uncommitted rows ``lo..n-1``.
+
+        One vectorized sweep per column: the kernel values come from
+        :meth:`KernelOracle.column`, each row's dot product with the committed
+        row ``j_t`` is the same ascending single-accumulator sum
+        :func:`seq_dot` takes, and the entry and pivot updates are the scalar
+        loop's operations elementwise, so every value matches
+        :meth:`update_row` bit for bit.  Stamps and ``offdiag_count`` do not
+        move: the columns count when ``update_row`` adopts them, and a column
+        that is never adopted (a run cut short) is never counted.
+        """
+        m = len(self.selection)
+        n = self.n
+        for i in np.flatnonzero(~self._diag_ready[lo:]) + lo:
+            self._init_pivot(int(i))
+        live = np.flatnonzero(~self.in_selection[lo:]) + lo
+        ready = self._ready[live]
+        for t in range(int(ready.min()) if live.size else m, m):
+            lacking = ready == t  # rows lacking column t hold exactly t columns
+            rows = live[lacking]
+            block = slice(lo, n) if rows.size == n - lo else rows  # a view when rows are lo..n-1
+            denom = self.selected_pivots[t]
+            if denom < PIVOT_FLOOR:
+                raise SingularPivotError(f"numerically singular pivot {denom} at column {t}")
+            jt = self.selection[t]
+            dots = np.zeros(rows.size)
+            if t:
+                dots = np.add.accumulate(self.factor[block, :t] * self.factor[jt, :t], axis=1)[:, -1] + 0.0
+            vals = (self.oracle.column(jt, rows) - dots) / denom
+            self.factor[block, t] = vals
+            piv = self.pivots[block]
+            self.pivots[block] = np.sqrt(np.maximum(piv * piv - vals * vals, 0.0))
+            ready[lacking] = t + 1
+        self._ready[live] = m
 
     def marginal_gain(self, i: int) -> float:
         """2*ln(pivot) of a fresh row; -inf encodes a linearly dependent item."""

@@ -19,3 +19,7 @@ class EnumerationLimitError(ValueError):
 
 class SelectionDriftError(RuntimeError):
     """Two coupled factors disagree on which items a run selected."""
+
+
+class NonFiniteInputError(ValueError):
+    """Input features or kernel entries contain NaN or infinity."""

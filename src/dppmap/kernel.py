@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteInputError
+
 B_DENSE = "bdense"
 B_SPARSE = "bsparse"
 L_DENSE = "ldense"
@@ -58,6 +60,8 @@ class SparseColumns:
     def validate(self) -> None:
         """Raise ``ValueError`` naming the first malformed column, if any.
 
+        A NaN or infinite value raises :class:`NonFiniteInputError`.
+
         One vectorized pass over the concatenated columns accepts well-formed
         input; only when it fails does the per-column scan run, to name the
         first bad column.
@@ -85,7 +89,7 @@ class SparseColumns:
             return False
         if flat_idx.ndim != 1 or flat_val.ndim != 1:
             return False
-        if np.any(flat_val == 0.0):
+        if np.any(flat_val == 0.0) or not np.isfinite(flat_val).all():
             return False
         if not flat_idx.size:
             return True
@@ -109,6 +113,8 @@ class SparseColumns:
                 raise ValueError(f"column {c}: index out of range")
             if np.any(val == 0.0):
                 raise ValueError(f"column {c}: explicit zero stored")
+            if not np.isfinite(val).all():
+                raise NonFiniteInputError(f"column {c}: non-finite value stored")
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseColumns":
@@ -161,6 +167,12 @@ def sparse_dot(a_idx: np.ndarray, a_val: np.ndarray, b_idx: np.ndarray, b_val: n
     return _scatter_dot(scratch, a_idx, a_val, b_idx, b_val)
 
 
+def require_finite(array: np.ndarray, what: str) -> None:
+    """Raise :class:`NonFiniteInputError` unless every value of ``array`` is finite."""
+    if not np.isfinite(array).all():
+        raise NonFiniteInputError(f"{what} contains NaN or infinite values")
+
+
 class _Scratch(threading.local):
     """A zeroed length-``dim`` vector per thread, allocated on its first lookup."""
 
@@ -207,6 +219,7 @@ class KernelOracle:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
+        require_finite(features, "feature matrix")
         d, n = features.shape
         feats = np.ascontiguousarray(features.T)
         return cls(B_DENSE, n, d, scale, shift, feats=feats)
@@ -222,6 +235,7 @@ class KernelOracle:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("kernel matrix must be square")
+        require_finite(matrix, "kernel matrix")
         matrix = np.ascontiguousarray(matrix)
         return cls(L_DENSE, matrix.shape[0], 0, scale, shift, matrix=matrix)
 
@@ -267,6 +281,35 @@ class KernelOracle:
         v = self.scale * raw
         if i == j:
             v += self.shift
+        return v
+
+    def column(self, j: int, rows) -> np.ndarray:
+        """``entry(r, j)`` for every ``r`` in ``rows``, bit for bit, as one array.
+
+        Dense kinds gather or sum all rows in one numpy pass; each row's sum
+        keeps the ascending single-accumulator order of :func:`seq_dot`.
+        Sparse features scatter item ``j`` once and gather per row.  Counts
+        one lookup per row.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if not 0 <= j < self.n or (rows.size and not (0 <= rows.min() and rows.max() < self.n)):
+            raise IndexError(f"kernel column {j} or its rows out of range for n={self.n}")
+        self.eval_count += rows.size
+        if self.kind == L_DENSE:
+            raw = self._matrix[rows, j]
+        elif self.kind == B_DENSE:
+            products = self._feats[rows] * self._feats[j]
+            raw = np.add.accumulate(products, axis=1)[:, -1] + 0.0 if self.d else np.zeros(rows.size)
+        else:
+            idx, values = self._sparse_idx, self._sparse.values
+            scratch = self._scratch.buf
+            scratch[idx[j]] = values[j]
+            try:
+                raw = np.array([seq_dot(scratch[idx[r]], values[r]) for r in rows.tolist()])
+            finally:
+                scratch[idx[j]] = 0.0
+        v = self.scale * raw
+        v[rows == j] += self.shift
         return v
 
     def diag(self, i: int) -> float:

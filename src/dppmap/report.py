@@ -5,9 +5,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class RunReport:
+    """One run's outcome.  A solver may store a per-step series (``gains``,
+    ``objective_trace``, an ``extras`` entry) as a float64 array instead of
+    a list; :meth:`to_json` writes either form as the same JSON text."""
+
     algo: str
     n: int
     d: int
@@ -36,7 +42,7 @@ class RunReport:
         data = self.to_dict()
         if not include_timings:
             data.pop("timings")
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return json.dumps(data, sort_keys=True, indent=2, default=_array_as_list) + "\n"
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -47,3 +53,10 @@ class RunReport:
         data = json.loads(text)
         data.setdefault("timings", {})
         return cls(**data)
+
+
+def _array_as_list(value):
+    """JSON for the per-step series a solver stores as arrays: the same text as a list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

@@ -195,27 +195,38 @@ def check_pythagoras(instances: int = 10, seed0: int = 140) -> CheckResult:
 
 
 def check_row_independence(seed: int = 150) -> CheckResult:
-    """Row refresh order cannot change any computed value, bit for bit."""
+    """Row refresh order and vectorized prefetch cannot change any value, bit for bit.
+
+    Three schedules fill the same factor: scalar catch-up in ascending and in
+    descending row order, and one that prefetches row blocks of varying
+    start after each commit before the scalar catch-up adopts them.  Factor
+    and pivots must match byte for byte, sign of zero included.
+    """
     oracle = build_synthetic_oracle(14, 14, seed, "B")
     commits = [3, 7, 1, 10]
+    prefetch_from = [5, 0, 12, 2]  # after each commit; rows reach the last commit with mixed progress
 
-    def run(order):
+    def run(order, prefetch=False):
         state = CholeskyState(oracle, len(commits))
-        for c in commits:
+        for c, lo in zip(commits, prefetch_from):
             state.update_row(c)
             state.commit(c)
+            if prefetch:
+                state.prefetch(lo)
         for i in order:
             if not state.in_selection[i]:
                 state.update_row(i)
         return state
 
     ascending = run(range(14))
-    descending = run(range(13, -1, -1))
-    if not np.array_equal(ascending.factor, descending.factor):
-        return CheckResult("row-independence", False, "factor entries differ across orders")
-    if not np.array_equal(ascending.pivots, descending.pivots):
-        return CheckResult("row-independence", False, "pivots differ across orders")
-    return CheckResult("row-independence", True, "refresh order is bitwise irrelevant")
+    for label, other in (("descending", run(range(13, -1, -1))),
+                         ("prefetched", run(range(14), prefetch=True))):
+        if ascending.factor.tobytes() != other.factor.tobytes():
+            return CheckResult("row-independence", False, f"factor entries differ: ascending vs {label}")
+        if ascending.pivots.tobytes() != other.pivots.tobytes():
+            return CheckResult("row-independence", False, f"pivots differ: ascending vs {label}")
+    return CheckResult("row-independence", True,
+                       "refresh order and prefetch are bitwise irrelevant")
 
 
 def check_objective_reconstruction(instances: int = 10, seed0: int = 160) -> CheckResult:

@@ -170,3 +170,62 @@ def test_prop1_against_reference_random():
             assert state.marginal_gain(i) == pytest.approx(brute, rel=1e-9, abs=1e-9)
         fresh = [i for i in range(10) if not state.in_selection[i]]
         state.commit(max(fresh, key=lambda i: state.pivots[i]))
+
+
+def _committed_states(lazy_diag=False):
+    """Two states over one B-input kernel with the same commits: one to prefetch, one scalar."""
+    rng = np.random.default_rng(21)
+    feats = rng.standard_normal((9, 16))
+    feats[rng.random(feats.shape) < 0.3] = 0.0
+    oracle = KernelOracle.from_dense_features(feats, 0.9, 0.1)
+    return [CholeskyState(oracle, 6, lazy_diag=lazy_diag) for _ in range(2)]
+
+
+def test_prefetch_then_update_row_is_bitwise_scalar():
+    fetched, scalar = _committed_states()
+    for c, lo in zip((4, 11, 0, 7, 15), (0, 9, 3, 12, 16)):
+        for state in (fetched, scalar):
+            state.update_row(c)
+            state.commit(c)
+        fetched.prefetch(lo)
+    for state in (fetched, scalar):
+        for i in range(16):
+            if not state.in_selection[i]:
+                state.update_row(i)
+    assert fetched.factor.tobytes() == scalar.factor.tobytes()
+    assert fetched.pivots.tobytes() == scalar.pivots.tobytes()
+    assert fetched.stamps.tobytes() == scalar.stamps.tobytes()
+    assert fetched.offdiag_count == scalar.offdiag_count
+
+
+def test_prefetch_moves_no_stamp_and_counts_nothing():
+    state, _ = _committed_states()
+    for c in (2, 9):
+        state.update_row(c)
+        state.commit(c)
+    evals, offdiag = state.oracle.eval_count, state.offdiag_count
+    state.prefetch(0)
+    assert state.offdiag_count == offdiag
+    assert not state.stamps[[0, 1, 3]].any()
+    assert state.oracle.eval_count == evals + 2 * 14  # two columns for the 14 uncommitted rows
+    with pytest.raises(StaleRowError):
+        state.marginal_gain(0)
+    state.update_row(0)
+    assert state.offdiag_count == offdiag + 2
+    assert state.oracle.eval_count == evals + 2 * 14  # adopting computes nothing
+    state.prefetch(0)  # nothing missing
+    state.prefetch(16)  # no rows
+    assert state.oracle.eval_count == evals + 2 * 14
+
+
+def test_prefetch_skips_committed_rows_and_initializes_lazy_pivots():
+    state, scalar = _committed_states(lazy_diag=True)
+    for s in (state, scalar):
+        s.touch(5)
+        s.commit(5)
+    state.prefetch(3)
+    assert state.factor[5].tobytes() == scalar.factor[5].tobytes()
+    assert state._diag_ready[3:].all() and not state._diag_ready[:3].any()
+    for i in (3, 4, 6, 15):
+        assert state.pivots[i] != scalar.touch(i)
+        assert state.update_row(i) == scalar.update_row(i)

@@ -1,0 +1,86 @@
+"""Non-finite input fails fast with one typed error, whatever the solver or storage."""
+
+import numpy as np
+import pytest
+
+from dppmap import matrixio
+from dppmap.bench import ALGORITHMS, run_algorithm
+from dppmap.cli import main
+from dppmap.doublegreedy import naive_double_greedy
+from dppmap.errors import NonFiniteInputError
+from dppmap.kernel import KernelOracle, SparseColumns
+
+
+def _nan_features():
+    """The seed-0 5 x 8 feature matrix with item 4's first feature NaN.
+
+    Unvalidated, ``fast`` (k = 4) selected [4, 0, 1, 2] with objective nan on
+    it while ``lazyfast`` selected [6, 5, 0].
+    """
+    features = np.random.default_rng(0).standard_normal((5, 8))
+    features[0, 4] = np.nan
+    return features
+
+
+def test_non_finite_input_error_is_a_value_error():
+    assert issubclass(NonFiniteInputError, ValueError)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_every_solver_raises_the_same_error_on_nan_features(algo):
+    with pytest.raises(NonFiniteInputError, match="feature matrix contains NaN or infinite values"):
+        run_algorithm(algo, KernelOracle.from_dense_features(_nan_features()), 4, seed=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_constructors_reject_non_finite(bad):
+    features = np.random.default_rng(1).standard_normal((3, 4))
+    kernel = features.T @ features
+    features[2, 1] = bad
+    kernel[1, 3] = bad
+    with pytest.raises(NonFiniteInputError, match="feature matrix"):
+        KernelOracle.from_dense_features(features)
+    with pytest.raises(NonFiniteInputError, match="kernel matrix"):
+        KernelOracle.from_dense_kernel(kernel)
+    with pytest.raises(NonFiniteInputError, match="kernel matrix"):
+        naive_double_greedy(kernel, None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sparse_validation_names_the_non_finite_column(bad):
+    cols = SparseColumns(dim=4, indices=[np.array([0, 2], dtype=np.uint32), np.array([1, 3], dtype=np.uint32)],
+                         values=[np.array([1.0, -2.0]), np.array([0.5, bad])])
+    assert not cols._all_columns_valid()
+    with pytest.raises(NonFiniteInputError) as err:
+        cols.validate()
+    assert str(err.value) == "column 1: non-finite value stored"
+    with pytest.raises(NonFiniteInputError):
+        KernelOracle.from_sparse_features(cols)
+
+
+def test_structural_faults_are_named_before_non_finite_values():
+    cols = SparseColumns(dim=4, indices=[np.array([3, 1], dtype=np.uint32)], values=[np.array([np.nan, 1.0])])
+    with pytest.raises(ValueError) as err:
+        cols.validate()
+    assert type(err.value) is ValueError
+    assert str(err.value) == "column 0: indices not strictly increasing"
+
+
+def test_files_with_non_finite_values_fail_in_dppmap_run(tmp_path):
+    dense = tmp_path / "nan.dppm1"
+    matrixio.write_dense(dense, _nan_features())
+    with pytest.raises(NonFiniteInputError):
+        main(["run", "--algo", "lazyfast", "--k", "4", "--input", str(dense)])
+
+    sparse = tmp_path / "nan.dpps1"
+    features = _nan_features()
+    features[0, 4] = 7.0  # a marker value, replaced by NaN in the file's bytes
+    matrixio.write_sparse(sparse, SparseColumns.from_dense(features))
+    data = sparse.read_bytes()
+    marker = np.float64(7.0).astype("<f8").tobytes()
+    assert data.count(marker) == 1
+    sparse.write_bytes(data.replace(marker, np.float64(np.nan).astype("<f8").tobytes()))
+    with pytest.raises(NonFiniteInputError, match="column 4"):
+        matrixio.read_sparse(sparse)
+    with pytest.raises(NonFiniteInputError):
+        main(["run", "--algo", "random", "--k", "4", "--input", str(sparse)])

@@ -294,3 +294,59 @@ def test_sparse_columns_validation_accepts_boundary_steps():
     cols = _malformed(6, [([3, 5], [1.0, -1.0]), ([], []), ([0, 5], [2.0, 1.0]), ([5], [1.0])])
     assert cols._all_columns_valid()  # accepted by the vectorized pass, no per-column scan
     cols.validate()
+
+
+def _oracles_of_every_kind(scale=1.0, shift=0.0):
+    """(label, oracle) for L, dense B and sparse B over signed features with zeros."""
+    dense = _structured_features(7, n=16)
+    dense[:, 5] = 0.0
+    dense[[2, 3], 5] = [-1.0, 1e-300]
+    dense[:, 6] = 0.0
+    dense[[3, 4], 6] = [-1e-300, -1.0]                   # the one common product underflows to -0.0
+    kernel = KernelOracle.from_dense_features(dense).materialize()
+    kernel[0, 0] = -0.0                                  # a signed-zero diagonal the shift must reach
+    kernel[0, 1] = kernel[1, 0] = -0.0
+    return [
+        ("L", KernelOracle.from_dense_kernel(kernel, scale, shift)),
+        ("dense B", KernelOracle.from_dense_features(dense, scale, shift)),
+        ("sparse B", KernelOracle.from_sparse_features(SparseColumns.from_dense(dense), scale, shift)),
+    ]
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.9, 0.1), (-0.5, 2.0)])
+def test_column_bitwise_matches_entry(scale, shift):
+    for label, ora in _oracles_of_every_kind(scale, shift):
+        n = ora.n
+        for j in range(n):
+            for rows in (np.arange(n), np.array([j, 0, n - 1, j, 3])):
+                want = np.array([ora.entry(int(r), j) for r in rows])
+                got = ora.column(j, rows)
+                assert got.dtype == np.float64 and got.shape == rows.shape
+                assert got.tobytes() == want.tobytes(), (label, j, rows)
+
+
+def test_column_signed_zeros_are_positive():
+    for label, ora in _oracles_of_every_kind():
+        col = ora.column(1, np.arange(ora.n))
+        assert _bits(col[0]) == _bits(ora.entry(0, 1)), label
+        if label != "L":
+            assert _bits(ora.column(5, np.array([6]))[0]) == _bits(0.0), label
+    ora = _oracles_of_every_kind()[0][1]
+    assert _bits(ora.column(0, np.array([0]))[0]) == _bits(0.0)  # -0.0 + shift 0.0 on the diagonal
+
+
+def test_column_counts_one_eval_per_row_and_accepts_empty_rows():
+    for label, ora in _oracles_of_every_kind():
+        empty = ora.column(2, np.array([], dtype=np.intp))
+        assert empty.shape == (0,) and empty.dtype == np.float64, label
+        assert ora.eval_count == 0, label
+        ora.column(2, [0, 2, 2])
+        assert ora.eval_count == 3, label
+
+
+def test_column_bounds():
+    ora = KernelOracle.from_dense_kernel(np.eye(3))
+    for j, rows in ((3, [0]), (-1, [0]), (0, [3]), (0, [-1, 1])):
+        with pytest.raises(IndexError):
+            ora.column(j, rows)
+    assert ora.eval_count == 0

@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from dppmap.report import RunReport
 
 
@@ -23,3 +25,18 @@ def test_json_sorted_and_newline_terminated():
 def test_timings_excludable():
     rep = RunReport(algo="x", n=1, d=1, k=1, timings={"greedy_ms": 5.0})
     assert "timings" not in json.loads(rep.to_json(include_timings=False))
+
+
+def test_array_series_give_the_same_json_as_lists():
+    gains = [0.5, -0.0, 1e-310, float("nan"), 2.0 / 3.0]
+    trace = list(np.cumsum(gains))
+    pairs = [[a, -a] for a in gains]
+    as_lists = RunReport(algo="double-fast", n=5, d=5, k=5, gains=gains, objective_trace=trace,
+                         extras={"ab_gains": pairs}, timings={"greedy_ms": 1.0})
+    as_arrays = RunReport(algo="double-fast", n=5, d=5, k=5, gains=np.array(gains),
+                          objective_trace=np.array(trace), extras={"ab_gains": np.array(pairs)},
+                          timings={"greedy_ms": 1.0})
+    assert as_arrays.to_json() == as_lists.to_json()
+    assert as_arrays.to_json(include_timings=False) == as_lists.to_json(include_timings=False)
+    empty = RunReport(algo="x", n=0, d=0, k=0, gains=np.empty(0), extras={"ab_gains": np.empty((0, 2))})
+    assert empty.to_json() == RunReport(algo="x", n=0, d=0, k=0, extras={"ab_gains": []}).to_json()
