@@ -131,13 +131,6 @@ def write_idmap(path, idmap: dict) -> None:
         fh.write("\n")
 
 
-def columns_to_triples(cols: SparseColumns):
-    """Render sparse columns back to (user, item, rating=1.0) triples."""
-    for item, (idx, val) in enumerate(zip(cols.indices, cols.values)):
-        for user, value in zip(idx.tolist(), val.tolist()):
-            yield user, item, value
-
-
 def convert_netflix(paths) -> list[tuple[str, str, float]]:
     """Flatten the per-movie rating file format into triples.
 

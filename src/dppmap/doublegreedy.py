@@ -13,16 +13,14 @@ item, so twin runs with a shared seed make identical decisions.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from . import reference
 from .cholesky import CholeskyState
 from .errors import SelectionDriftError, SingularKernelError, SingularPivotError
-from .greedy import _deadline_hit, _ms
-from .kernel import KernelOracle, require_finite
-from .report import RunReport
+from .kernel import KernelOracle
+from .report import RunReport, SolverRun
 from .stream import DecisionStream
 
 INVERSE_GATE = 1e-8
@@ -83,30 +81,24 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
             oracle.shift if shift is None else shift,
         )
     n = oracle.n
-    report = RunReport(algo="double-fast", n=n, d=oracle.d, k=n,
-                       input_kind=oracle.input_kind, seed=stream.seed)
-    evals0 = oracle.eval_count
-    t0 = time.perf_counter()
+    run = SolverRun("double-fast", oracle, n, seed=stream.seed)
+    report = run.report
     matrix = oracle.materialize()
-    report.timings["product_ms"] = _ms(t0)
+    product_ms = run.ms()
 
-    t1 = time.perf_counter()
     inv = reference.inverse(matrix)
     gate = float(np.max(np.sum(np.abs(matrix @ inv - np.eye(n)), axis=1)))  # induced inf-norm
     if gate > INVERSE_GATE:
         raise SingularKernelError(f"kernel numerically singular: |K Kinv - I|_inf = {gate:.3e}")
-    report.timings["inverse_ms"] = _ms(t1)
+    setup_ms = run.ms()
+    report.timings.update(product_ms=product_ms, inverse_ms=setup_ms - product_ms)
 
-    t2 = time.perf_counter()
     grow = CholeskyState(KernelOracle.from_dense_kernel(matrix), n)
     shrink = CholeskyState(KernelOracle.from_dense_kernel(inv), n)
     ab_gains: list[tuple[float, float]] = []
     try:
-        for i in range(n):
-            if _deadline_hit(deadline):
-                report.timed_out = True
-                break
-            report.steps_attempted += 1
+        for step in run.steps(n, deadline):
+            i = step - 1
             grow.update_row(i)
             shrink.update_row(i)
             add_gain = grow.marginal_gain(i)
@@ -117,40 +109,37 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
             side.prefetch(i + 1)
     except SingularPivotError as exc:
         raise SingularKernelError(f"kernel numerically singular: {exc}") from None
-    report.timings["greedy_ms"] = _ms(t2)
 
     # the shrink-side selection must be exactly the rejected prefix items
     rejected = [i for i in range(report.steps_attempted) if not grow.in_selection[i]]
     if shrink.selection != rejected:
         raise SelectionDriftError("shrink-side selection drifted from the rejected items")
 
-    report.selection = list(grow.selection)
+    run.finish(grow, setup_ms=setup_ms)
     report.gains = np.array([2.0 * math.log(p) for p in grow.selected_pivots], dtype=np.float64)
     report.objective_trace = np.array(grow.objective_trace, dtype=np.float64)
-    report.final_objective = grow.objective()
-    report.offdiag_count = grow.offdiag_count + shrink.offdiag_count
-    report.kernel_evals = oracle.eval_count - evals0
+    report.offdiag_count += shrink.offdiag_count
     report.extras["ab_gains"] = np.array(ab_gains, dtype=np.float64).reshape(-1, 2)
-    report.timings["setup_ms"] = report.timings["product_ms"] + report.timings["inverse_ms"]
-    report.timings["total_ms"] = _ms(t0)
     return report
 
 
 def naive_double_greedy(matrix: np.ndarray, stream: DecisionStream,
                         deadline: float | None = None) -> RunReport:
-    """Double greedy with every gain from brute-force log-determinants."""
+    """Double greedy with every gain from brute-force log-determinants.
+
+    Takes the adjusted kernel as a matrix, so its report counts no kernel
+    lookups; :func:`dppmap.bench.run_algorithm` adds the ``materialize``
+    that built the matrix.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
-    require_finite(matrix, "kernel matrix")
-    n = matrix.shape[0]
-    report = RunReport(algo="double-naive", n=n, d=0, k=n, input_kind="L", seed=stream.seed)
-    t0 = time.perf_counter()
+    oracle = KernelOracle.from_dense_kernel(matrix)
+    n = oracle.n
+    run = SolverRun("double-naive", oracle, n, seed=stream.seed)
+    report = run.report
     selected: list[int] = []
     ab_gains: list[tuple[float, float]] = []
-    for i in range(n):
-        if _deadline_hit(deadline):
-            report.timed_out = True
-            break
-        report.steps_attempted += 1
+    for step in run.steps(n, deadline):
+        i = step - 1
         add_gain = reference.log_det(matrix, selected + [i]) - reference.log_det(matrix, selected)
         keep = selected + list(range(i, n))  # survivor set going into step i
         keep_minus = selected + list(range(i + 1, n))
@@ -165,6 +154,4 @@ def naive_double_greedy(matrix: np.ndarray, stream: DecisionStream,
     report.selection = selected
     report.final_objective = reference.log_det(matrix, selected)
     report.extras["ab_gains"] = [[a, b] for a, b in ab_gains]
-    report.timings["greedy_ms"] = _ms(t0)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish()

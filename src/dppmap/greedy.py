@@ -21,7 +21,6 @@ a tie; the shared tie-break keeps even exact-tie instances aligned).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from . import reference
 from .cholesky import PIVOT_FLOOR, CholeskyState
 from .kernel import KernelOracle
 from .pqueue import LazyMaxQueue
-from .report import RunReport
+from .report import RunReport, SolverRun
 
 ZERO_GAIN_PIVOT = 1.0  # pivot == 1  <=>  marginal gain == 0
 
@@ -39,18 +38,6 @@ ZERO_GAIN_PIVOT = 1.0  # pivot == 1  <=>  marginal gain == 0
 class GreedyConfig:
     k: int
     stop_on_nonpositive: bool = True  # stop once the best gain drops to <= 0
-
-
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
-
-
-def _deadline_hit(deadline) -> bool:
-    return deadline is not None and time.perf_counter() >= deadline
-
-
-def _base_report(algo: str, oracle: KernelOracle, k: int) -> RunReport:
-    return RunReport(algo=algo, n=oracle.n, d=oracle.d, k=k, input_kind=oracle.input_kind)
 
 
 def pop_fresh_argmax(queue: LazyMaxQueue, state: CholeskyState, stop_threshold: float | None):
@@ -78,36 +65,37 @@ def pop_fresh_argmax(queue: LazyMaxQueue, state: CholeskyState, stop_threshold: 
         queue.push(i, state.pivots[i])
 
 
+def gain_argmax(matrix, selected, base, candidates):
+    """(index, gain) maximizing the brute-force marginal gain, ties to the smaller index.
+
+    ``(-1, -inf)`` when no candidate has a gain above ``-inf``.
+    """
+    best_i, best_gain = -1, -math.inf
+    for i in candidates:
+        gain = reference.log_det(matrix, list(selected) + [i]) - base
+        if gain > best_gain or (gain == best_gain and i < best_i):
+            best_i, best_gain = int(i), gain
+    return best_i, best_gain
+
+
 def naive_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None = None) -> RunReport:
     """Greedy with per-step brute-force gains over the materialized kernel."""
-    report = _base_report("naive", oracle, cfg.k)
-    evals0 = oracle.eval_count
-    t0 = time.perf_counter()
+    run = SolverRun("naive", oracle, cfg.k)
+    report = run.report
     matrix = oracle.materialize()
-    report.timings["setup_ms"] = _ms(t0)
+    setup_ms = run.ms()
 
-    t1 = time.perf_counter()
-    n = oracle.n
     selected: list[int] = []
     base = 0.0
-    while len(selected) < cfg.k:
-        if _deadline_hit(deadline):
-            report.timed_out = True
-            break
-        report.steps_attempted += 1
-        best_i, best_gain = -1, -math.inf
-        for i in range(n):
-            if i in selected:
-                continue
-            gain = reference.log_det(matrix, selected + [i]) - base
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        if best_i < 0 or best_gain == -math.inf:
+    for step in run.steps(cfg.k, deadline):
+        best_i, best_gain = gain_argmax(matrix, selected, base,
+                                        (i for i in range(oracle.n) if i not in selected))
+        if best_i < 0:
             report.terminated_early = True
             break
         if cfg.stop_on_nonpositive and best_gain <= 0.0:
             if best_gain == 0.0:
-                report.boundary_gain_steps.append(report.steps_attempted)
+                report.boundary_gain_steps.append(step)
             report.terminated_early = True
             break
         selected.append(best_i)
@@ -116,32 +104,23 @@ def naive_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None
         report.objective_trace.append(base)
     report.selection = selected
     report.final_objective = base
-    report.kernel_evals = oracle.eval_count - evals0
-    report.timings["greedy_ms"] = _ms(t1)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish(setup_ms=setup_ms)
 
 
 def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None = None) -> RunReport:
     """Greedy with brute-force gains behind a lazy priority queue."""
-    report = _base_report("lazy", oracle, cfg.k)
-    evals0 = oracle.eval_count
-    t0 = time.perf_counter()
+    run = SolverRun("lazy", oracle, cfg.k)
+    report = run.report
     matrix = oracle.materialize()
-    report.timings["setup_ms"] = _ms(t0)
+    setup_ms = run.ms()
 
-    t1 = time.perf_counter()
     n = oracle.n
     stamps = np.zeros(n, dtype=np.int64)
     queue = LazyMaxQueue.build([reference.log_det(matrix, [i]) for i in range(n)])
     gain_evals = n
     selected: list[int] = []
     base = 0.0
-    while len(selected) < cfg.k:
-        if _deadline_hit(deadline):
-            report.timed_out = True
-            break
-        report.steps_attempted += 1
+    for step in run.steps(cfg.k, deadline):
         winner = None
         winner_gain = -math.inf
         while True:
@@ -163,7 +142,7 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
             queue.push(i, gain)
         if winner is None:
             if winner_gain == 0.0:
-                report.boundary_gain_steps.append(report.steps_attempted)
+                report.boundary_gain_steps.append(step)
             report.terminated_early = True
             break
         if winner_gain == -math.inf:
@@ -175,12 +154,8 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
         report.objective_trace.append(base)
     report.selection = selected
     report.final_objective = base
-    report.kernel_evals = oracle.eval_count - evals0
-    report.pq_ops = queue.op_count
     report.extras["gain_evals"] = gain_evals
-    report.timings["greedy_ms"] = _ms(t1)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish(pq_ops=queue.op_count, setup_ms=setup_ms)
 
 
 def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None = None) -> RunReport:
@@ -191,22 +166,17 @@ def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
     selection.  The off-diagonal count is therefore exactly
     ``(T-1) * (n - T/2)`` for a run of ``T`` attempted steps.
     """
-    report = _base_report("fast", oracle, cfg.k)
-    evals0 = oracle.eval_count
-    t0 = time.perf_counter()
+    run = SolverRun("fast", oracle, cfg.k)
+    report = run.report
     state = CholeskyState(oracle, cfg.k)
     n = oracle.n
-    while len(state.selection) < cfg.k:
-        if _deadline_hit(deadline):
-            report.timed_out = True
-            break
-        report.steps_attempted += 1
+    for step in run.steps(cfg.k, deadline):
         masked = np.where(state.in_selection, -math.inf, state.pivots)
         best = int(np.argmax(masked))
         piv = float(masked[best])
         if cfg.stop_on_nonpositive and piv <= ZERO_GAIN_PIVOT:
             if piv == ZERO_GAIN_PIVOT:
-                report.boundary_gain_steps.append(report.steps_attempted)
+                report.boundary_gain_steps.append(step)
             report.terminated_early = True
             break
         if piv <= PIVOT_FLOOR:
@@ -214,39 +184,26 @@ def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
             break
         report.gains.append(state.marginal_gain(best))
         state.commit(best)
-        if len(state.selection) == cfg.k:
+        if step == cfg.k:
             break
         for i in range(n):
             if not state.in_selection[i]:
                 state.update_row(i)
-    report.selection = list(state.selection)
-    report.objective_trace = list(state.objective_trace)
-    report.final_objective = state.objective()
-    report.offdiag_count = state.offdiag_count
-    report.kernel_evals = oracle.eval_count - evals0
-    report.timings["setup_ms"] = 0.0
-    report.timings["greedy_ms"] = _ms(t0)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish(state)
 
 
 def lazy_fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None = None) -> RunReport:
     """Greedy via incremental factor rows refreshed lazily from a queue."""
-    report = _base_report("lazyfast", oracle, cfg.k)
-    evals0 = oracle.eval_count
-    t0 = time.perf_counter()
+    run = SolverRun("lazyfast", oracle, cfg.k)
+    report = run.report
     state = CholeskyState(oracle, cfg.k)
     queue = LazyMaxQueue.build(state.pivots)
     threshold = ZERO_GAIN_PIVOT if cfg.stop_on_nonpositive else None
-    while len(state.selection) < cfg.k:
-        if _deadline_hit(deadline):
-            report.timed_out = True
-            break
-        report.steps_attempted += 1
+    for step in run.steps(cfg.k, deadline):
         best, stop_key = pop_fresh_argmax(queue, state, threshold)
         if best is None:
             if stop_key == ZERO_GAIN_PIVOT:
-                report.boundary_gain_steps.append(report.steps_attempted)
+                report.boundary_gain_steps.append(step)
             report.terminated_early = True
             break
         if state.pivots[best] <= PIVOT_FLOOR:
@@ -254,13 +211,4 @@ def lazy_fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | 
             break
         report.gains.append(state.marginal_gain(best))
         state.commit(best)
-    report.selection = list(state.selection)
-    report.objective_trace = list(state.objective_trace)
-    report.final_objective = state.objective()
-    report.offdiag_count = state.offdiag_count
-    report.kernel_evals = oracle.eval_count - evals0
-    report.pq_ops = queue.op_count
-    report.timings["setup_ms"] = 0.0
-    report.timings["greedy_ms"] = _ms(t0)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish(state, pq_ops=queue.op_count)

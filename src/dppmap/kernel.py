@@ -256,10 +256,6 @@ class KernelOracle:
     # -- access ------------------------------------------------------------
 
     @property
-    def cost_class(self) -> str:
-        return {B_DENSE: "O(d)", B_SPARSE: "O(nnz)", L_DENSE: "O(1)"}[self.kind]
-
-    @property
     def input_kind(self) -> str:
         return "L" if self.kind == L_DENSE else "B"
 
@@ -311,9 +307,6 @@ class KernelOracle:
         v = self.scale * raw
         v[rows == j] += self.shift
         return v
-
-    def diag(self, i: int) -> float:
-        return self.entry(i, i)
 
     def materialize(self) -> np.ndarray:
         """Dense adjusted kernel, for reference-path algorithms.

@@ -8,45 +8,28 @@ exist to ground differential tests, not to be fast.
 
 from __future__ import annotations
 
-import time
-
-from . import reference
-from .greedy import _deadline_hit, _ms
-from .kernel import KernelOracle
-from .report import RunReport
-from .stream import DecisionStream
-from .variants import VariantConfig, stochastic_sample_size
-
 import numpy as np
 
-
-def _gain_argmax(matrix, selected, base, candidates):
-    """(index, gain) maximizing the marginal gain, ties to the smaller index."""
-    best_i, best_gain = -1, -np.inf
-    for i in candidates:
-        gain = reference.log_det(matrix, list(selected) + [i]) - base
-        if gain > best_gain or (gain == best_gain and i < best_i):
-            best_i, best_gain = int(i), gain
-    return best_i, best_gain
+from . import reference
+from .greedy import gain_argmax
+from .kernel import KernelOracle
+from .report import RunReport, SolverRun
+from .stream import DecisionStream
+from .variants import VariantConfig, stochastic_sample_size
 
 
 def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
                         deadline: float | None = None) -> RunReport:
     if oracle.n < 2 * cfg.k:
         raise ValueError(f"random greedy requires n >= 2k (n={oracle.n}, k={cfg.k})")
-    report = RunReport(algo="random-naive", n=oracle.n, d=oracle.d, k=cfg.k,
-                       input_kind=oracle.input_kind, seed=stream.seed)
-    t0 = time.perf_counter()
+    run = SolverRun("random-naive", oracle, cfg.k, seed=stream.seed)
+    report = run.report
     matrix = oracle.materialize()
     n = oracle.n
     selected: list[int] = []
     rank_draws: list[int] = []
     dummy_steps: list[int] = []
-    for step in range(1, cfg.k + 1):
-        if _deadline_hit(deadline):
-            report.timed_out = True
-            break
-        report.steps_attempted += 1
+    for step in run.steps(cfg.k, deadline):
         rank = stream.rank(cfg.k)
         rank_draws.append(rank)
         base = reference.log_det(matrix, selected)
@@ -67,9 +50,7 @@ def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: Decisi
     report.selection = selected
     report.final_objective = reference.log_det(matrix, selected)
     report.extras.update(rank_draws=rank_draws, dummy_steps=dummy_steps)
-    report.timings["greedy_ms"] = _ms(t0)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish()
 
 
 def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
@@ -80,21 +61,16 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
         raise ValueError("stochastic greedy requires epsilon")
     n = oracle.n
     s = stochastic_sample_size(n, cfg.k, cfg.epsilon)
-    report = RunReport(algo="stochastic-naive", n=n, d=oracle.d, k=cfg.k,
-                       input_kind=oracle.input_kind, seed=stream.seed, epsilon=cfg.epsilon)
-    t0 = time.perf_counter()
+    run = SolverRun("stochastic-naive", oracle, cfg.k, seed=stream.seed, epsilon=cfg.epsilon)
+    report = run.report
     matrix = oracle.materialize()
     selected: list[int] = []
     skipped_steps: list[int] = []
-    for step in range(1, cfg.k + 1):
-        if _deadline_hit(deadline):
-            report.timed_out = True
-            break
-        report.steps_attempted += 1
+    for step in run.steps(cfg.k, deadline):
         pool = np.array([i for i in range(n) if i not in selected], dtype=np.int64)
         sample = stream.sample_sorted(pool, s)
         base = reference.log_det(matrix, selected)
-        winner, gain = _gain_argmax(matrix, selected, base, sample)
+        winner, gain = gain_argmax(matrix, selected, base, sample)
         if gain > 0.0:
             selected.append(winner)
             report.gains.append(gain)
@@ -106,18 +82,15 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
     report.selection = selected
     report.final_objective = reference.log_det(matrix, selected)
     report.extras.update(sample_size=s, skipped_steps=skipped_steps)
-    report.timings["greedy_ms"] = _ms(t0)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish()
 
 
 def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
                            deadline: float | None = None) -> RunReport:
     if oracle.n < 4 * cfg.k:
         raise ValueError(f"interlace greedy requires n >= 4k (n={oracle.n}, k={cfg.k})")
-    report = RunReport(algo="interlace-naive", n=oracle.n, d=oracle.d, k=cfg.k,
-                       input_kind=oracle.input_kind)
-    t0 = time.perf_counter()
+    run = SolverRun("interlace-naive", oracle, cfg.k)
+    report = run.report
     matrix = oracle.materialize()
     n = oracle.n
 
@@ -127,20 +100,19 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
         if seed_item is not None:
             first.append(seed_item)
             second.append(seed_item)
-        start = 2 if seed_item is not None else 1
-        for _ in range(start, cfg.k + 1):
+        for _ in run.steps(cfg.k if seed_item is None else cfg.k - 1, deadline):
             taken = set(first) | set(second)
             cands = [i for i in range(n) if i not in taken]
             if cands:
                 base = reference.log_det(matrix, first)
-                i, gain = _gain_argmax(matrix, first, base, cands)
+                i, gain = gain_argmax(matrix, first, base, cands)
                 if gain >= 0.0:
                     first.append(i)
             taken = set(first) | set(second)
             cands = [i for i in range(n) if i not in taken]
             if cands:
                 base = reference.log_det(matrix, second)
-                j, gain = _gain_argmax(matrix, second, base, cands)
+                j, gain = gain_argmax(matrix, second, base, cands)
                 if gain >= 0.0:
                     second.append(j)
         return first, second
@@ -161,8 +133,7 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
     report.selection = list(best_seq)
     report.final_objective = best_obj
     report.objective_trace = [reference.log_det(matrix, best_seq[: t + 1]) for t in range(best_len)]
+    report.steps_attempted = cfg.k
     report.extras["sequences"] = {label: list(seq) for label, seq in runs}
     report.extras["best_prefix"] = {"run": best_label, "length": best_len}
-    report.timings["greedy_ms"] = _ms(t0)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish()

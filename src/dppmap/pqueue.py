@@ -32,13 +32,6 @@ class LazyMaxQueue:
         q.op_count += len(keys)
         return q
 
-    def __len__(self) -> int:
-        return sum(
-            1
-            for i, k in enumerate(self._live_key)
-            if k is not None and not self._excluded[i]
-        )
-
     def push(self, index: int, key: float) -> None:
         self._version[index] += 1
         self._live_key[index] = float(key)

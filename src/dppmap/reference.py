@@ -44,20 +44,6 @@ def log_det(matrix: np.ndarray, subset) -> float:
     return float(2.0 * np.sum(np.log(diag)))
 
 
-def det_cofactor(matrix: np.ndarray) -> float:
-    """Determinant by cofactor expansion along the first row (small m only)."""
-    m = matrix.shape[0]
-    if m == 0:
-        return 1.0
-    if m == 1:
-        return float(matrix[0, 0])
-    total = 0.0
-    for j in range(m):
-        minor = np.delete(np.delete(matrix, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * float(matrix[0, j]) * det_cofactor(minor)
-    return total
-
-
 def exhaustive_map(matrix: np.ndarray, k: int | None = None) -> tuple[tuple[int, ...], float]:
     """Best subset by enumeration: argmax of ln det over all feasible subsets.
 

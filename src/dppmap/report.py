@@ -1,8 +1,15 @@
-"""Run reports: everything a solver run produces besides its side effects."""
+"""Run reports, and the one place that runs and finishes them.
+
+:class:`RunReport` is everything a solver run produces besides its side
+effects.  Every solver keeps its run bookkeeping in a :class:`SolverRun`:
+the report, the clock, the oracle's starting lookup count, the step loop
+with its deadline, and the copy-out of the final factor state and counters.
+"""
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -60,3 +67,61 @@ def _array_as_list(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _deadline_hit(deadline) -> bool:
+    return deadline is not None and time.perf_counter() >= deadline
+
+
+class SolverRun:
+    """Bookkeeping shared by every solver: one report, one clock, one lookup baseline.
+
+    Built before the solver's first kernel lookup, so ``kernel_evals`` covers
+    everything the run asks of ``oracle`` (a ``materialize`` included).
+    ``fields`` are further :class:`RunReport` fields, such as ``seed``.
+    """
+
+    def __init__(self, algo: str, oracle, k: int, **fields):
+        self.oracle = oracle
+        self.report = RunReport(algo=algo, n=oracle.n, d=oracle.d, k=k,
+                                input_kind=oracle.input_kind, **fields)
+        self._evals0 = oracle.eval_count
+        self._t0 = time.perf_counter()
+
+    def ms(self) -> float:
+        """Milliseconds since the run started."""
+        return (time.perf_counter() - self._t0) * 1000.0
+
+    def steps(self, count: int, deadline: float | None):
+        """Yield steps ``1..count``, each counted in ``steps_attempted``.
+
+        Stops, setting ``timed_out``, when the deadline has passed before a
+        step starts; a step that has started always runs to its end.
+        """
+        report = self.report
+        for step in range(1, count + 1):
+            if _deadline_hit(deadline):
+                report.timed_out = True
+                return
+            report.steps_attempted += 1
+            yield step
+
+    def finish(self, state=None, pq_ops: int = 0, setup_ms: float = 0.0) -> RunReport:
+        """Copy out the final state and counters and return the report.
+
+        A :class:`~dppmap.cholesky.CholeskyState` gives the selection, the
+        objective trace and final objective, and ``offdiag_count``; without
+        one, the solver has filled those in itself.  ``greedy_ms`` is the time
+        after the first ``setup_ms``.
+        """
+        report = self.report
+        if state is not None:
+            report.selection = list(state.selection)
+            report.objective_trace = list(state.objective_trace)
+            report.final_objective = state.objective()
+            report.offdiag_count = state.offdiag_count
+        report.kernel_evals = self.oracle.eval_count - self._evals0
+        report.pq_ops = pq_ops
+        total_ms = self.ms()
+        report.timings.update(setup_ms=setup_ms, greedy_ms=total_ms - setup_ms, total_ms=total_ms)
+        return report

@@ -29,11 +29,10 @@ _WORD_SPAN = 2 ** 64
 
 
 class DecisionStream:
-    def __init__(self, seed: int, record: bool = False):
+    def __init__(self, seed: int):
         self.seed = int(seed)
         self._bits = np.random.PCG64(self.seed)
         self.words_drawn = 0
-        self.log: list[tuple[str, object]] | None = [] if record else None
 
     def _words(self, m: int) -> np.ndarray:
         self.words_drawn += m
@@ -44,10 +43,7 @@ class DecisionStream:
         return int(self._bits.random_raw())
 
     def uniform(self) -> float:
-        u = (self._word() >> 11) * _INV_2_53
-        if self.log is not None:
-            self.log.append(("uniform", u))
-        return u
+        return (self._word() >> 11) * _INV_2_53
 
     def uniform_int(self, n: int) -> int:
         """Uniform draw from {0, ..., n-1} by rejection on raw words."""
@@ -57,10 +53,7 @@ class DecisionStream:
         while True:
             w = self._word()
             if w < limit:
-                v = w % n
-                if self.log is not None:
-                    self.log.append(("uniform_int", v))
-                return v
+                return w % n
 
     def rank(self, k: int) -> int:
         """1-based rank uniform on {1, ..., k}."""
@@ -81,10 +74,7 @@ class DecisionStream:
         for t in range(s):
             j = t + self.uniform_int(m - t)
             work[t], work[j] = work[j], work[t]
-        out = work[:s]
-        if self.log is not None:
-            self.log.append(("sample", out.tolist()))
-        return out
+        return work[:s]
 
     def normals(self, count: int) -> np.ndarray:
         """``count`` i.i.d. standard normals via Box-Muller.

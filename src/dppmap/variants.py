@@ -15,16 +15,15 @@ Randomness protocol (must match the naive twins draw for draw):
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cholesky import CholeskyState
-from .greedy import ZERO_GAIN_PIVOT, _deadline_hit, _ms, pop_fresh_argmax
+from .greedy import ZERO_GAIN_PIVOT, pop_fresh_argmax
 from .kernel import KernelOracle
 from .pqueue import LazyMaxQueue
-from .report import RunReport
+from .report import RunReport, SolverRun
 from .stream import DecisionStream
 
 
@@ -58,20 +57,14 @@ def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionS
     never win later because gains only shrink.
     """
     _require(oracle.n >= 2 * cfg.k, f"random greedy requires n >= 2k (n={oracle.n}, k={cfg.k})")
-    report = RunReport(algo="random", n=oracle.n, d=oracle.d, k=cfg.k,
-                       input_kind=oracle.input_kind, seed=stream.seed)
-    evals0 = oracle.eval_count
-    t0 = time.perf_counter()
+    run = SolverRun("random", oracle, cfg.k, seed=stream.seed)
+    report = run.report
     state = CholeskyState(oracle, cfg.k)
     queue = LazyMaxQueue.build(state.pivots)
     rank_draws: list[int] = []
     dropped: list[int] = []
     dummy_steps: list[int] = []
-    for step in range(1, cfg.k + 1):
-        if _deadline_hit(deadline):
-            report.timed_out = True
-            break
-        report.steps_attempted += 1
+    for step in run.steps(cfg.k, deadline):
         rank = stream.rank(cfg.k)
         rank_draws.append(rank)
         pool: list[int] = []
@@ -95,17 +88,8 @@ def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionS
                 queue.push(i, state.pivots[i])
         if committed is None:
             dummy_steps.append(step)
-    report.selection = list(state.selection)
-    report.objective_trace = list(state.objective_trace)
-    report.final_objective = state.objective()
-    report.offdiag_count = state.offdiag_count
-    report.kernel_evals = oracle.eval_count - evals0
-    report.pq_ops = queue.op_count
     report.extras.update(rank_draws=rank_draws, dropped=dropped, dummy_steps=dummy_steps)
-    report.timings["setup_ms"] = 0.0
-    report.timings["greedy_ms"] = _ms(t0)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish(state, pq_ops=queue.op_count)
 
 
 def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
@@ -122,19 +106,13 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
         raise ValueError("stochastic greedy requires epsilon")
     n = oracle.n
     s = stochastic_sample_size(n, cfg.k, cfg.epsilon)
-    report = RunReport(algo="stochastic", n=n, d=oracle.d, k=cfg.k,
-                       input_kind=oracle.input_kind, seed=stream.seed, epsilon=cfg.epsilon)
-    evals0 = oracle.eval_count
-    t0 = time.perf_counter()
+    run = SolverRun("stochastic", oracle, cfg.k, seed=stream.seed, epsilon=cfg.epsilon)
+    report = run.report
     state = CholeskyState(oracle, cfg.k, lazy_diag=True)
     sample_sizes: list[int] = []
     skipped_steps: list[int] = []
     pq_ops = 0
-    for step in range(1, cfg.k + 1):
-        if _deadline_hit(deadline):
-            report.timed_out = True
-            break
-        report.steps_attempted += 1
+    for step in run.steps(cfg.k, deadline):
         pool = np.array([i for i in range(n) if not state.in_selection[i]], dtype=np.int64)
         sample = stream.sample_sorted(pool, s)
         sample_sizes.append(int(sample.size))
@@ -154,32 +132,23 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
             if piv == ZERO_GAIN_PIVOT:
                 report.boundary_gain_steps.append(step)
             skipped_steps.append(step)
-    report.selection = list(state.selection)
-    report.objective_trace = list(state.objective_trace)
-    report.final_objective = state.objective()
-    report.offdiag_count = state.offdiag_count
-    report.kernel_evals = oracle.eval_count - evals0
-    report.pq_ops = pq_ops
     report.extras.update(sample_size=s, sample_sizes=sample_sizes, skipped_steps=skipped_steps)
-    report.timings["setup_ms"] = 0.0
-    report.timings["greedy_ms"] = _ms(t0)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish(state, pq_ops=pq_ops)
 
 
-def _interlaced_pair(oracle: KernelOracle, k: int, seed_item: int | None, deadline):
+def _interlaced_pair(run: SolverRun, k: int, seed_item: int | None, deadline):
     """Build two interlaced selections with mutual exclusion.
 
-    Returns ``(state_a, state_b, pq_ops, timed_out)``: the two factor states,
-    the priority-queue operations spent and whether the deadline hit.  The
-    caller reads prefix objectives off the states' commit traces, never
-    recomputing them.
+    Returns ``(state_a, state_b, pq_ops)``: the two factor states and the
+    priority-queue operations spent; a deadline that cuts the pair short
+    marks ``run``'s report timed out.  The caller reads prefix objectives off
+    the states' commit traces, never recomputing them.
     """
+    oracle = run.oracle
     state_a = CholeskyState(oracle, k)
     state_b = CholeskyState(oracle, k)
     queue_a = LazyMaxQueue.build(state_a.pivots)
     queue_b = LazyMaxQueue.build(state_b.pivots)
-    timed_out = False
 
     def argmax_at_least_unit(state, queue):
         top = queue.peek_entry()
@@ -193,13 +162,7 @@ def _interlaced_pair(oracle: KernelOracle, k: int, seed_item: int | None, deadli
             state.commit(seed_item)
         for queue in (queue_a, queue_b):
             queue.exclude(seed_item)
-        start = 2
-    else:
-        start = 1
-    for _ in range(start, k + 1):
-        if _deadline_hit(deadline):
-            timed_out = True
-            break
+    for _ in run.steps(k if seed_item is None else k - 1, deadline):
         i = argmax_at_least_unit(state_a, queue_a)
         if i is not None and state_a.pivots[i] >= 1.0:
             state_a.commit(i)
@@ -208,7 +171,7 @@ def _interlaced_pair(oracle: KernelOracle, k: int, seed_item: int | None, deadli
         if j is not None and state_b.pivots[j] >= 1.0:
             state_b.commit(j)
             queue_a.exclude(j)
-    return state_a, state_b, queue_a.op_count + queue_b.op_count, timed_out
+    return state_a, state_b, queue_a.op_count + queue_b.op_count
 
 
 def interlace_greedy_lf(oracle: KernelOracle, cfg: VariantConfig,
@@ -219,23 +182,18 @@ def interlace_greedy_lf(oracle: KernelOracle, cfg: VariantConfig,
     repeats with both selections seeded by phase one's first pick.  The
     result is the prefix with the largest accumulated objective among all
     prefixes of the four selections (the empty prefix included, which wins
-    all-zero ties).  Deterministic: no randomness is consumed.
+    all-zero ties).  Deterministic: no randomness is consumed.  Reports
+    ``steps_attempted = k`` whether or not a deadline cut the runs short.
     """
     _require(oracle.n >= 4 * cfg.k, f"interlace greedy requires n >= 4k (n={oracle.n}, k={cfg.k})")
-    report = RunReport(algo="interlace", n=oracle.n, d=oracle.d, k=cfg.k,
-                       input_kind=oracle.input_kind)
-    evals0 = oracle.eval_count
-    t0 = time.perf_counter()
-    state_a, state_b, ops1, to1 = _interlaced_pair(oracle, cfg.k, None, deadline)
+    run = SolverRun("interlace", oracle, cfg.k)
+    report = run.report
+    state_a, state_b, ops = _interlaced_pair(run, cfg.k, None, deadline)
     runs = [("A", state_a), ("B", state_b)]
-    ops = ops1
-    timed_out = to1
     if state_a.selection:
-        seed_item = state_a.selection[0]
-        state_c, state_d, ops2, to2 = _interlaced_pair(oracle, cfg.k, seed_item, deadline)
+        state_c, state_d, ops2 = _interlaced_pair(run, cfg.k, state_a.selection[0], deadline)
         runs += [("C", state_c), ("D", state_d)]
         ops += ops2
-        timed_out = timed_out or to2
 
     best_label, best_len, best_obj = "A", 0, 0.0
     for label, state in runs:
@@ -249,19 +207,13 @@ def interlace_greedy_lf(oracle: KernelOracle, cfg: VariantConfig,
     report.gains = [2.0 * math.log(p) for p in best_state.selected_pivots[:best_len]]
     report.final_objective = best_obj
     report.offdiag_count = sum(state.offdiag_count for _, state in runs)
-    report.kernel_evals = oracle.eval_count - evals0
-    report.pq_ops = ops
     report.steps_attempted = cfg.k
-    report.timed_out = timed_out
     report.extras["sequences"] = {label: list(state.selection) for label, state in runs}
     report.extras["prefix_objectives"] = {
         label: [0.0] + list(state.objective_trace) for label, state in runs
     }
     report.extras["best_prefix"] = {"run": best_label, "length": best_len}
-    report.timings["setup_ms"] = 0.0
-    report.timings["greedy_ms"] = _ms(t0)
-    report.timings["total_ms"] = _ms(t0)
-    return report
+    return run.finish(pq_ops=ops)
 
 
 # -- off-diagonal-count bands -----------------------------------------------

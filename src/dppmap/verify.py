@@ -9,23 +9,31 @@ tolerances.
 from __future__ import annotations
 
 import math
+import tempfile
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import reference
+from . import matrixio, reference
 from .bench import build_synthetic_oracle, naive_twin_report, run_algorithm, soft_speed_warnings, _report_row
 from .cholesky import CholeskyState
 from .datagen import RatingsSpec, SyntheticSpec, gen_synthetic, ingest_ratings
+from .doublegreedy import fast_double_greedy, jacobi_gain_check, naive_double_greedy
 from .greedy import GreedyConfig, fast_greedy, lazy_fast_greedy, lazy_greedy, naive_greedy
 from .kernel import KernelOracle, SparseColumns
+from .naive_variants import naive_interlace_greedy
 from .pqueue import LazyMaxQueue
 from .stream import DecisionStream
 from .variants import (
     VariantConfig,
     greedy_band,
     interlace_band,
+    interlace_greedy_lf,
     random_greedy_band,
+    random_greedy_lf,
+    stochastic_greedy_lf,
     stochastic_sample_size,
     stochastic_upper_bound,
     sweep_total,
@@ -251,8 +259,7 @@ def check_objective_reconstruction(instances: int = 10, seed0: int = 160) -> Che
 def check_four_way(instances: int = 100, seed0: int = 1000,
                    time_budget_s: float | None = None) -> CheckResult:
     """All four greedy implementations agree; objectives match brute force."""
-    import time as _time
-    t_start = _time.perf_counter()
+    t_start = time.perf_counter()
     for t in range(instances):
         rng = np.random.default_rng(seed0 + t)
         n = int(rng.integers(10, 41))
@@ -292,7 +299,7 @@ def check_four_way(instances: int = 100, seed0: int = 1000,
             return CheckResult("four-way-equivalence", False,
                                f"instance {t}: lazyfast count {lf.offdiag_count} outside "
                                f"[{lo}, {hi}] or above fast")
-    elapsed = _time.perf_counter() - t_start
+    elapsed = time.perf_counter() - t_start
     if time_budget_s is not None and elapsed > time_budget_s:
         return CheckResult("four-way-equivalence", False,
                            f"{instances} instances took {elapsed:.1f}s > {time_budget_s}s budget")
@@ -312,8 +319,6 @@ def check_termination() -> CheckResult:
                                    f"{rep.algo} selected {rep.selection} on the identity")
         vk = max(1, n // 4)  # satisfies every variant's n >= c*k precondition
         vcfg = VariantConfig(k=vk, epsilon=0.5, seed=3)
-        from .naive_variants import naive_interlace_greedy  # local to avoid cycles
-        from .variants import interlace_greedy_lf, random_greedy_lf, stochastic_greedy_lf
         if random_greedy_lf(oracle, vcfg, DecisionStream(3)).selection != []:
             return CheckResult("termination-semantics", False, "random greedy selected on identity")
         if stochastic_greedy_lf(oracle, vcfg, DecisionStream(3)).selection != []:
@@ -365,7 +370,6 @@ def check_monotone_bound(instances: int = 50, seed0: int = 2000) -> CheckResult:
 
 def check_variant_coupling(instances: int = 50, seed0: int = 3000) -> CheckResult:
     """Each accelerated variant matches its brute-force twin draw for draw."""
-    from .variants import interlace_greedy_lf, random_greedy_lf, stochastic_greedy_lf
     for t in range(instances):
         rng = np.random.default_rng(seed0 + t)
         k = int(rng.integers(1, 7))
@@ -438,7 +442,6 @@ def check_variant_coupling(instances: int = 50, seed0: int = 3000) -> CheckResul
 
 def check_double(instances: int = 50, seed0: int = 4000) -> CheckResult:
     """Coupled naive/fast double greedy; per-step gain identities."""
-    from .doublegreedy import fast_double_greedy, naive_double_greedy
     for t in range(instances):
         rng = np.random.default_rng(seed0 + t)
         n = int(rng.integers(4, 31))
@@ -462,7 +465,6 @@ def check_double(instances: int = 50, seed0: int = 4000) -> CheckResult:
 
 def check_jacobi(trials: int = 200, seed0: int = 5000) -> CheckResult:
     """Complementary-minor identity on random positive definite matrices."""
-    from .doublegreedy import jacobi_gain_check
     worst = 0.0
     for t in range(trials):
         rng = np.random.default_rng(seed0 + t)
@@ -484,7 +486,6 @@ def check_jacobi(trials: int = 200, seed0: int = 5000) -> CheckResult:
 
 def check_double_half_expectation(n: int = 10, seed0: int = 6000, runs: int = 200) -> CheckResult:
     """Statistical half-of-optimum check (reported, never gating)."""
-    from .doublegreedy import fast_double_greedy
     oracle = build_synthetic_oracle(n, n, seed0, "B", scale=0.9, shift=0.1)
     matrix = oracle.materialize()
     _, best = reference.exhaustive_map(matrix, None)
@@ -530,11 +531,6 @@ def check_lazy_savings(n: int = 2000, d: int | None = None, k: int = 100,
 
 def check_datagen(tmpdir=None) -> CheckResult:
     """Seed determinism, binarization rules, and format round-trips."""
-    import tempfile
-    from pathlib import Path
-
-    from . import matrixio
-
     a = gen_synthetic(SyntheticSpec(n=5, d=7, seed=42))
     b = gen_synthetic(SyntheticSpec(n=5, d=7, seed=42))
     if not np.array_equal(a, b):

@@ -14,8 +14,8 @@ from collections import Counter
 
 import pytest
 
-from dppmap import doublegreedy
-from dppmap.bench import build_synthetic_oracle
+from dppmap import doublegreedy, report as report_module
+from dppmap.bench import build_synthetic_oracle, naive_twin_report, run_algorithm
 from dppmap.cholesky import CholeskyState
 from dppmap.doublegreedy import fast_double_greedy
 from dppmap.greedy import GreedyConfig, fast_greedy, lazy_fast_greedy
@@ -86,7 +86,7 @@ def test_truncated_double_greedy_counts_only_adopted_columns(ledger, monkeypatch
 
     calls = itertools.count()
     monkeypatch.setattr(doublegreedy, "CholeskyState", recorded_state)
-    monkeypatch.setattr(doublegreedy, "_deadline_hit", lambda deadline: next(calls) >= steps)
+    monkeypatch.setattr(report_module, "_deadline_hit", lambda deadline: next(calls) >= steps)
     oracle = build_synthetic_oracle(n, n, 8, "L", 0.9, 0.1)
     report = fast_double_greedy(oracle, DecisionStream(8), deadline=0.0)
 
@@ -99,3 +99,16 @@ def test_truncated_double_greedy_counts_only_adopted_columns(ledger, monkeypatch
         assert (state._ready[steps:] == len(state.selection)).all()
     assert len(grow.selection) + len(shrink.selection) == steps
     assert (n - steps) * steps == sum(int(s._ready[steps:].sum()) for s in states)
+
+
+@pytest.mark.parametrize("input_kind", ["B", "L"])
+@pytest.mark.parametrize("algo", ["naive", "lazy", "random-naive", "stochastic-naive",
+                                  "interlace-naive", "double-naive"])
+def test_brute_force_paths_count_their_materialize(ledger, algo, input_kind):
+    n = 24
+    oracle = build_synthetic_oracle(n, n, 5, input_kind, 0.9, 0.1)
+    if algo.endswith("-naive") and not algo.startswith("double"):
+        report = naive_twin_report(algo[:-len("-naive")], oracle, 5, seed=5, epsilon=0.5)
+    else:
+        report = run_algorithm(algo, oracle, 5, seed=5)
+    assert report.kernel_evals == n * (n + 1) // 2 == ledger.lookups[id(oracle)]

@@ -11,7 +11,9 @@ from dppmap.bench import (
     run_algorithm,
     soft_speed_warnings,
 )
-from dppmap.greedy import GreedyConfig, lazy_fast_greedy
+from dppmap.naive_variants import naive_interlace_greedy, naive_random_greedy, naive_stochastic_greedy
+from dppmap.stream import DecisionStream
+from dppmap.variants import VariantConfig
 
 
 def test_resolve_adjustment_defaults():
@@ -33,13 +35,28 @@ def test_run_algorithm_dispatch_smoke():
         run_algorithm("bogus", oracle, 2)
 
 
-def test_deadline_already_passed_times_out():
-    oracle = build_synthetic_oracle(30, 30, 1, "B")
-    report = lazy_fast_greedy(oracle, GreedyConfig(k=5),
-                              deadline=time.perf_counter() - 1.0)
+NAIVE_TWINS = {
+    "random-naive": lambda oracle, cfg, deadline: naive_random_greedy(
+        oracle, cfg, DecisionStream(cfg.seed), deadline=deadline),
+    "stochastic-naive": lambda oracle, cfg, deadline: naive_stochastic_greedy(
+        oracle, cfg, DecisionStream(cfg.seed), deadline=deadline),
+    "interlace-naive": lambda oracle, cfg, deadline: naive_interlace_greedy(oracle, cfg, deadline=deadline),
+}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS + tuple(NAIVE_TWINS))
+def test_deadline_already_passed_times_out(algo):
+    scale, shift = resolve_adjustment(algo, None, None)
+    oracle = build_synthetic_oracle(30, 30, 1, "B", scale, shift)
+    deadline = time.perf_counter() - 1.0
+    if algo in NAIVE_TWINS:
+        report = NAIVE_TWINS[algo](oracle, VariantConfig(k=5, epsilon=0.5, seed=1), deadline)
+    else:
+        report = run_algorithm(algo, oracle, 5, seed=1, epsilon=0.5, deadline=deadline)
     assert report.timed_out
     assert report.selection == []
-    assert report.steps_attempted == 0
+    # interlace reports k attempted steps however its runs end
+    assert report.steps_attempted == (5 if algo.startswith("interlace") else 0)
 
 
 def test_deadline_mid_run_is_partial_but_consistent():

@@ -4,11 +4,17 @@ import pytest
 from dppmap.datagen import (
     RatingsSpec,
     SyntheticSpec,
-    columns_to_triples,
     convert_netflix,
     gen_synthetic,
     ingest_ratings,
 )
+
+
+def columns_to_triples(cols):
+    """Render sparse columns back to (user, item, rating=1.0) triples."""
+    for item, (idx, val) in enumerate(zip(cols.indices, cols.values)):
+        for user, value in zip(idx.tolist(), val.tolist()):
+            yield user, item, value
 
 
 def test_gen_deterministic():

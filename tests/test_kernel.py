@@ -143,13 +143,6 @@ def test_sparse_columns_validation():
         cols.validate()
 
 
-def test_cost_class_labels():
-    assert KernelOracle.from_dense_kernel(np.eye(2)).cost_class == "O(1)"
-    assert KernelOracle.from_dense_features(np.eye(2)).cost_class == "O(d)"
-    cols = SparseColumns.from_dense(np.eye(2))
-    assert KernelOracle.from_sparse_features(cols).cost_class == "O(nnz)"
-
-
 def _searchsorted_dot(a_idx, a_val, b_idx, b_val):
     """The binary-search sparse inner product the scatter/gather lookup replaced."""
     if a_idx.size == 0 or b_idx.size == 0:

@@ -39,15 +39,15 @@ def test_pop_empty_raises():
         q.pop_max()
 
 
-def test_len_counts_live_entries():
+def test_pops_skip_excluded_and_replaced_entries():
     q = LazyMaxQueue.build([1.0, 2.0, 3.0])
-    assert len(q) == 3
     q.exclude(0)
-    assert len(q) == 2
-    q.pop_max()
-    assert len(q) == 1
-    q.push(2, 9.0)  # re-push replaces, does not duplicate
-    assert len(q) == 2
+    assert q.pop_max() == (2, 3.0)
+    q.push(2, 9.0)
+    q.push(1, 4.0)  # re-push replaces, does not duplicate
+    assert q.pop_max() == (2, 9.0)
+    assert q.pop_max() == (1, 4.0)
+    assert q.peek_entry() is None
 
 
 def test_push_after_exclude_stays_dead():

@@ -75,14 +75,3 @@ def test_normals_odd_count():
     s = DecisionStream(9)
     assert s.normals(7).shape == (7,)
     assert s.normals(0).shape == (0,)
-
-
-def test_draw_log_records():
-    s = DecisionStream(10, record=True)
-    s.uniform()
-    s.uniform_int(4)
-    s.sample_sorted(np.arange(8), 2)
-    kinds = [kind for kind, _ in s.log]
-    assert kinds[0] == "uniform"
-    assert "uniform_int" in kinds
-    assert kinds[-1] == "sample"
