@@ -26,6 +26,7 @@ CSV_COLUMNS = [
 ]
 
 SOFT_SPEED_FACTOR = 1.2
+OBJECTIVE_REL_TOL = 1e-8  # check_objective's bound, relative to max(1, |reference|)
 
 
 def resolve_adjustment(algo: str, scale: float | None, shift: float | None) -> tuple[float, float]:
@@ -51,7 +52,7 @@ def run_algorithm(algo: str, oracle: KernelOracle, k: int, seed: int = 0,
         report.seed = seed
         return report
     if algo in ("random", "stochastic", "interlace"):
-        cfg = VariantConfig(k=k, epsilon=epsilon, seed=seed)
+        cfg = VariantConfig(k=k, epsilon=epsilon)
         if algo == "random":
             return variants.random_greedy_lf(oracle, cfg, DecisionStream(seed), deadline=deadline)
         if algo == "stochastic":
@@ -71,11 +72,11 @@ def run_algorithm(algo: str, oracle: KernelOracle, k: int, seed: int = 0,
     return report
 
 
-def check_objective(oracle: KernelOracle, report: RunReport, rel_tol: float = 1e-8) -> float:
+def check_objective(oracle: KernelOracle, report: RunReport) -> float:
     """Cross-check the reported objective against a brute-force log-det."""
     expected = reference.log_det(oracle.materialize(), report.selection)
     err = abs(report.final_objective - expected)
-    if err > rel_tol * max(1.0, abs(expected)):
+    if err > OBJECTIVE_REL_TOL * max(1.0, abs(expected)):
         raise AssertionError(
             f"objective check failed: reported {report.final_objective!r}, "
             f"reference {expected!r}")
@@ -86,7 +87,7 @@ def check_objective(oracle: KernelOracle, report: RunReport, rel_tol: float = 1e
 def naive_twin_report(algo: str, oracle: KernelOracle, k: int, seed: int,
                       epsilon: float | None = None) -> RunReport:
     """The brute-force twin for a variant, on the coupled randomness."""
-    cfg = VariantConfig(k=k, epsilon=epsilon, seed=seed)
+    cfg = VariantConfig(k=k, epsilon=epsilon)
     if algo == "random":
         return naive_variants.naive_random_greedy(oracle, cfg, DecisionStream(seed))
     if algo == "stochastic":

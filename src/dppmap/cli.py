@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 from . import bench as benchmod
 from . import matrixio, verify
 from .bench import ALGORITHMS, resolve_adjustment, run_algorithm
-from .datagen import RatingsSpec, SyntheticSpec, gen_synthetic, ingest_ratings, write_idmap
+from .datagen import (RatingsSpec, SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic,
+                      ingest_ratings, write_idmap)
 from .kernel import KernelOracle
 
 
@@ -45,18 +45,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    path = args.input
-    if args.format == "netflix":
-        from .datagen import convert_netflix
-        triples = convert_netflix([path])
-        tmp = Path(args.out).with_suffix(".triples.csv")
-        with open(tmp, "w") as fh:
-            for user, item, rating in triples:
-                fh.write(f"{user},{item},{rating}\n")
-        path = tmp
-    spec = RatingsSpec(path=path, threshold=args.threshold,
+    spec = RatingsSpec(path=args.input, threshold=args.threshold,
                        drop_empty=not args.keep_empty)
-    cols, idmap = ingest_ratings(spec)
+    if args.format == "netflix":
+        cols, idmap = binarize_ratings(convert_netflix([args.input]), spec)
+    else:
+        cols, idmap = ingest_ratings(spec)
     matrixio.write_sparse(args.out, cols)
     write_idmap(f"{args.out}.idmap.json", idmap)
     nnz = sum(idx.size for idx in cols.indices)
@@ -126,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("ingest", help="binarize rating triples")
-    p.add_argument("--input", required=True, help="CSV of user,item,rating triples")
+    p.add_argument("--input", required=True,
+                   help="CSV of user,item,rating triples, or a per-movie file with --format netflix")
     p.add_argument("--format", choices=("triples", "netflix"), default="triples")
     p.add_argument("--threshold", type=float, default=4.0)
     p.add_argument("--keep-empty", action="store_true",

@@ -47,48 +47,53 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
 @dataclass
 class RatingsSpec:
     path: str | Path
-    user_col: int = 0
-    item_col: int = 1
-    rating_col: int = 2
     threshold: float = 4.0
     drop_empty: bool = True
 
 
-def _parse_triples(spec: RatingsSpec):
-    """Yield (line_no, user, item, rating) from a triple CSV.
+def _warn_out_of_range(rating: float, where: str) -> None:
+    if not (RATING_RANGE[0] <= rating <= RATING_RANGE[1]):
+        warnings.warn(f"{where}: rating {rating} outside {RATING_RANGE}")
+
+
+def _parse_triples(path):
+    """Yield (user, item, rating) from a ``user,item,rating`` CSV.
 
     A header is auto-detected by a non-numeric rating field on the first row.
     Extra columns (timestamps etc.) are ignored.
     """
-    need = max(spec.user_col, spec.item_col, spec.rating_col) + 1
-    with open(spec.path) as fh:
+    with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if len(parts) < need:
-                raise ValueError(f"{spec.path}:{ln}: expected >= {need} fields, got {len(parts)}")
-            raw = parts[spec.rating_col]
+            if len(parts) < 3:
+                raise ValueError(f"{path}:{ln}: expected >= 3 fields, got {len(parts)}")
+            user, item, raw = parts[:3]
             try:
                 rating = float(raw)
             except ValueError:
                 if ln == 1:
                     continue  # header row: non-numeric rating field
-                raise ValueError(f"{spec.path}:{ln}: bad rating {raw!r}") from None
-            if not (RATING_RANGE[0] <= rating <= RATING_RANGE[1]):
-                warnings.warn(f"{spec.path}:{ln}: rating {rating} outside {RATING_RANGE}")
-            yield ln, parts[spec.user_col], parts[spec.item_col], rating
+                raise ValueError(f"{path}:{ln}: bad rating {raw!r}") from None
+            _warn_out_of_range(rating, f"{path}:{ln}")
+            yield user, item, rating
 
 
 def ingest_ratings(spec: RatingsSpec) -> tuple[SparseColumns, dict]:
-    """Binarize rating triples into sparse 0/1 feature columns.
+    """Read the triple CSV at ``spec.path`` and binarize it (:func:`binarize_ratings`)."""
+    return binarize_ratings(_parse_triples(spec.path), spec)
+
+
+def binarize_ratings(triples, spec: RatingsSpec) -> tuple[SparseColumns, dict]:
+    """Binarize ``(user, item, rating)`` triples into sparse 0/1 feature columns.
 
     Ratings at or above the threshold become 1.0; items and users with no
     qualifying ratings are dropped (unless ``drop_empty`` is off, in which
-    case every id seen in the file keeps an index).  Surviving ids are
-    reindexed densely in first-appearance order.  Returns the columns plus an
-    id map ``{"users": {...}, "items": {...}}``.
+    case every id seen keeps an index).  Surviving ids are reindexed densely
+    in first-appearance order.  Returns the columns plus an id map
+    ``{"users": {...}, "items": {...}}``.
     """
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
@@ -99,7 +104,7 @@ def ingest_ratings(spec: RatingsSpec) -> tuple[SparseColumns, dict]:
             table[key] = len(table)
         return table[key]
 
-    for _, user, item, rating in _parse_triples(spec):
+    for user, item, rating in triples:
         qualifies = rating >= spec.threshold
         if not qualifies and spec.drop_empty:
             continue
@@ -135,7 +140,8 @@ def convert_netflix(paths) -> list[tuple[str, str, float]]:
     """Flatten the per-movie rating file format into triples.
 
     Lines of the form ``<movie_id>:`` open a movie block; subsequent lines
-    are ``user,rating,date``.
+    are ``user,rating,date``.  Fields are stripped of surrounding blanks, as
+    in a triple CSV.
     """
     triples = []
     for path in paths:
@@ -146,12 +152,14 @@ def convert_netflix(paths) -> list[tuple[str, str, float]]:
                 if not line:
                     continue
                 if line.endswith(":"):
-                    movie = line[:-1]
+                    movie = line[:-1].strip()
                     continue
                 if movie is None:
                     raise ValueError(f"{path}:{ln}: rating line before any movie header")
-                parts = line.split(",")
+                parts = [p.strip() for p in line.split(",")]
                 if len(parts) < 2:
                     raise ValueError(f"{path}:{ln}: expected user,rating[,date]")
-                triples.append((parts[0], movie, float(parts[1])))
+                rating = float(parts[1])
+                _warn_out_of_range(rating, f"{path}:{ln}")
+                triples.append((parts[0], movie, rating))
     return triples

@@ -55,12 +55,11 @@ def _decide(add_gain: float, remove_gain: float, draw: float) -> bool:
 
 
 def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
-                       scale: float | None = None, shift: float | None = None,
                        deadline: float | None = None) -> RunReport:
     """Double greedy with incremental factors over the kernel and its inverse.
 
-    The adjusted kernel (``scale``/``shift`` override the oracle's own, when
-    given) is materialized and inverted up front; the run is gated on
+    The oracle's adjusted kernel (its ``scale``/``shift`` are set where it is
+    built) is materialized and inverted up front; the run is gated on
     ``max|K Kinv - I| <= 1e-8``.  Timings are split into product / inverse /
     greedy phases.
 
@@ -75,11 +74,6 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
     are float64 arrays of shapes (T,), (T,) and (T, 2); their JSON is the
     same as that of the equivalent lists.
     """
-    if scale is not None or shift is not None:
-        oracle = oracle.with_adjustment(
-            oracle.scale if scale is None else scale,
-            oracle.shift if shift is None else shift,
-        )
     n = oracle.n
     run = SolverRun("double-fast", oracle, n, seed=stream.seed)
     report = run.report

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference
-from .cholesky import PIVOT_FLOOR, CholeskyState
+from .cholesky import CholeskyState
 from .kernel import KernelOracle
 from .pqueue import LazyMaxQueue
 from .report import RunReport, SolverRun
@@ -37,7 +37,6 @@ ZERO_GAIN_PIVOT = 1.0  # pivot == 1  <=>  marginal gain == 0
 @dataclass
 class GreedyConfig:
     k: int
-    stop_on_nonpositive: bool = True  # stop once the best gain drops to <= 0
 
 
 def pop_fresh_argmax(queue: LazyMaxQueue, state: CholeskyState, stop_threshold: float | None):
@@ -90,10 +89,7 @@ def naive_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None
     for step in run.steps(cfg.k, deadline):
         best_i, best_gain = gain_argmax(matrix, selected, base,
                                         (i for i in range(oracle.n) if i not in selected))
-        if best_i < 0:
-            report.terminated_early = True
-            break
-        if cfg.stop_on_nonpositive and best_gain <= 0.0:
+        if best_gain <= 0.0:  # also no candidate left, or every candidate dependent (-inf)
             if best_gain == 0.0:
                 report.boundary_gain_steps.append(step)
             report.terminated_early = True
@@ -128,7 +124,7 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
             if top is None:
                 break
             i, key = top
-            if cfg.stop_on_nonpositive and key <= 0.0:
+            if key <= 0.0:
                 winner_gain = key
                 break
             if stamps[i] == len(selected):
@@ -143,9 +139,6 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
         if winner is None:
             if winner_gain == 0.0:
                 report.boundary_gain_steps.append(step)
-            report.terminated_early = True
-            break
-        if winner_gain == -math.inf:
             report.terminated_early = True
             break
         selected.append(winner)
@@ -174,12 +167,9 @@ def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
         masked = np.where(state.in_selection, -math.inf, state.pivots)
         best = int(np.argmax(masked))
         piv = float(masked[best])
-        if cfg.stop_on_nonpositive and piv <= ZERO_GAIN_PIVOT:
+        if piv <= ZERO_GAIN_PIVOT:  # also nothing left (-inf) or a dependent item (0)
             if piv == ZERO_GAIN_PIVOT:
                 report.boundary_gain_steps.append(step)
-            report.terminated_early = True
-            break
-        if piv <= PIVOT_FLOOR:
             report.terminated_early = True
             break
         report.gains.append(state.marginal_gain(best))
@@ -198,15 +188,11 @@ def lazy_fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | 
     report = run.report
     state = CholeskyState(oracle, cfg.k)
     queue = LazyMaxQueue.build(state.pivots)
-    threshold = ZERO_GAIN_PIVOT if cfg.stop_on_nonpositive else None
     for step in run.steps(cfg.k, deadline):
-        best, stop_key = pop_fresh_argmax(queue, state, threshold)
+        best, stop_key = pop_fresh_argmax(queue, state, ZERO_GAIN_PIVOT)
         if best is None:
             if stop_key == ZERO_GAIN_PIVOT:
                 report.boundary_gain_steps.append(step)
-            report.terminated_early = True
-            break
-        if state.pivots[best] <= PIVOT_FLOOR:
             report.terminated_early = True
             break
         report.gains.append(state.marginal_gain(best))

@@ -10,7 +10,6 @@ the dense/sparse storage of the same features.
 
 from __future__ import annotations
 
-import copy
 import threading
 from dataclasses import dataclass, field
 
@@ -238,20 +237,6 @@ class KernelOracle:
         require_finite(matrix, "kernel matrix")
         matrix = np.ascontiguousarray(matrix)
         return cls(L_DENSE, matrix.shape[0], 0, scale, shift, matrix=matrix)
-
-    def with_adjustment(self, scale: float, shift: float) -> "KernelOracle":
-        """Same backing storage, different affine adjustment.
-
-        The twin shares the converted sparse indices and the per-thread
-        scratch vectors instead of building its own.
-        """
-        if shift < 0:
-            raise ValueError("shift must be nonnegative")
-        twin = copy.copy(self)
-        twin.scale = float(scale)
-        twin.shift = float(shift)
-        twin.eval_count = 0
-        return twin
 
     # -- access ------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 Dense:  magic ``DPPM1`` | u32 LE rows | u32 LE cols | rows*cols f64 LE row-major.
 Sparse: magic ``DPPS1`` | u32 LE d | u32 LE n | per column: u32 LE nnz then
         nnz records of (u32 LE index, f64 LE value), indices ascending.
-CSV fallback for dense matrices: comma-separated decimal floats, no header.
+CSV fallback, read only, for dense matrices: comma-separated decimal floats, no header.
 """
 
 from __future__ import annotations
@@ -84,14 +84,6 @@ def read_sparse(path) -> SparseColumns:
         _expect_end(fh, path)
     cols.validate()
     return cols
-
-
-def write_dense_csv(path, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
 
 
 def read_dense_csv(path) -> np.ndarray:

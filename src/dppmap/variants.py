@@ -31,7 +31,7 @@ from .stream import DecisionStream
 class VariantConfig:
     k: int
     epsilon: float | None = None  # stochastic greedy only
-    seed: int = 0
+    seed: int = 0  # read by no solver: the draws and the report's seed come from the DecisionStream
 
 
 def stochastic_sample_size(n: int, k: int, epsilon: float) -> int:

@@ -318,7 +318,7 @@ def check_termination() -> CheckResult:
                 return CheckResult("termination-semantics", False,
                                    f"{rep.algo} selected {rep.selection} on the identity")
         vk = max(1, n // 4)  # satisfies every variant's n >= c*k precondition
-        vcfg = VariantConfig(k=vk, epsilon=0.5, seed=3)
+        vcfg = VariantConfig(k=vk, epsilon=0.5)
         if random_greedy_lf(oracle, vcfg, DecisionStream(3)).selection != []:
             return CheckResult("termination-semantics", False, "random greedy selected on identity")
         if stochastic_greedy_lf(oracle, vcfg, DecisionStream(3)).selection != []:
@@ -378,7 +378,7 @@ def check_variant_coupling(instances: int = 50, seed0: int = 3000) -> CheckResul
         oracle = build_synthetic_oracle(n, d, seed0 + t, "B")
         seed = seed0 + 7 * t
 
-        cfg = VariantConfig(k=k, seed=seed)
+        cfg = VariantConfig(k=k)
         fast_rep = random_greedy_lf(oracle, cfg, DecisionStream(seed))
         naive_rep = naive_twin_report("random", oracle, k, seed)
         if fast_rep.selection != naive_rep.selection:
@@ -397,7 +397,7 @@ def check_variant_coupling(instances: int = 50, seed0: int = 3000) -> CheckResul
                                f"instance {t}: random count {fast_rep.offdiag_count} outside [{lo},{hi}]")
 
         eps = float(rng.uniform(0.05, 0.9))
-        cfg = VariantConfig(k=k, epsilon=eps, seed=seed)
+        cfg = VariantConfig(k=k, epsilon=eps)
         fast_rep = stochastic_greedy_lf(oracle, cfg, DecisionStream(seed))
         naive_rep = naive_twin_report("stochastic", oracle, k, seed, epsilon=eps)
         if fast_rep.selection != naive_rep.selection:
@@ -411,7 +411,7 @@ def check_variant_coupling(instances: int = 50, seed0: int = 3000) -> CheckResul
                                f"instance {t}: stochastic count {fast_rep.offdiag_count} "
                                f"outside [{triangle(len(fast_rep.selection))},{hi}]")
 
-        cfg = VariantConfig(k=k, seed=seed)
+        cfg = VariantConfig(k=k)
         fast_rep = interlace_greedy_lf(oracle, cfg)
         naive_rep = naive_twin_report("interlace", oracle, k, seed)
         if fast_rep.selection != naive_rep.selection:

@@ -25,11 +25,10 @@ def test_resolve_adjustment_defaults():
 
 
 def test_run_algorithm_dispatch_smoke():
-    oracle = build_synthetic_oracle(13, 13, 1, "B")
     for algo in ALGORITHMS:
         scale, shift = resolve_adjustment(algo, None, None)
-        report = run_algorithm(algo, oracle.with_adjustment(scale, shift),
-                               k=3, seed=2, epsilon=0.5)
+        oracle = build_synthetic_oracle(13, 13, 1, "B", scale, shift)
+        report = run_algorithm(algo, oracle, k=3, seed=2, epsilon=0.5)
         assert report.n == 13, algo
     with pytest.raises(ValueError, match="unknown"):
         run_algorithm("bogus", oracle, 2)

@@ -128,6 +128,27 @@ def test_ingest_cli_writes_sidecar(tmp_path):
     assert sidecar["items"] == {"m1": 0}
 
 
+def test_netflix_ingest_writes_no_side_file(tmp_path):
+    # named like the converted-triples file an ingest to items.dpps1 once left behind
+    src = tmp_path / "items.triples.csv"
+    src.write_text("12:\n101,5,2005-01-01\n102,3,2005-01-02\n34:\n101,4,2005-02-01\n103,5,2005-02-02\n")
+    before = src.read_bytes()
+    out = tmp_path / "items.dpps1"
+    assert main(["ingest", "--format", "netflix", "--input", str(src), "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "items.dpps1", "items.dpps1.idmap.json", "items.triples.csv"]
+    assert src.read_bytes() == before
+
+    ref_dir = tmp_path / "ref"
+    ref_dir.mkdir()
+    triples = ref_dir / "r.csv"
+    triples.write_text("101,12,5\n102,12,3\n101,34,4\n103,34,5\n")
+    ref = ref_dir / "r.dpps1"
+    assert main(["ingest", "--input", str(triples), "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert (tmp_path / "items.dpps1.idmap.json").read_text() == (ref_dir / "r.dpps1.idmap.json").read_text()
+
+
 def test_ingested_matrix_runs(tmp_path):
     src = tmp_path / "r.csv"
     lines = []

@@ -87,8 +87,11 @@ def test_ingest_malformed_line_reports_number(tmp_path):
 
 def test_ingest_out_of_range_warns(tmp_path):
     path = _write(tmp_path, "1,2,5\n1,3,42\n")
-    with pytest.warns(UserWarning, match="outside"):
+    with pytest.warns(UserWarning, match="r.csv:2: rating 42.0 outside"):
         ingest_ratings(RatingsSpec(path=path))
+    path = _write(tmp_path, "2:\n1,5,2005-01-01\n3:\n1,42,2005-01-02\n", name="mv.txt")
+    with pytest.warns(UserWarning, match="mv.txt:4: rating 42.0 outside"):
+        convert_netflix([path])
 
 
 def test_ingest_first_appearance_order(tmp_path):

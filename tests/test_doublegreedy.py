@@ -50,7 +50,7 @@ def test_jacobi_rejects_member():
 def test_fast_double_hand_trace():
     # both remove-gains vanish, so the run is deterministic: S = {0, 1}
     oracle = KernelOracle.from_dense_kernel(L21)
-    rep = fast_double_greedy(oracle, DecisionStream(0), scale=1.0, shift=0.0)
+    rep = fast_double_greedy(oracle, DecisionStream(0))
     assert rep.selection == [0, 1]
     (a0, b0), (a1, b1) = rep.extras["ab_gains"]
     assert a0 == pytest.approx(math.log(2.0), rel=1e-12)
@@ -64,7 +64,7 @@ def test_monotone_diagonal_selects_everything():
     mat = np.diag([2.0, 3.0, 1.5, 8.0])
     for seed in range(5):
         oracle = KernelOracle.from_dense_kernel(mat)
-        rep = fast_double_greedy(oracle, DecisionStream(seed), scale=1.0, shift=0.0)
+        rep = fast_double_greedy(oracle, DecisionStream(seed))
         assert rep.selection == [0, 1, 2, 3]
 
 
@@ -91,8 +91,12 @@ def test_probability_normalization():
 
 
 def test_scale_shift_defaults_applied():
-    oracle = build_synthetic_oracle(6, 6, 5, "B")  # unadjusted
-    rep = fast_double_greedy(oracle, DecisionStream(1), scale=0.9, shift=0.1)
+    """The run uses the adjustment the oracle was built with."""
+    oracle = build_synthetic_oracle(6, 6, 5, "B", scale=0.9, shift=0.1)
+    rep = fast_double_greedy(oracle, DecisionStream(1))
+    twin = naive_double_greedy(oracle.materialize(), DecisionStream(1))
+    assert rep.selection == twin.selection
+    assert rep.final_objective == pytest.approx(twin.final_objective, rel=1e-10)
     assert rep.algo == "double-fast"
     assert rep.timings["product_ms"] >= 0.0
     assert rep.timings["inverse_ms"] >= 0.0
@@ -103,7 +107,7 @@ def test_singular_kernel_gated():
     ones = np.ones((3, 3))  # rank 1, not PD
     oracle = KernelOracle.from_dense_kernel(ones)
     with pytest.raises(SingularKernelError):
-        fast_double_greedy(oracle, DecisionStream(0), scale=1.0, shift=0.0)
+        fast_double_greedy(oracle, DecisionStream(0))
 
 
 def test_timing_split_fields():

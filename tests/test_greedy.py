@@ -115,17 +115,17 @@ def test_termination_gain_is_nonpositive():
         best = max(reference.log_det(mat, rep.selection + [i]) - base
                    for i in range(5) if i not in rep.selection)
         assert best <= 0.0
-
-
-def test_stop_disabled_runs_to_k():
-    mat = np.diag([4.0, 2.0, 0.5, 0.25])
-    cfg = GreedyConfig(k=4, stop_on_nonpositive=False)
-    for algo in ALL_FOUR:
-        rep = algo(_oracle(mat), cfg)
-        assert sorted(rep.selection) == [0, 1, 2, 3], rep.algo
-        assert not rep.terminated_early
-    assert lazy_fast_greedy(_oracle(mat), cfg).final_objective == pytest.approx(
-        math.log(4.0 * 2.0 * 0.5 * 0.25), rel=1e-10)
+    # The same stop rule ends a run whose remaining items are all linearly
+    # dependent (gain -inf, pivot 0) and a run that has no item left (k > n).
+    for mat, k, want in ((2.0 * np.ones((6, 6)), 3, [0]),
+                         (2.0 * np.eye(6), 9, list(range(6)))):
+        for algo in ALL_FOUR:
+            rep = algo(_oracle(mat), GreedyConfig(k=k))
+            assert rep.selection == want, rep.algo
+            assert rep.terminated_early, rep.algo
+            assert rep.boundary_gain_steps == [], rep.algo
+            assert len(rep.gains) == len(want)
+            assert all(g > 0.0 for g in rep.gains), rep.algo
 
 
 def test_four_way_equivalence_sample():

@@ -5,6 +5,14 @@ from dppmap import matrixio
 from dppmap.kernel import SparseColumns
 
 
+def write_dense_csv(path, matrix):
+    """The CSV layout ``read_dense_csv`` reads: one row per line, shortest round-trip floats."""
+    with open(path, "w") as fh:
+        for row in np.asarray(matrix, dtype=np.float64):
+            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write("\n")
+
+
 def test_dense_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     mat = rng.standard_normal((7, 3))
@@ -42,7 +50,7 @@ def test_sparse_roundtrip(tmp_path):
 def test_csv_roundtrip(tmp_path):
     mat = np.array([[1.5, -2.25], [0.1, 3.0]])
     path = tmp_path / "m.csv"
-    matrixio.write_dense_csv(path, mat)
+    write_dense_csv(path, mat)
     back = matrixio.read_dense_csv(path)
     assert np.array_equal(back, mat)
 
@@ -71,7 +79,7 @@ def test_load_matrix_sniffs(tmp_path):
     assert kind == "sparse" and payload.ncols == 3
 
     csv_path = tmp_path / "c.csv"
-    matrixio.write_dense_csv(csv_path, mat)
+    write_dense_csv(csv_path, mat)
     kind, payload = matrixio.load_matrix(csv_path)
     assert kind == "dense" and np.array_equal(payload, mat)
 
