@@ -22,6 +22,20 @@ values, and computes the rest with its scalar loop.  Both paths use the same
 arithmetic in the same order, so a row's values do not depend on which one
 computed them.  Between a prefetch and the adopting ``update_row`` a row's
 pivot is ahead of its stamp; only fresh rows' gains are ever read.
+
+A prefetch usually follows the schedule fast double greedy produces: the
+newest commit is item ``lo - 1``, and every row ``lo..n-1`` is uncommitted and
+lacks only that commit's column.  That schedule takes a cheaper path through
+a per-state dot cache over a window of ``WINDOW`` candidate items
+``a..a+WINDOW-1``: ``_dots[c, r - a]`` holds, for every row ``r >= a``, the
+left fold from ``+0.0`` of ``F[r, s] * F[a + c, s]`` over the first
+``_dots_cols`` columns in ascending order, which is the sum :func:`seq_dot`
+returns, bit for bit.  A commit reads its column's dots from the cache, then
+folds the new column into the candidates after it with one outer-product
+add.  The cache is rebuilt from the factor, one add per committed column in
+ascending order, when the committed item leaves the window or the cache has
+folded fewer columns than the factor holds.  Every other schedule takes the
+generic column sweep.
 """
 
 from __future__ import annotations
@@ -30,10 +44,11 @@ import math
 
 import numpy as np
 
-from .errors import SingularPivotError, StaleRowError
+from .errors import NegativeDiagonalError, SingularPivotError, StaleRowError
 from .kernel import KernelOracle, seq_dot
 
 PIVOT_FLOOR = 1e-12
+WINDOW = 64  # candidate items the in-order dot cache covers
 
 
 class CholeskyState:
@@ -65,6 +80,10 @@ class CholeskyState:
         self.in_selection = np.zeros(n, dtype=bool)
         self.offdiag_count = 0
         self._diag_ready = np.zeros(n, dtype=bool)
+        self._dots = np.zeros((0, 0))  # the in-order dot cache, see the module docstring
+        self._dots_at = 0    # first item of its window
+        self._dots_cols = 0  # committed columns folded in
+        self._dots_lo = 0    # first row and candidate the last fold reached
         if not lazy_diag:
             for i in range(n):
                 self._init_pivot(i)
@@ -76,7 +95,7 @@ class CholeskyState:
     def _init_pivot(self, i: int) -> None:
         diag = self.oracle.entry(i, i)
         if diag < 0:
-            raise ValueError(f"negative kernel diagonal at {i}: {diag}")
+            raise NegativeDiagonalError(f"negative kernel diagonal at {i}: {diag}")
         self.pivots[i] = math.sqrt(diag)
         self._diag_ready[i] = True
 
@@ -130,33 +149,71 @@ class CholeskyState:
         row ``j_t`` is the same ascending single-accumulator sum
         :func:`seq_dot` takes, and the entry and pivot updates are the scalar
         loop's operations elementwise, so every value matches
-        :meth:`update_row` bit for bit.  Stamps and ``offdiag_count`` do not
-        move: the columns count when ``update_row`` adopts them, and a column
-        that is never adopted (a run cut short) is never counted.
+        :meth:`update_row` bit for bit.  The in-order schedule reads its dots
+        from the cache instead (:meth:`_prefetch_in_order`).  Stamps and
+        ``offdiag_count`` do not move: the columns count when ``update_row``
+        adopts them, and a column that is never adopted (a run cut short) is
+        never counted.
         """
         m = len(self.selection)
         n = self.n
         for i in np.flatnonzero(~self._diag_ready[lo:]) + lo:
             self._init_pivot(int(i))
+        if self._in_order(lo):
+            self._prefetch_in_order(lo)
+            return
         live = np.flatnonzero(~self.in_selection[lo:]) + lo
         ready = self._ready[live]
         for t in range(int(ready.min()) if live.size else m, m):
             lacking = ready == t  # rows lacking column t hold exactly t columns
             rows = live[lacking]
             block = slice(lo, n) if rows.size == n - lo else rows  # a view when rows are lo..n-1
-            denom = self.selected_pivots[t]
-            if denom < PIVOT_FLOOR:
-                raise SingularPivotError(f"numerically singular pivot {denom} at column {t}")
             jt = self.selection[t]
             dots = np.zeros(rows.size)
             if t:
                 dots = np.add.accumulate(self.factor[block, :t] * self.factor[jt, :t], axis=1)[:, -1] + 0.0
-            vals = (self.oracle.column(jt, rows) - dots) / denom
-            self.factor[block, t] = vals
-            piv = self.pivots[block]
-            self.pivots[block] = np.sqrt(np.maximum(piv * piv - vals * vals, 0.0))
+            self._write_column(t, block, rows, dots)
             ready[lacking] = t + 1
         self._ready[live] = m
+
+    def _in_order(self, lo: int) -> bool:
+        """Is item ``lo - 1`` the newest commit, with rows ``lo..n-1`` uncommitted and one column behind?"""
+        m = len(self.selection)
+        return (lo < self.n and m > 0 and self.selection[-1] == lo - 1
+                and not self.in_selection[lo:].any() and bool((self._ready[lo:] == m - 1).all()))
+
+    def _prefetch_in_order(self, lo: int) -> None:
+        """Write the newest column of rows ``lo..n-1`` from the dot cache, then fold it in."""
+        t = len(self.selection) - 1
+        j = lo - 1
+        if not (self._dots_cols == t and self._dots_lo <= j < self._dots_at + len(self._dots)):
+            self._rebuild_dots(j, t)
+        a = self._dots_at
+        vals = self._write_column(t, slice(lo, self.n), np.arange(lo, self.n), self._dots[j - a, lo - a:])
+        self._ready[lo:] = t + 1
+        c = lo - a  # the candidates after j, and the rows from lo on
+        if c < len(self._dots):
+            self._dots[c:, c:] += vals[:len(self._dots) - c, None] * vals
+        self._dots_cols, self._dots_lo = t + 1, lo
+
+    def _rebuild_dots(self, a: int, t: int) -> None:
+        """Fold the first ``t`` columns afresh for the window starting at item ``a``."""
+        cols = self.factor[a:, :t].T.copy()  # one contiguous row per committed column
+        dots = np.zeros((min(WINDOW, self.n - a), self.n - a))
+        for s in range(t):
+            dots += cols[s, :len(dots), None] * cols[s]
+        self._dots, self._dots_at, self._dots_cols, self._dots_lo = dots, a, t, a
+
+    def _write_column(self, t: int, block, rows: np.ndarray, dots: np.ndarray) -> np.ndarray:
+        """Set column ``t`` of ``rows`` (``block`` indexes the same rows) and shrink their pivots."""
+        denom = self.selected_pivots[t]
+        if denom < PIVOT_FLOOR:
+            raise SingularPivotError(f"numerically singular pivot {denom} at column {t}")
+        vals = (self.oracle.column(self.selection[t], rows) - dots) / denom
+        self.factor[block, t] = vals
+        piv = self.pivots[block]
+        self.pivots[block] = np.sqrt(np.maximum(piv * piv - vals * vals, 0.0))
+        return vals
 
     def marginal_gain(self, i: int) -> float:
         """2*ln(pivot) of a fresh row; -inf encodes a linearly dependent item."""

@@ -159,7 +159,10 @@ def convert_netflix(paths) -> list[tuple[str, str, float]]:
                 parts = [p.strip() for p in line.split(",")]
                 if len(parts) < 2:
                     raise ValueError(f"{path}:{ln}: expected user,rating[,date]")
-                rating = float(parts[1])
+                try:
+                    rating = float(parts[1])
+                except ValueError:
+                    raise ValueError(f"{path}:{ln}: bad rating {parts[1]!r}") from None
                 _warn_out_of_range(rating, f"{path}:{ln}")
                 triples.append((parts[0], movie, rating))
     return triples

@@ -65,10 +65,13 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
 
     Item ``i`` is caught up on each factor through every column committed
     there before it, so after each commit the receiving factor prefetches
-    the new column for all later rows in one vectorized sweep
+    the new column for all later rows in one vectorized step
     (:meth:`CholeskyState.prefetch`); ``update_row`` then only adopts the
-    values, which are bit-identical to its own scalar loop.  The
-    off-diagonal count is ``T*(T-1)/2`` for ``T`` attempted steps; prefetched
+    values, which are bit-identical to its own scalar loop.  Commits arrive
+    in index order, so each prefetch reads its dot products from the
+    factor's windowed dot cache instead of re-folding every row from
+    column 0; the cache sums in the same order, so factors, pivots and the
+    report do not change.  The off-diagonal count is ``T*(T-1)/2`` for ``T`` attempted steps; prefetched
     columns of rows a deadline leaves unvisited are not counted.  The
     per-step series (``gains``, ``objective_trace`` and ``extras["ab_gains"]``)
     are float64 arrays of shapes (T,), (T,) and (T, 2); their JSON is the

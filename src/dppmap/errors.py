@@ -5,6 +5,10 @@ class SingularKernelError(ValueError):
     """Kernel matrix is numerically singular (or not positive definite)."""
 
 
+class NegativeDiagonalError(ValueError):
+    """A kernel diagonal entry is negative, so the kernel is not positive semidefinite."""
+
+
 class SingularPivotError(ValueError):
     """A Cholesky pivot fell below the numerical floor."""
 

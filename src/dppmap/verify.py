@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matrixio, reference
 from .bench import build_synthetic_oracle, naive_twin_report, run_algorithm, soft_speed_warnings, _report_row
-from .cholesky import CholeskyState
+from .cholesky import WINDOW, CholeskyState
 from .datagen import RatingsSpec, SyntheticSpec, gen_synthetic, ingest_ratings
 from .doublegreedy import fast_double_greedy, jacobi_gain_check, naive_double_greedy
 from .greedy import GreedyConfig, fast_greedy, lazy_fast_greedy, lazy_greedy, naive_greedy
@@ -207,34 +207,76 @@ def check_row_independence(seed: int = 150) -> CheckResult:
 
     Three schedules fill the same factor: scalar catch-up in ascending and in
     descending row order, and one that prefetches row blocks of varying
-    start after each commit before the scalar catch-up adopts them.  Factor
-    and pivots must match byte for byte, sign of zero included.
+    start after each commit before the scalar catch-up adopts them.  Two more
+    follow fast double greedy at ``n = 2*WINDOW + 5``, so the in-order dot
+    cache's window rolls over at least twice: commits in index order that
+    skip some items, each followed by ``prefetch(i + 1)``, once
+    uninterrupted and once broken by a scalar catch-up and by a generic
+    prefetch, each of which forces a cache rebuild.  Factor and pivots must
+    match the ascending scalar schedule byte for byte, sign of zero included.
     """
-    oracle = build_synthetic_oracle(14, 14, seed, "B")
-    commits = [3, 7, 1, 10]
-    prefetch_from = [5, 0, 12, 2]  # after each commit; rows reach the last commit with mixed progress
-
-    def run(order, prefetch=False):
+    def run(oracle, commits, order, prefetch_from=None):
         state = CholeskyState(oracle, len(commits))
-        for c, lo in zip(commits, prefetch_from):
+        for c, lo in zip(commits, prefetch_from or [None] * len(commits)):
             state.update_row(c)
             state.commit(c)
-            if prefetch:
+            if lo is not None:
                 state.prefetch(lo)
         for i in order:
             if not state.in_selection[i]:
                 state.update_row(i)
         return state
 
-    ascending = run(range(14))
-    for label, other in (("descending", run(range(13, -1, -1))),
-                         ("prefetched", run(range(14), prefetch=True))):
-        if ascending.factor.tobytes() != other.factor.tobytes():
-            return CheckResult("row-independence", False, f"factor entries differ: ascending vs {label}")
-        if ascending.pivots.tobytes() != other.pivots.tobytes():
-            return CheckResult("row-independence", False, f"pivots differ: ascending vs {label}")
+    def in_order(oracle, commits, catch_up_at=None, generic_at=None):
+        n = oracle.n
+        state = CholeskyState(oracle, len(commits))
+        for i in range(n):
+            state.update_row(i)
+            if i not in commits:
+                continue
+            state.commit(i)
+            if i == catch_up_at:  # scalar catch-up in place of the prefetch
+                for r in range(i + 1, n):
+                    state.update_row(r)
+            elif i == generic_at:  # a generic sweep from rows the run already passed
+                state.prefetch(i - 3)
+            else:
+                state.prefetch(i + 1)
+        for i in range(n):
+            if not state.in_selection[i]:
+                state.update_row(i)
+        return state
+
+    def differ(want, got, label):
+        if want.factor.tobytes() != got.factor.tobytes():
+            return f"factor entries differ: ascending vs {label}"
+        if want.pivots.tobytes() != got.pivots.tobytes():
+            return f"pivots differ: ascending vs {label}"
+        return None
+
+    oracle = build_synthetic_oracle(14, 14, seed, "B")
+    commits = [3, 7, 1, 10]
+    prefetch_from = [5, 0, 12, 2]  # after each commit; rows reach the last commit with mixed progress
+    ascending = run(oracle, commits, range(14))
+    for label, other in (("descending", run(oracle, commits, range(13, -1, -1))),
+                         ("prefetched", run(oracle, commits, range(14), prefetch_from))):
+        fault = differ(ascending, other, label)
+        if fault:
+            return CheckResult("row-independence", False, fault)
+
+    n = 2 * WINDOW + 5
+    oracle = build_synthetic_oracle(n, n, seed, "B", 0.9, 0.1)
+    commits = [i for i in range(n) if i % 3 != 1 and i % 7 != 5]  # the other side takes the rest
+    ascending = run(oracle, commits, range(n))
+    for label, breaks in (("in-order", ()), ("in-order, interrupted", (commits[20], commits[60]))):
+        other = in_order(oracle, set(commits), *breaks)
+        if other._dots_cols != len(commits) - 1:  # the last commit, item n - 1, has no rows to prefetch
+            return CheckResult("row-independence", False, f"{label}: the in-order path did not reach the end")
+        fault = differ(ascending, other, label)
+        if fault:
+            return CheckResult("row-independence", False, fault)
     return CheckResult("row-independence", True,
-                       "refresh order and prefetch are bitwise irrelevant")
+                       "refresh order, prefetch and the in-order dot cache are bitwise irrelevant")
 
 
 def check_objective_reconstruction(instances: int = 10, seed0: int = 160) -> CheckResult:

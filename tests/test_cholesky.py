@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dppmap import reference
-from dppmap.cholesky import CholeskyState
-from dppmap.errors import SingularPivotError, StaleRowError
-from dppmap.kernel import KernelOracle
+from dppmap.cholesky import WINDOW, CholeskyState
+from dppmap.errors import NegativeDiagonalError, SingularPivotError, StaleRowError
+from dppmap.kernel import KernelOracle, SparseColumns
 from dppmap.verify import (
     check_gain_identity,
     check_objective_reconstruction,
@@ -106,8 +106,9 @@ def test_zero_diagonal_item_has_minus_inf_gain():
 
 
 def test_negative_diagonal_rejected():
-    with pytest.raises(ValueError, match="negative kernel diagonal"):
+    with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at 1: -0.5"):
         _state(np.diag([1.0, -0.5]), 1)
+    assert issubclass(NegativeDiagonalError, ValueError)
 
 
 def test_offdiag_counter_counts_each_entry_once():
@@ -229,3 +230,89 @@ def test_prefetch_skips_committed_rows_and_initializes_lazy_pivots():
     for i in (3, 4, 6, 15):
         assert state.pivots[i] != scalar.touch(i)
         assert state.update_row(i) == scalar.update_row(i)
+
+
+def _in_order_oracle(kind, n):
+    """A positive definite kernel on ``n`` items; "L-signed-zero" holds ``-0.0`` off the diagonal."""
+    rng = np.random.default_rng(n)
+    d = n + 3
+    feats = rng.standard_normal((d, n)) / math.sqrt(d)
+    if kind == "B":
+        return KernelOracle.from_dense_features(feats, 1.0, 0.5)
+    if kind == "L":
+        return KernelOracle.from_dense_kernel(KernelOracle.from_dense_features(feats).materialize(), 1.0, 0.5)
+    feats *= rng.random((d, n)) < (0.3 if kind == "sparse" else 0.05)
+    if kind == "sparse":
+        return KernelOracle.from_sparse_features(SparseColumns.from_dense(feats), 3.0, 0.5)
+    matrix = KernelOracle.from_dense_features(feats).materialize()
+    assert (matrix == 0.0).any()
+    return KernelOracle.from_dense_kernel(np.where(matrix == 0.0, -0.0, matrix), 20.0, 0.5)
+
+
+def _in_order_run(oracle, prefetch):
+    """Double greedy's schedule: visit items in order, commit two in three, prefetch after each commit."""
+    n = oracle.n
+    commits = [i for i in range(n) if i % 3 != 1]
+    state = CholeskyState(oracle, len(commits))
+    for i in range(n):
+        state.update_row(i)
+        if i in commits:
+            state.commit(i)
+            if prefetch:
+                state.prefetch(i + 1)
+    for i in range(n):
+        if not state.in_selection[i]:
+            state.update_row(i)
+    return state
+
+
+@pytest.mark.parametrize("kind", ["B", "L", "sparse", "L-signed-zero"])
+@pytest.mark.parametrize("n", [WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 5])
+def test_in_order_prefetch_is_bitwise_generic_and_scalar(kind, n, monkeypatch):
+    in_order_calls = []
+    cached = CholeskyState._prefetch_in_order
+
+    def spy(self, lo):
+        in_order_calls.append(lo)
+        return cached(self, lo)
+
+    monkeypatch.setattr(CholeskyState, "_prefetch_in_order", spy)
+    fast = _in_order_run(_in_order_oracle(kind, n), prefetch=True)
+    cached_lo = [i + 1 for i in fast.selection if i + 1 < n]  # item n - 1 leaves no rows to prefetch
+    assert in_order_calls == cached_lo
+    monkeypatch.setattr(CholeskyState, "_in_order", lambda self, lo: False)
+    generic = _in_order_run(_in_order_oracle(kind, n), prefetch=True)
+    scalar = _in_order_run(_in_order_oracle(kind, n), prefetch=False)
+    assert in_order_calls == cached_lo
+    if kind == "L-signed-zero":
+        assert np.signbit(scalar.factor[scalar.factor == 0.0]).any()
+    for other in (generic, scalar):
+        assert fast.factor.tobytes() == other.factor.tobytes()
+        assert fast.pivots.tobytes() == other.pivots.tobytes()
+        assert fast.stamps.tobytes() == other.stamps.tobytes()
+        assert fast.offdiag_count == other.offdiag_count
+    assert fast.oracle.eval_count == generic.oracle.eval_count
+
+
+def test_in_order_prefetch_rebuilds_after_an_interruption():
+    """A commit without prefetch, or a generic one, leaves the cache behind; the next in-order prefetch rebuilds it."""
+    n = 2 * WINDOW + 5
+    oracle = _in_order_oracle("B", n)
+    state = CholeskyState(oracle, n)
+    for i in range(40):
+        state.update_row(i)
+        state.commit(i)
+        if i == 10:
+            continue  # no prefetch: the next prefetch sweeps two columns generically
+        state.prefetch(i + 1)
+        assert state._dots_cols == (10 if i == 11 else i + 1)  # the generic sweep leaves the cache as it was
+    assert state._dots_at == 12  # rebuilt for item 12, within the old window
+    scalar = CholeskyState(oracle, n)
+    for i in range(40):
+        scalar.update_row(i)
+        scalar.commit(i)
+    for s in (state, scalar):
+        for i in range(40, n):
+            s.update_row(i)
+    assert state.factor.tobytes() == scalar.factor.tobytes()
+    assert state.pivots.tobytes() == scalar.pivots.tobytes()

@@ -138,3 +138,10 @@ def test_netflix_adapter(tmp_path):
     bad.write_text("101,5,2005-01-01\n")
     with pytest.raises(ValueError, match="before any movie"):
         convert_netflix([bad])
+
+
+def test_netflix_bad_rating_names_file_and_line(tmp_path):
+    path = tmp_path / "mv.txt"
+    path.write_text("12:\n101,5,2005-01-01\n102, five ,2005-01-02\n")
+    with pytest.raises(ValueError, match=r"mv\.txt:3: bad rating 'five'"):
+        convert_netflix([path])

@@ -1,14 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from dppmap import doublegreedy
+from dppmap import report as report_module
 from dppmap.bench import build_synthetic_oracle
 from dppmap.cholesky import CholeskyState
 from dppmap.doublegreedy import fast_double_greedy, jacobi_gain_check, naive_double_greedy
 from dppmap.errors import SelectionDriftError, SingularKernelError
-from dppmap.kernel import KernelOracle
+from dppmap.kernel import KernelOracle, SparseColumns
 from dppmap.stream import DecisionStream
 from dppmap.verify import check_double, check_jacobi
 
@@ -148,3 +150,61 @@ def test_shrink_side_drift_raises_typed_error(monkeypatch):
     monkeypatch.setattr(doublegreedy, "CholeskyState", make_state)
     with pytest.raises(SelectionDriftError, match="drifted"):
         fast_double_greedy(oracle, DecisionStream(1))
+
+
+def _both_sides_oracle(kind, n):
+    """Diagonals near 1.5, so the coin sends items to both factors."""
+    rng = np.random.default_rng(n)
+    d = n + 3
+    feats = rng.standard_normal((d, n)) / math.sqrt(d)
+    if kind == "B":
+        return KernelOracle.from_dense_features(feats, 1.0, 0.5)
+    if kind == "L":
+        return KernelOracle.from_dense_kernel(KernelOracle.from_dense_features(feats).materialize(), 1.0, 0.5)
+    feats *= rng.random((d, n)) < 0.3
+    return KernelOracle.from_sparse_features(SparseColumns.from_dense(feats), 3.0, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["B", "L", "sparse"])
+@pytest.mark.parametrize("n", [70, 140])
+def test_in_order_cache_leaves_reports_byte_identical(kind, n, monkeypatch):
+    cached = fast_double_greedy(_both_sides_oracle(kind, n), DecisionStream(n))
+    assert 0 < len(cached.selection) < n  # both factors commit
+    monkeypatch.setattr(CholeskyState, "_in_order", lambda self, lo: False)
+    swept = fast_double_greedy(_both_sides_oracle(kind, n), DecisionStream(n))
+    assert cached.to_json(include_timings=False) == swept.to_json(include_timings=False)
+
+
+def test_in_order_cache_counts_only_adopted_columns_when_cut(monkeypatch):
+    n, steps = 140, 97
+    reports = []
+    for in_order in (True, False):
+        if not in_order:
+            monkeypatch.setattr(CholeskyState, "_in_order", lambda self, lo: False)
+        calls = itertools.count()
+        monkeypatch.setattr(report_module, "_deadline_hit", lambda deadline: next(calls) >= steps)
+        reports.append(fast_double_greedy(_both_sides_oracle("L", n), DecisionStream(3), deadline=0.0))
+    cached, swept = reports
+    assert cached.timed_out and cached.steps_attempted == steps
+    assert 0 < len(cached.selection) < steps
+    assert cached.offdiag_count == steps * (steps - 1) // 2
+    assert cached.to_json(include_timings=False) == swept.to_json(include_timings=False)
+
+
+@pytest.mark.parametrize("oracle", [
+    build_synthetic_oracle(300, 300, 1, "L", 0.9, 0.1),  # every item grows the selection
+    _both_sides_oracle("L", 300),
+], ids=["grow-only", "both-sides"])
+def test_every_prefetch_but_the_last_row_takes_the_in_order_path(oracle, monkeypatch):
+    """A silent fall back to the generic sweep keeps the bits but loses the speed; this catches it."""
+    in_order_calls = []
+    cached = CholeskyState._prefetch_in_order
+
+    def spy(self, lo):
+        in_order_calls.append(lo)
+        return cached(self, lo)
+
+    monkeypatch.setattr(CholeskyState, "_prefetch_in_order", spy)
+    rep = fast_double_greedy(oracle, DecisionStream(1))
+    assert rep.steps_attempted == 300
+    assert sorted(in_order_calls) == list(range(1, 300))

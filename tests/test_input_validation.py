@@ -1,4 +1,4 @@
-"""Non-finite input fails fast with one typed error, whatever the solver or storage."""
+"""Non-finite input and negative kernel diagonals fail fast with typed errors, whatever the solver or storage."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from dppmap import matrixio
 from dppmap.bench import ALGORITHMS, run_algorithm
 from dppmap.cli import main
 from dppmap.doublegreedy import naive_double_greedy
-from dppmap.errors import NonFiniteInputError
+from dppmap.errors import NegativeDiagonalError, NonFiniteInputError, SingularKernelError
 from dppmap.kernel import KernelOracle, SparseColumns
 
 
@@ -30,6 +30,21 @@ def test_non_finite_input_error_is_a_value_error():
 def test_every_solver_raises_the_same_error_on_nan_features(algo):
     with pytest.raises(NonFiniteInputError, match="feature matrix contains NaN or infinite values"):
         run_algorithm(algo, KernelOracle.from_dense_features(_nan_features()), 4, seed=1)
+
+
+@pytest.mark.parametrize("algo", ["fast", "lazyfast", "random", "stochastic", "interlace"])
+def test_factor_based_solvers_raise_the_typed_negative_diagonal_error(algo):
+    """A factor starts each row from ``sqrt`` of its diagonal entry and refuses a negative one."""
+    kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, -1.0, -3.0, -2.0, -1.0, -4.0, -5.0]))
+    with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at [1-7]: -"):
+        run_algorithm(algo, kernel, 1, seed=1, epsilon=0.5)
+
+
+def test_double_fast_refuses_a_negative_diagonal_at_its_inverse_gate():
+    """``double-fast`` inverts the kernel by Cholesky before it builds a factor, so it raises the gate's error."""
+    kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, 1.0]))
+    with pytest.raises(SingularKernelError, match="not positive definite"):
+        run_algorithm("double-fast", kernel, 3, seed=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
