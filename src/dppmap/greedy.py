@@ -82,6 +82,7 @@ def naive_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None
     run = SolverRun("naive", oracle, cfg.k)
     report = run.report
     matrix = oracle.materialize()
+    reference.require_nonnegative_diagonal(matrix)
     setup_ms = run.ms()
 
     selected: list[int] = []
@@ -108,6 +109,7 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
     run = SolverRun("lazy", oracle, cfg.k)
     report = run.report
     matrix = oracle.materialize()
+    reference.require_nonnegative_diagonal(matrix)
     setup_ms = run.ms()
 
     n = oracle.n

@@ -6,6 +6,15 @@ matrix of feature columns (dense or sparse, O(d) / O(nnz) per entry).  All
 inner products are summed in ascending feature-index order with a single
 accumulator, so entries are bit-for-bit reproducible across calls and across
 the dense/sparse storage of the same features.
+
+Sparse features whose every stored value is an integer, with
+``max_nnz * max|v|**2 <= 2**53`` (``max_nnz`` the most values any one column
+stores), sum with one ``np.dot`` instead.  Every product and every partial
+sum of such a dot is an integer of magnitude at most ``2**53``, so it is
+exactly representable and every summation order (BLAS blocking and FMA
+included) gives the bits of the ascending fold.  Binarized ratings, whose
+values are all ``1.0``, always qualify.  The oracle decides once, at
+construction; every other input stays on the fold.
 """
 
 from __future__ import annotations
@@ -134,36 +143,37 @@ class SparseColumns:
         return out
 
 
-def _scatter_dot(scratch: np.ndarray, a_idx: np.ndarray, a_val: np.ndarray,
-                 b_idx: np.ndarray, b_val: np.ndarray) -> float:
-    """Sparse inner product through a zeroed dense scratch vector.
+def _int_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`seq_dot`'s bits for integer operands within the module docstring's bound."""
+    return float(a.dot(b)) + 0.0
 
-    ``b`` is scattered into ``scratch``, gathered back at ``a``'s indices and
-    the products are summed by :func:`seq_dot` in ascending index order.  The
-    products at indices ``b`` lacks are zeros, which that sum ignores, so the
-    result equals :func:`seq_dot` on the dense equivalents.  O(nnz) per call;
-    ``scratch`` (intp indices below its length) is all zeros again on return.
-    """
-    scratch[b_idx] = b_val
-    try:
-        return seq_dot(scratch[a_idx], a_val)
-    finally:
-        scratch[b_idx] = 0.0
+
+def _sums_exactly(values: list[np.ndarray]) -> bool:
+    """Whether every dot of two of these columns is an exact integer sum (see the module docstring)."""
+    flat = np.concatenate(values) if values else np.zeros(0)
+    if flat.dtype != np.float64 or not np.array_equal(flat, np.trunc(flat)):
+        return False
+    top = int(np.abs(flat).max(initial=0.0))
+    return max((v.size for v in values), default=0) * top * top <= 2**53
 
 
 def sparse_dot(a_idx: np.ndarray, a_val: np.ndarray, b_idx: np.ndarray, b_val: np.ndarray) -> float:
     """Inner product of two sparse columns over their common indices.
 
-    Matches :func:`seq_dot` on the dense equivalents exactly.  Allocates a
-    scratch vector up to the largest index; :class:`KernelOracle` reuses one
-    per thread instead.
+    ``b`` is scattered into a zeroed scratch vector up to the largest index,
+    gathered back at ``a``'s indices, and the products are summed by
+    :func:`seq_dot` in ascending index order.  The products at indices ``b``
+    lacks are zeros, which that sum ignores, so the result equals
+    :func:`seq_dot` on the dense equivalents exactly.  :class:`KernelOracle`
+    reuses one scratch vector per thread instead.
     """
     if a_idx.size == 0 or b_idx.size == 0:
         return 0.0
     a_idx = a_idx.astype(np.intp)
     b_idx = b_idx.astype(np.intp)
     scratch = np.zeros(int(max(a_idx[-1], b_idx[-1])) + 1)
-    return _scatter_dot(scratch, a_idx, a_val, b_idx, b_val)
+    scratch[b_idx] = b_val
+    return seq_dot(scratch[a_idx], a_val)
 
 
 def require_finite(array: np.ndarray, what: str) -> None:
@@ -173,10 +183,16 @@ def require_finite(array: np.ndarray, what: str) -> None:
 
 
 class _Scratch(threading.local):
-    """A zeroed length-``dim`` vector per thread, allocated on its first lookup."""
+    """A length-``dim`` vector per thread, allocated on its first lookup.
+
+    Between lookups it holds one item: ``buf`` is that item's values
+    scattered at its indices and zeros elsewhere, and ``held`` is the item
+    (``-1``, all zeros, until the first scatter).
+    """
 
     def __init__(self, dim: int):
         self.buf = np.zeros(dim)
+        self.held = -1
 
 
 class KernelOracle:
@@ -189,9 +205,14 @@ class KernelOracle:
 
     Oracles are immutable after construction and safe for concurrent reads:
     a sparse lookup writes only to a scratch vector private to the calling
-    thread (see :func:`_scatter_dot`), and restores it to zeros before it
-    returns.  ``eval_count`` tallies entry lookups for instrumentation; its
-    increments are not synchronized, so concurrent readers may undercount.
+    thread (see :class:`_Scratch`).  The scratch keeps the last item it
+    scattered between lookups, and a lookup scatters only when neither of its
+    items is the one held; so a factor row's catch-up, ``entry(i, j)`` for
+    one ``i`` and many ``j``, scatters ``i`` once.  Both gather directions
+    sum the same products over the common indices in ascending order, so the
+    bits do not depend on which item is held.  ``eval_count`` tallies entry
+    lookups for instrumentation; its increments are not synchronized, so
+    concurrent readers may undercount.
     """
 
     def __init__(self, kind, n, d, scale=1.0, shift=0.0, feats=None, sparse=None, matrix=None):
@@ -208,6 +229,7 @@ class KernelOracle:
         if sparse is not None:
             self._sparse_idx = [idx.astype(np.intp) for idx in sparse.indices]
             self._scratch = _Scratch(self.d)
+            self._dot = _int_dot if _sums_exactly(sparse.values) else seq_dot
         self.eval_count = 0
 
     # -- constructors ------------------------------------------------------
@@ -255,10 +277,15 @@ class KernelOracle:
         else:
             values = self._sparse.values
             if i == j:
-                raw = seq_dot(values[i], values[i])
+                raw = self._dot(values[i], values[i])
             else:
-                idx = self._sparse_idx
-                raw = _scatter_dot(self._scratch.buf, idx[i], values[i], idx[j], values[j])
+                scratch = self._scratch
+                held = scratch.held
+                if held != i and held != j:
+                    self._hold(scratch, i)
+                    held = i
+                other = j if held == i else i
+                raw = self._dot(scratch.buf[self._sparse_idx[other]], values[other])
         v = self.scale * raw
         if i == j:
             v += self.shift
@@ -269,8 +296,8 @@ class KernelOracle:
 
         Dense kinds gather or sum all rows in one numpy pass; each row's sum
         keeps the ascending single-accumulator order of :func:`seq_dot`.
-        Sparse features scatter item ``j`` once and gather per row.  Counts
-        one lookup per row.
+        Sparse features hold item ``j`` in the scratch (scattering it unless
+        it is already held) and gather per row.  Counts one lookup per row.
         """
         rows = np.asarray(rows, dtype=np.intp)
         if not 0 <= j < self.n or (rows.size and not (0 <= rows.min() and rows.max() < self.n)):
@@ -282,16 +309,31 @@ class KernelOracle:
             products = self._feats[rows] * self._feats[j]
             raw = np.add.accumulate(products, axis=1)[:, -1] + 0.0 if self.d else np.zeros(rows.size)
         else:
-            idx, values = self._sparse_idx, self._sparse.values
-            scratch = self._scratch.buf
-            scratch[idx[j]] = values[j]
-            try:
-                raw = np.array([seq_dot(scratch[idx[r]], values[r]) for r in rows.tolist()])
-            finally:
-                scratch[idx[j]] = 0.0
+            idx, values, dot = self._sparse_idx, self._sparse.values, self._dot
+            buf = self._hold(self._scratch, j)
+            raw = np.array([dot(buf[idx[r]], values[r]) for r in rows.tolist()])
         v = self.scale * raw
         v[rows == j] += self.shift
         return v
+
+    def _hold(self, scratch: _Scratch, i: int) -> np.ndarray:
+        """Make ``scratch`` hold item ``i``, unloading the item it held; return its vector.
+
+        If this fails part-way, the scratch is zeroed and holds no item.
+        """
+        idx, buf = self._sparse_idx, scratch.buf
+        if scratch.held == i:
+            return buf
+        try:
+            if scratch.held >= 0:
+                buf[idx[scratch.held]] = 0.0
+            buf[idx[i]] = self._sparse.values[i]
+            scratch.held = i
+        except BaseException:
+            buf.fill(0.0)
+            scratch.held = -1
+            raise
+        return buf
 
     def materialize(self) -> np.ndarray:
         """Dense adjusted kernel, for reference-path algorithms.

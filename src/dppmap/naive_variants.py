@@ -25,6 +25,7 @@ def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: Decisi
     run = SolverRun("random-naive", oracle, cfg.k, seed=stream.seed)
     report = run.report
     matrix = oracle.materialize()
+    reference.require_nonnegative_diagonal(matrix)
     n = oracle.n
     selected: list[int] = []
     rank_draws: list[int] = []
@@ -64,6 +65,7 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
     run = SolverRun("stochastic-naive", oracle, cfg.k, seed=stream.seed, epsilon=cfg.epsilon)
     report = run.report
     matrix = oracle.materialize()
+    reference.require_nonnegative_diagonal(matrix)
     selected: list[int] = []
     skipped_steps: list[int] = []
     for step in run.steps(cfg.k, deadline):
@@ -92,6 +94,7 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
     run = SolverRun("interlace-naive", oracle, cfg.k)
     report = run.report
     matrix = oracle.materialize()
+    reference.require_nonnegative_diagonal(matrix)
     n = oracle.n
 
     def interlaced_pair(seed_item):

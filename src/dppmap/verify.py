@@ -111,31 +111,50 @@ def check_pqueue(total_ops: int = 100_000, seed: int = 11) -> CheckResult:
 
 # -- kernel layer ------------------------------------------------------------
 
+def _kernel_trial_features(rng, kind: str) -> np.ndarray:
+    """A small feature matrix with zeros: Gaussian, 0/1, or signed integers in [-3, 3]."""
+    d = int(rng.integers(2, 12))
+    n = int(rng.integers(2, 12))
+    if kind == "binary":
+        return (rng.random((d, n)) < 0.4).astype(np.float64)
+    dense = rng.standard_normal((d, n)) if kind == "gaussian" else rng.integers(-3, 4, (d, n)).astype(np.float64)
+    dense[rng.random((d, n)) < 0.4] = 0.0
+    return dense
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
 def check_kernel(trials: int = 20, seed: int = 12) -> CheckResult:
-    """Symmetry, sparse/dense exact agreement, and PSD principal minors."""
+    """Symmetry, bitwise sparse/dense agreement, and PSD principal minors.
+
+    Integer features put the sparse oracle on its exact ``np.dot`` path, so
+    they are compared by their bits like the Gaussian ones.  Each sparse pair
+    is looked up in both argument orders, which gathers in both directions.
+    """
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        d = int(rng.integers(2, 12))
-        n = int(rng.integers(2, 12))
-        dense = rng.standard_normal((d, n))
-        dense[rng.random((d, n)) < 0.4] = 0.0
+    kinds = ["gaussian"] * trials + ["binary", "signed"] * (trials // 2)
+    for trial, kind in enumerate(kinds):
+        dense = _kernel_trial_features(rng, kind)
+        n = dense.shape[1]
         ora_dense = KernelOracle.from_dense_features(dense)
         ora_sparse = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
         for i in range(n):
             for j in range(n):
-                de = ora_dense.entry(i, j)
-                sp = ora_sparse.entry(i, j)
-                if de != sp:
+                de = _bits(ora_dense.entry(i, j))
+                if not de == _bits(ora_sparse.entry(i, j)) == _bits(ora_sparse.entry(j, i)):
                     return CheckResult("kernel-consistency", False,
-                                       f"trial {trial}: sparse/dense differ at ({i},{j})")
-                if de != ora_dense.entry(j, i):
+                                       f"trial {trial} ({kind}): sparse/dense differ at ({i},{j})")
+                if de != _bits(ora_dense.entry(j, i)):
                     return CheckResult("kernel-consistency", False,
-                                       f"trial {trial}: asymmetry at ({i},{j})")
+                                       f"trial {trial} ({kind}): asymmetry at ({i},{j})")
         subset = rng.permutation(n)[: min(8, n)]
         gram = np.array([[ora_dense.entry(int(i), int(j)) for j in subset] for i in subset])
         if np.min(np.linalg.eigvalsh(gram)) < -1e-10:
-            return CheckResult("kernel-consistency", False, f"trial {trial}: minor not PSD")
-    return CheckResult("kernel-consistency", True, f"{trials} feature matrices consistent")
+            return CheckResult("kernel-consistency", False, f"trial {trial} ({kind}): minor not PSD")
+    return CheckResult("kernel-consistency", True,
+                       f"{trials} Gaussian and {len(kinds) - trials} integer feature matrices agree bit for bit")
 
 
 # -- incremental factor ------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from dppmap import matrixio
 from dppmap.bench import CSV_COLUMNS
-from dppmap.cli import main
-from dppmap.kernel import SparseColumns
+from dppmap.cli import load_oracle, main
+from dppmap.kernel import SparseColumns, _int_dot, seq_dot
 from dppmap.report import RunReport
 
 
@@ -194,3 +194,17 @@ def test_unknown_algo_rejected(tmp_path):
     main(["gen", "--n", "6", "--out", str(b)])
     with pytest.raises(SystemExit):
         main(["run", "--algo", "bogus", "--input", str(b)])
+
+
+def test_binarized_sparse_files_load_onto_the_exact_dot(tmp_path):
+    """A 0/1 DPPS1 file shaped like the benchmark's sparse workload (d = 2000, n = 1000,
+    about 5% dense) sums its lookups with one exact ``np.dot``; Gaussian features stay on the fold."""
+    gauss = np.random.default_rng(3).standard_normal((2000, 1000))
+    binary = tmp_path / "binary.dpps1"
+    matrixio.write_sparse(binary, SparseColumns.from_dense((gauss > 1.645).astype(np.float64)))
+    assert load_oracle(str(binary), "B", 1.0, 0.0)._dot is _int_dot
+    assert load_oracle(str(binary), "B", 0.9, 0.1)._dot is _int_dot
+    gauss[np.abs(gauss) < 1.645] = 0.0
+    signed = tmp_path / "gauss.dpps1"
+    matrixio.write_sparse(signed, SparseColumns.from_dense(gauss))
+    assert load_oracle(str(signed), "B", 1.0, 0.0)._dot is seq_dot

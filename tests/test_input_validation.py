@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dppmap import matrixio
-from dppmap.bench import ALGORITHMS, run_algorithm
+from dppmap.bench import ALGORITHMS, naive_twin_report, run_algorithm
 from dppmap.cli import main
 from dppmap.doublegreedy import naive_double_greedy
 from dppmap.errors import NegativeDiagonalError, NonFiniteInputError, SingularKernelError
@@ -32,12 +32,34 @@ def test_every_solver_raises_the_same_error_on_nan_features(algo):
         run_algorithm(algo, KernelOracle.from_dense_features(_nan_features()), 4, seed=1)
 
 
-@pytest.mark.parametrize("algo", ["fast", "lazyfast", "random", "stochastic", "interlace"])
+@pytest.mark.parametrize("algo", ["fast", "lazyfast", "random", "stochastic", "interlace",
+                                  "naive", "lazy", "random-naive", "stochastic-naive", "interlace-naive"])
 def test_factor_based_solvers_raise_the_typed_negative_diagonal_error(algo):
-    """A factor starts each row from ``sqrt`` of its diagonal entry and refuses a negative one."""
+    """A factor starts each row from ``sqrt`` of its diagonal entry and refuses a negative one.
+
+    The brute-force solvers and twins refuse it too, with the same error and
+    message, before their first gain.
+    """
     kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, -1.0, -3.0, -2.0, -1.0, -4.0, -5.0]))
     with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at [1-7]: -"):
-        run_algorithm(algo, kernel, 1, seed=1, epsilon=0.5)
+        if algo.endswith("-naive"):
+            naive_twin_report(algo.removesuffix("-naive"), kernel, 1, seed=1, epsilon=0.5)
+        else:
+            run_algorithm(algo, kernel, 1, seed=1, epsilon=0.5)
+
+
+def test_brute_force_solvers_name_the_first_negative_diagonal():
+    kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, -1.0, -3.0, -2.0, -1.0, -4.0, -5.0]))
+    for algo in ("naive", "lazy"):
+        with pytest.raises(NegativeDiagonalError) as err:
+            run_algorithm(algo, kernel, 1)
+        assert str(err.value) == "negative kernel diagonal at 1: -0.5"
+
+
+def test_double_naive_refuses_a_negative_diagonal_as_singular():
+    kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, 1.0]))
+    with pytest.raises(SingularKernelError):
+        run_algorithm("double-naive", kernel, 3, seed=1)
 
 
 def test_double_fast_refuses_a_negative_diagonal_at_its_inverse_gate():

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from dppmap.kernel import KernelOracle, SparseColumns, seq_dot, sparse_dot
+from dppmap.kernel import KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
 
 
 def test_seq_dot_matches_left_fold():
@@ -224,9 +224,18 @@ def test_sparse_lookup_is_o_nnz_in_huge_dimension():
 
 
 def test_two_threads_read_one_sparse_oracle():
-    dense = _structured_features(11, d=60, n=30)
-    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
-    pairs = [(i, j) for i in range(30) for j in range(30)]
+    _read_in_two_threads(KernelOracle.from_sparse_features(SparseColumns.from_dense(
+        _structured_features(11, d=60, n=30))))
+
+
+def _read_in_two_threads(ora):
+    """Two threads read every entry five times, interleaved finely; both see the serial bits.
+
+    The pairs come in a shuffled order, so most lookups change the item a
+    thread's scratch holds.
+    """
+    pairs = [(i, j) for i in range(ora.n) for j in range(ora.n)]
+    pairs = [pairs[p] for p in np.random.default_rng(0).permutation(len(pairs))]
     serial = [_bits(ora.entry(i, j)) for i, j in pairs]
     results = [None, None]
 
@@ -343,3 +352,117 @@ def test_column_bounds():
         with pytest.raises(IndexError):
             ora.column(j, rows)
     assert ora.eval_count == 0
+
+
+def _integer_features(seed, signed, d=40, n=24):
+    """:func:`_structured_features` with its zero pattern, valued 0/1 or signed integers."""
+    dense = _structured_features(seed, d, n)
+    if not signed:
+        return (dense != 0.0).astype(np.float64)
+    return np.sign(dense) * np.ceil(np.abs(dense) * 2.0)
+
+
+def _assert_lookups_match(ora, dense):
+    """Every sparse entry equals the searchsorted fold and the dense ``seq_dot`` entry, bit for bit."""
+    cols = SparseColumns.from_dense(dense)
+    ora_d = KernelOracle.from_dense_features(dense)
+    for i in range(ora.n):
+        for j in range(ora.n):
+            want = _searchsorted_dot(cols.indices[i], cols.values[i], cols.indices[j], cols.values[j])
+            assert _bits(want) == _bits(ora_d.entry(i, j)), (i, j)
+            assert _bits(ora.entry(i, j)) == _bits(want), (i, j)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_features_take_the_exact_dot_and_keep_the_bits(seed, signed):
+    dense = _integer_features(seed, signed)
+    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
+    assert ora._dot is _int_dot
+    _assert_lookups_match(ora, dense)
+
+
+def test_one_fractional_value_keeps_the_whole_oracle_on_the_fold():
+    dense = _integer_features(0, signed=True)
+    dense[np.flatnonzero(dense[:, 8])[0], 8] = 0.5
+    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
+    assert ora._dot is seq_dot
+    _assert_lookups_match(ora, dense)
+
+
+@pytest.mark.parametrize("max_nnz, exact", [(2, True), (3, False)])
+def test_the_exact_dot_bound_is_max_nnz_times_the_largest_square(max_nnz, exact):
+    """``max_nnz * max|v|**2 <= 2**53`` takes the dot: ``2 * (2**26)**2`` does, ``3 * (2**26)**2`` does not."""
+    big = float(2**26)
+    dense = np.zeros((6, 5))
+    dense[:max_nnz, 0] = big
+    dense[:max_nnz, 1] = [-big, big, -big][:max_nnz]
+    dense[[0, 1], 2] = [big, big - 1.0]
+    dense[[1, 4], 3] = [-3.0, big]
+    dense[5, 4] = 1.0
+    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
+    assert (ora._dot is _int_dot) == exact
+    _assert_lookups_match(ora, dense)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_interleaved_lookups_on_one_oracle_keep_the_bits(signed):
+    """``entry`` in both argument orders, ``column`` and ``sparse_dot`` mixed on one oracle."""
+    dense = _integer_features(4, signed)
+    cols = SparseColumns.from_dense(dense)
+    ora = KernelOracle.from_sparse_features(cols)
+    ora_d = KernelOracle.from_dense_features(dense)
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        i, j = (int(v) for v in rng.integers(0, ora.n, 2))
+        want = ora_d.entry(i, j)
+        op = int(rng.integers(0, 4))
+        if op == 0:
+            got = ora.entry(i, j)
+        elif op == 1:
+            got = ora.entry(j, i)
+        elif op == 2:
+            got = ora.column(j, np.array([i, j, 0]))[0]
+        else:
+            got = sparse_dot(cols.indices[i], cols.values[i], cols.indices[j], cols.values[j])
+        assert _bits(got) == _bits(want), (op, i, j)
+        held = ora._scratch.held
+        assert np.array_equal(ora._scratch.buf, dense[:, held] if held >= 0 else np.zeros(ora.d))
+
+
+def test_lookups_scatter_only_when_neither_item_is_held():
+    dense = _integer_features(2, signed=True)
+    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
+    scratch = ora._scratch
+    assert scratch.held == -1
+    ora.entry(5, 5)                        # a diagonal entry never scatters
+    assert scratch.held == -1
+    for j in (6, 9, 3):                    # a row's catch-up holds the row
+        ora.entry(5, j)
+        assert scratch.held == 5
+    ora.entry(8, 5)
+    assert scratch.held == 5
+    ora.column(7, [0, 5, 7])               # column unloads 5 and holds 7
+    assert scratch.held == 7
+    assert np.array_equal(scratch.buf, dense[:, 7])
+
+
+def test_a_failed_scatter_leaves_no_item_held():
+    dense = _integer_features(3, signed=True)
+    cols = SparseColumns.from_dense(dense)
+    ora = KernelOracle.from_sparse_features(cols)
+    ora.entry(5, 6)
+    good = cols.values[9]
+    cols.values[9] = np.array(["x"] * good.size)
+    with pytest.raises(ValueError):
+        ora.entry(9, 4)
+    assert ora._scratch.held == -1 and not ora._scratch.buf.any()
+    cols.values[9] = good
+    _assert_lookups_match(ora, dense)
+
+
+def test_two_threads_read_one_integer_oracle():
+    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(
+        _integer_features(11, signed=True, d=60, n=30)))
+    assert ora._dot is _int_dot
+    _read_in_two_threads(ora)
