@@ -25,17 +25,30 @@ pivot is ahead of its stamp; only fresh rows' gains are ever read.
 
 A prefetch usually follows the schedule fast double greedy produces: the
 newest commit is item ``lo - 1``, and every row ``lo..n-1`` is uncommitted and
-lacks only that commit's column.  That schedule takes a cheaper path through
-a per-state dot cache over a window of ``WINDOW`` candidate items
-``a..a+WINDOW-1``: ``_dots[c, r - a]`` holds, for every row ``r >= a``, the
-left fold from ``+0.0`` of ``F[r, s] * F[a + c, s]`` over the first
-``_dots_cols`` columns in ascending order, which is the sum :func:`seq_dot`
-returns, bit for bit.  A commit reads its column's dots from the cache, then
-folds the new column into the candidates after it with one outer-product
-add.  The cache is rebuilt from the factor, one add per committed column in
-ascending order, when the committed item leaves the window or the cache has
-folded fewer columns than the factor holds.  Every other schedule takes the
-generic column sweep.
+lacks only that commit's column.  The state tells that schedule apart in
+O(1) by a mark ``(_mark_lo, _mark_cols)``: each prefetch records that it left
+rows ``_mark_lo..n-1`` uncommitted and holding exactly ``_mark_cols`` columns
+(a fresh state starts at ``(0, 0)``).  Two events clear the mark, by setting
+``_mark_lo`` to ``n``: :meth:`CholeskyState.update_row`'s scalar loop
+computing columns for a row at or after ``_mark_lo``, and a generic prefetch
+that skips a committed row.  Commits leave it in place: exactly one commit
+since the mark, item ``lo - 1``, is the in-order case.  Only rows
+``lo.._mark_lo-1`` are scanned, and on that schedule there are none.
+
+That schedule takes a cheaper path through a per-state dot cache over a
+window of ``WINDOW`` candidate items ``a..a+WINDOW-1``: ``_dots[c, r - a]``
+holds, for every row ``r >= a``, the left fold from ``+0.0`` of
+``F[r, s] * F[a + c, s]`` over the first ``_dots_cols`` columns in ascending
+order, which is the sum :func:`seq_dot` returns, bit for bit.  A commit of
+item ``j`` reads its column's dots from the cache, then folds the new column
+into the whole cache rows of the candidates after ``j`` with one contiguous
+outer-product add.  The column is zero-filled on the rows ``a..j``; their
+cache entries are dead, since a later prefetch only reads rows after the
+item it follows, and every entry that is read gets the same multiply and
+add as a fold over the live rows alone.  The cache is rebuilt from the
+factor, one add per committed column in ascending order, when the committed
+item leaves the window or the cache has folded fewer columns than the factor
+holds.  Every other schedule takes the generic column sweep.
 """
 
 from __future__ import annotations
@@ -80,10 +93,13 @@ class CholeskyState:
         self.in_selection = np.zeros(n, dtype=bool)
         self.offdiag_count = 0
         self._diag_ready = np.zeros(n, dtype=bool)
+        self._lazy_diag = lazy_diag
         self._dots = np.zeros((0, 0))  # the in-order dot cache, see the module docstring
         self._dots_at = 0    # first item of its window
         self._dots_cols = 0  # committed columns folded in
         self._dots_lo = 0    # first row and candidate the last fold reached
+        self._mark_lo = 0    # rows _mark_lo..n-1 held _mark_cols columns, uncommitted, at the last prefetch
+        self._mark_cols = 0
         if not lazy_diag:
             for i in range(n):
                 self._init_pivot(i)
@@ -127,7 +143,10 @@ class CholeskyState:
             return float(self.pivots[i])
         row = self.factor[i]
         piv = float(self.pivots[i])
-        for t in range(int(self._ready[i]), m):
+        ready = int(self._ready[i])
+        if i >= self._mark_lo and ready < m:
+            self._mark_lo = self.n  # the loop below moves a row the mark vouches for
+        for t in range(ready, m):
             jt = self.selection[t]
             denom = self.selected_pivots[t]
             if denom < PIVOT_FLOOR:
@@ -157,30 +176,44 @@ class CholeskyState:
         """
         m = len(self.selection)
         n = self.n
-        for i in np.flatnonzero(~self._diag_ready[lo:]) + lo:
-            self._init_pivot(int(i))
+        if self._lazy_diag:
+            for i in np.flatnonzero(~self._diag_ready[lo:]) + lo:
+                self._init_pivot(int(i))
         if self._in_order(lo):
             self._prefetch_in_order(lo)
             return
         live = np.flatnonzero(~self.in_selection[lo:]) + lo
         ready = self._ready[live]
+        whole = live.size == n - lo  # no row lo..n-1 is committed
+        block = slice(lo, n) if whole else live
         for t in range(int(ready.min()) if live.size else m, m):
             lacking = ready == t  # rows lacking column t hold exactly t columns
-            rows = live[lacking]
-            block = slice(lo, n) if rows.size == n - lo else rows  # a view when rows are lo..n-1
+            rows = block if lacking.all() else live[lacking]
             jt = self.selection[t]
-            dots = np.zeros(rows.size)
+            dots = np.zeros(int(lacking.sum()))
             if t:
-                dots = np.add.accumulate(self.factor[block, :t] * self.factor[jt, :t], axis=1)[:, -1] + 0.0
-            self._write_column(t, block, rows, dots)
+                dots = np.add.accumulate(self.factor[rows, :t] * self.factor[jt, :t], axis=1)[:, -1] + 0.0
+            self._write_column(t, rows, dots)
             ready[lacking] = t + 1
         self._ready[live] = m
+        self._mark_lo = lo if whole else n
+        self._mark_cols = m
 
     def _in_order(self, lo: int) -> bool:
-        """Is item ``lo - 1`` the newest commit, with rows ``lo..n-1`` uncommitted and one column behind?"""
+        """Is item ``lo - 1`` the newest commit, with rows ``lo..n-1`` uncommitted and one column behind?
+
+        Rows from ``_mark_lo`` on are answered by the mark (see the module
+        docstring); only rows ``lo.._mark_lo-1`` are scanned.
+        """
         m = len(self.selection)
-        return (lo < self.n and m > 0 and self.selection[-1] == lo - 1
-                and not self.in_selection[lo:].any() and bool((self._ready[lo:] == m - 1).all()))
+        n = self.n
+        if not (lo < n and m > 0 and self.selection[-1] == lo - 1):
+            return False
+        top = self._mark_lo
+        if top < n and self._mark_cols != m - 1:
+            return False
+        return lo >= top or (not self.in_selection[lo:top].any()
+                             and bool((self._ready[lo:top] == m - 1).all()))
 
     def _prefetch_in_order(self, lo: int) -> None:
         """Write the newest column of rows ``lo..n-1`` from the dot cache, then fold it in."""
@@ -188,13 +221,14 @@ class CholeskyState:
         j = lo - 1
         if not (self._dots_cols == t and self._dots_lo <= j < self._dots_at + len(self._dots)):
             self._rebuild_dots(j, t)
-        a = self._dots_at
-        vals = self._write_column(t, slice(lo, self.n), np.arange(lo, self.n), self._dots[j - a, lo - a:])
-        self._ready[lo:] = t + 1
+        a, dots = self._dots_at, self._dots
         c = lo - a  # the candidates after j, and the rows from lo on
-        if c < len(self._dots):
-            self._dots[c:, c:] += vals[:len(self._dots) - c, None] * vals
+        full = np.zeros(self.n - a)  # column t of rows a..n-1, +0.0 on the dead rows a..j
+        full[c:] = self._write_column(t, slice(lo, self.n), dots[j - a, c:])
+        self._ready[lo:] = t + 1
+        dots[c:] += full[c:len(dots), None] * full
         self._dots_cols, self._dots_lo = t + 1, lo
+        self._mark_lo, self._mark_cols = lo, t + 1
 
     def _rebuild_dots(self, a: int, t: int) -> None:
         """Fold the first ``t`` columns afresh for the window starting at item ``a``."""
@@ -204,15 +238,15 @@ class CholeskyState:
             dots += cols[s, :len(dots), None] * cols[s]
         self._dots, self._dots_at, self._dots_cols, self._dots_lo = dots, a, t, a
 
-    def _write_column(self, t: int, block, rows: np.ndarray, dots: np.ndarray) -> np.ndarray:
-        """Set column ``t`` of ``rows`` (``block`` indexes the same rows) and shrink their pivots."""
+    def _write_column(self, t: int, rows, dots: np.ndarray) -> np.ndarray:
+        """Set column ``t`` of ``rows`` (an index array or a range) and shrink their pivots."""
         denom = self.selected_pivots[t]
         if denom < PIVOT_FLOOR:
             raise SingularPivotError(f"numerically singular pivot {denom} at column {t}")
         vals = (self.oracle.column(self.selection[t], rows) - dots) / denom
-        self.factor[block, t] = vals
-        piv = self.pivots[block]
-        self.pivots[block] = np.sqrt(np.maximum(piv * piv - vals * vals, 0.0))
+        self.factor[rows, t] = vals
+        piv = self.pivots[rows]
+        self.pivots[rows] = np.sqrt(np.maximum(piv * piv - vals * vals, 0.0))
         return vals
 
     def marginal_gain(self, i: int) -> float:

@@ -294,26 +294,40 @@ class KernelOracle:
     def column(self, j: int, rows) -> np.ndarray:
         """``entry(r, j)`` for every ``r`` in ``rows``, bit for bit, as one array.
 
-        Dense kinds gather or sum all rows in one numpy pass; each row's sum
-        keeps the ascending single-accumulator order of :func:`seq_dot`.
-        Sparse features hold item ``j`` in the scratch (scattering it unless
-        it is already held) and gather per row.  Counts one lookup per row.
+        ``rows`` is an index array, or ``slice(lo, hi)`` for the rows
+        ``lo..hi-1``: a range is bounds-checked in O(1) and read through a
+        view (L reads ``matrix[lo:hi, j]``, the ``matrix[r, j]`` orientation
+        ``entry(r, j)`` reads), and the shift goes to row ``j`` only when
+        ``lo <= j < hi``.  Dense kinds gather or sum all rows in one numpy
+        pass; each row's sum keeps the ascending single-accumulator order of
+        :func:`seq_dot`.  Sparse features hold item ``j`` in the scratch
+        (scattering it unless it is already held) and gather per row.  Counts
+        one lookup per row.
         """
-        rows = np.asarray(rows, dtype=np.intp)
-        if not 0 <= j < self.n or (rows.size and not (0 <= rows.min() and rows.max() < self.n)):
-            raise IndexError(f"kernel column {j} or its rows out of range for n={self.n}")
-        self.eval_count += rows.size
+        if isinstance(rows, slice):
+            lo, hi = rows.start, rows.stop
+            if rows.step is not None or not (0 <= j < self.n and 0 <= lo <= hi <= self.n):
+                raise IndexError(f"kernel column {j} or its rows {lo}..{hi} out of range for n={self.n}")
+            count, diag = hi - lo, (j - lo if lo <= j < hi else None)
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            if not 0 <= j < self.n or (rows.size and not (0 <= rows.min() and rows.max() < self.n)):
+                raise IndexError(f"kernel column {j} or its rows out of range for n={self.n}")
+            count, diag = rows.size, rows == j
+        self.eval_count += count
         if self.kind == L_DENSE:
             raw = self._matrix[rows, j]
         elif self.kind == B_DENSE:
             products = self._feats[rows] * self._feats[j]
-            raw = np.add.accumulate(products, axis=1)[:, -1] + 0.0 if self.d else np.zeros(rows.size)
+            raw = np.add.accumulate(products, axis=1)[:, -1] + 0.0 if self.d else np.zeros(count)
         else:
             idx, values, dot = self._sparse_idx, self._sparse.values, self._dot
             buf = self._hold(self._scratch, j)
-            raw = np.array([dot(buf[idx[r]], values[r]) for r in rows.tolist()])
+            items = range(rows.start, rows.stop) if isinstance(rows, slice) else rows.tolist()
+            raw = np.array([dot(buf[idx[r]], values[r]) for r in items])
         v = self.scale * raw
-        v[rows == j] += self.shift
+        if diag is not None:
+            v[diag] += self.shift
         return v
 
     def _hold(self, scratch: _Scratch, i: int) -> np.ndarray:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dppmap import reference
+from dppmap.doublegreedy import fast_double_greedy
 from dppmap.cholesky import WINDOW, CholeskyState
 from dppmap.errors import NegativeDiagonalError, SingularPivotError, StaleRowError
 from dppmap.kernel import KernelOracle, SparseColumns
+from dppmap.stream import DecisionStream
 from dppmap.verify import (
     check_gain_identity,
     check_objective_reconstruction,
@@ -232,28 +234,32 @@ def test_prefetch_skips_committed_rows_and_initializes_lazy_pivots():
         assert state.update_row(i) == scalar.update_row(i)
 
 
-def _in_order_oracle(kind, n):
-    """A positive definite kernel on ``n`` items; "L-signed-zero" holds ``-0.0`` off the diagonal."""
+def _in_order_oracle(kind, n, shift=0.5):
+    """A positive definite kernel on ``n`` items; "L-signed-zero" holds ``-0.0`` off the diagonal.
+
+    In fast double greedy the default shift sends items to both factors, and a shift of 2.0 grows the
+    selection at every item.
+    """
     rng = np.random.default_rng(n)
     d = n + 3
     feats = rng.standard_normal((d, n)) / math.sqrt(d)
     if kind == "B":
-        return KernelOracle.from_dense_features(feats, 1.0, 0.5)
+        return KernelOracle.from_dense_features(feats, 1.0, shift)
     if kind == "L":
-        return KernelOracle.from_dense_kernel(KernelOracle.from_dense_features(feats).materialize(), 1.0, 0.5)
+        return KernelOracle.from_dense_kernel(KernelOracle.from_dense_features(feats).materialize(), 1.0, shift)
     feats *= rng.random((d, n)) < (0.3 if kind == "sparse" else 0.05)
     if kind == "sparse":
-        return KernelOracle.from_sparse_features(SparseColumns.from_dense(feats), 3.0, 0.5)
+        return KernelOracle.from_sparse_features(SparseColumns.from_dense(feats), 3.0, shift)
     matrix = KernelOracle.from_dense_features(feats).materialize()
     assert (matrix == 0.0).any()
     return KernelOracle.from_dense_kernel(np.where(matrix == 0.0, -0.0, matrix), 20.0, 0.5)
 
 
-def _in_order_run(oracle, prefetch):
+def _in_order_run(oracle, prefetch, lazy_diag=False):
     """Double greedy's schedule: visit items in order, commit two in three, prefetch after each commit."""
     n = oracle.n
     commits = [i for i in range(n) if i % 3 != 1]
-    state = CholeskyState(oracle, len(commits))
+    state = CholeskyState(oracle, len(commits), lazy_diag=lazy_diag)
     for i in range(n):
         state.update_row(i)
         if i in commits:
@@ -314,5 +320,82 @@ def test_in_order_prefetch_rebuilds_after_an_interruption():
     for s in (state, scalar):
         for i in range(40, n):
             s.update_row(i)
+    assert state.factor.tobytes() == scalar.factor.tobytes()
+    assert state.pivots.tobytes() == scalar.pivots.tobytes()
+
+
+def _scanned_in_order(state, lo):
+    """The in-order test by two O(n) scans, the reference the O(1) mark must answer like."""
+    m = len(state.selection)
+    return (lo < state.n and m > 0 and state.selection[-1] == lo - 1
+            and not state.in_selection[lo:].any() and bool((state._ready[lo:] == m - 1).all()))
+
+
+@pytest.fixture
+def in_order_answers(monkeypatch):
+    """``(_in_order(lo), the scanned answer)`` at every prefetch, in call order."""
+    answers = []
+    prefetch = CholeskyState.prefetch
+
+    def checked(self, lo):
+        answers.append((self._in_order(lo), _scanned_in_order(self, lo)))
+        return prefetch(self, lo)
+
+    monkeypatch.setattr(CholeskyState, "prefetch", checked)
+    return answers
+
+
+@pytest.mark.parametrize("kind", ["B", "L", "sparse"])
+@pytest.mark.parametrize("shift, grow_only", [(2.0, True), (0.5, False)], ids=["grow-only", "both-sides"])
+def test_in_order_mark_answers_like_the_scans_in_double_greedy(kind, shift, grow_only, in_order_answers):
+    oracle = _in_order_oracle(kind, 2 * WINDOW + 12, shift)
+    rep = fast_double_greedy(oracle, DecisionStream(1))
+    assert (len(rep.selection) == oracle.n) == grow_only and rep.selection
+    assert len(in_order_answers) == oracle.n
+    assert all(got == want for got, want in in_order_answers)
+    assert sum(got for got, _ in in_order_answers) == oracle.n - 1  # all but the prefetch past item n - 1
+
+
+def test_in_order_mark_answers_like_the_scans_on_the_verify_schedules(in_order_answers):
+    assert check_row_independence().ok
+    assert all(got == want for got, want in in_order_answers)
+    assert {got for got, _ in in_order_answers} == {True, False}
+
+
+def test_in_order_mark_answers_like_the_scans_on_a_lazy_diagonal(in_order_answers):
+    n = WINDOW + 9
+    lazy = _in_order_run(_in_order_oracle("L", n), prefetch=True, lazy_diag=True)
+    assert all(got == want for got, want in in_order_answers)
+    assert sum(got for got, _ in in_order_answers) == len(lazy.selection) - 1
+    eager = _in_order_run(_in_order_oracle("L", n), prefetch=True)
+    assert lazy.factor.tobytes() == eager.factor.tobytes()
+    assert lazy.pivots.tobytes() == eager.pivots.tobytes()
+
+
+def test_in_order_mark_is_cleared_by_a_skipping_sweep_and_a_scalar_catch_up(in_order_answers):
+    n = 20
+    oracle = _in_order_oracle("B", n)
+    state = CholeskyState(oracle, n)
+    for i, catch_up, lo in ((0, (), 1), (1, (), 2),
+                            (10, (), 3),    # a generic sweep of rows 3..19 that skips committed row 10
+                            (5, (), 6),     # item 5 is the newest commit, but row 10 is committed
+                            (12, (), 13),
+                            (13, (15,), 14),  # row 15 catches up alone, so rows 14..19 are not level
+                            (14, (), 15)):
+        state.update_row(i)
+        state.commit(i)
+        for r in catch_up:
+            state.update_row(r)
+        state.prefetch(lo)
+    assert in_order_answers == [(True, True), (True, True), (False, False), (False, False),
+                                (True, True), (False, False), (True, True)]
+    scalar = CholeskyState(oracle, n)
+    for i in state.selection:
+        scalar.update_row(i)
+        scalar.commit(i)
+    for s in (state, scalar):
+        for i in range(n):
+            if not s.in_selection[i]:
+                s.update_row(i)
     assert state.factor.tobytes() == scalar.factor.tobytes()
     assert state.pivots.tobytes() == scalar.pivots.tobytes()

@@ -208,3 +208,18 @@ def test_every_prefetch_but_the_last_row_takes_the_in_order_path(oracle, monkeyp
     rep = fast_double_greedy(oracle, DecisionStream(1))
     assert rep.steps_attempted == 300
     assert sorted(in_order_calls) == list(range(1, 300))
+
+
+def test_a_grow_only_run_rebuilds_the_dot_cache_once_per_window(monkeypatch):
+    """At n = 300 the window of 64 items starts at items 0, 64, 128, 192 and 256: five rebuilds, no more."""
+    starts = []
+    rebuild = CholeskyState._rebuild_dots
+
+    def spy(self, a, t):
+        starts.append(a)
+        return rebuild(self, a, t)
+
+    monkeypatch.setattr(CholeskyState, "_rebuild_dots", spy)
+    rep = fast_double_greedy(build_synthetic_oracle(300, 300, 1, "L", 0.9, 0.1), DecisionStream(1))
+    assert len(rep.selection) == 300
+    assert starts == [0, 64, 128, 192, 256]

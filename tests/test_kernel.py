@@ -5,6 +5,8 @@ import time
 import numpy as np
 import pytest
 
+from dppmap import reference
+from dppmap.bench import build_synthetic_oracle
 from dppmap.kernel import KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
 
 
@@ -348,10 +350,44 @@ def test_column_counts_one_eval_per_row_and_accepts_empty_rows():
 
 def test_column_bounds():
     ora = KernelOracle.from_dense_kernel(np.eye(3))
-    for j, rows in ((3, [0]), (-1, [0]), (0, [3]), (0, [-1, 1])):
+    for j, rows in ((3, [0]), (-1, [0]), (0, [3]), (0, [-1, 1]),
+                    (3, slice(0, 1)), (-1, slice(0, 1)), (0, slice(-1, 2)), (0, slice(0, 4)),
+                    (0, slice(2, 1)), (0, slice(0, 3, 2))):
         with pytest.raises(IndexError):
             ora.column(j, rows)
     assert ora.eval_count == 0
+
+
+def _range_oracles(shift):
+    """(label, oracle) for every kind, plus the L oracle fast double greedy builds over the inverse."""
+    matrix = build_synthetic_oracle(40, 40, 1, "L", 0.9, 0.1).materialize()
+    inv = reference.inverse(matrix)
+    assert not np.array_equal(inv, inv.T)  # so reading matrix[j, r] for matrix[r, j] would show
+    return _oracles_of_every_kind(0.9, shift) + [("L inverse", KernelOracle.from_dense_kernel(inv, 1.0, shift))]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.1])
+def test_column_over_a_range_bitwise_matches_entry(shift):
+    for label, ora in _range_oracles(shift):
+        n = ora.n
+        for j in range(n):
+            for lo, hi in ((0, n), (j, n), (min(j + 1, n), n), (n // 3, n // 2), (j, j)):
+                evals = ora.eval_count
+                got = ora.column(j, slice(lo, hi))
+                assert ora.eval_count == evals + hi - lo, (label, j, lo, hi)
+                want = np.array([ora.entry(r, j) for r in range(lo, hi)])
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (label, j, lo, hi)
+
+
+def test_column_over_a_range_shifts_row_j_once():
+    for (label, plain), (_, shifted) in zip(_range_oracles(0.0), _range_oracles(0.25)):
+        n = plain.n
+        for j, lo, hi in ((3, 0, n), (3, 3, 9), (3, 4, n), (n - 1, 2, n), (0, 1, n)):
+            base, got = plain.column(j, slice(lo, hi)), shifted.column(j, slice(lo, hi))
+            want = base.copy()
+            if lo <= j < hi:
+                want[j - lo] += 0.25
+            assert got.tobytes() == want.tobytes(), (label, j, lo, hi)
 
 
 def _integer_features(seed, signed, d=40, n=24):
