@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 import time
-from pathlib import Path
 
 from . import doublegreedy, naive_variants, reference, variants
 from .datagen import SyntheticSpec, gen_synthetic
@@ -19,11 +17,6 @@ ALGORITHMS = (
     "random", "stochastic", "interlace",
     "double-naive", "double-fast",
 )
-
-CSV_COLUMNS = [
-    "algo", "input_kind", "n", "d", "k", "seed", "epsilon",
-    "time_ms", "greedy_ms", "U", "kernel_evals", "logdet", "terminated_early",
-]
 
 SOFT_SPEED_FACTOR = 1.2
 OBJECTIVE_REL_TOL = 1e-8  # check_objective's bound, relative to max(1, |reference|)
@@ -97,35 +90,6 @@ def naive_twin_report(algo: str, oracle: KernelOracle, k: int, seed: int,
     raise ValueError(f"no naive twin for {algo!r}")
 
 
-def _report_row(report: RunReport) -> dict:
-    timings = report.timings
-    time_ms = timings.get("total_ms", timings.get("greedy_ms", 0.0))
-    return {
-        "algo": report.algo,
-        "input_kind": report.input_kind,
-        "n": report.n,
-        "d": report.d,
-        "k": report.k,
-        "seed": report.seed if report.seed is not None else "",
-        "epsilon": report.epsilon if report.epsilon is not None else "",
-        "time_ms": f"{time_ms:.3f}",
-        "greedy_ms": f"{timings.get('greedy_ms', 0.0):.3f}",
-        "U": report.offdiag_count,
-        "kernel_evals": report.kernel_evals,
-        "logdet": repr(report.final_objective),
-        "terminated_early": "timeout" if report.timed_out else str(report.terminated_early).lower(),
-    }
-
-
-def _failed_row(algo, oracle, k, seed, epsilon, reason) -> dict:
-    return {
-        "algo": algo, "input_kind": oracle.input_kind, "n": oracle.n, "d": oracle.d,
-        "k": k, "seed": seed, "epsilon": epsilon if epsilon is not None else "",
-        "time_ms": "", "greedy_ms": "", "U": "", "kernel_evals": "",
-        "logdet": "", "terminated_early": reason,
-    }
-
-
 def build_synthetic_oracle(n: int, d: int | None, seed: int, input_kind: str,
                            scale: float = 1.0, shift: float = 0.0) -> KernelOracle:
     """Standard-normal features; either wrapped directly (B) or multiplied out (L)."""
@@ -139,14 +103,16 @@ def build_synthetic_oracle(n: int, d: int | None, seed: int, input_kind: str,
 
 
 def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=0.5,
-                input_kind="B", scale=None, shift=None, timeout_s=None) -> list[dict]:
-    """Sweep a (n x k x seed x algo) grid of synthetic instances, serially.
+                input_kind="B", scale=None, shift=None, timeout_s=None) -> list[RunReport]:
+    """Sweep a (n x k x seed x algo) grid of synthetic instances, serially, one report per cell.
 
     Instances are generated per (n, seed); each algorithm gets its own oracle
-    so evaluation counters stay honest.  Cells that hit the per-cell timeout
-    are recorded with ``terminated_early=timeout``.
+    so evaluation counters stay honest.  A cell that hits the per-cell
+    timeout is its solver's report with ``timed_out`` set.  A cell that
+    raises is a report of the cell's own fields with ``extras["error"]``
+    naming the exception; its counters stay zero and its ``timings`` empty.
     """
-    rows: list[dict] = []
+    reports: list[RunReport] = []
     for n in n_values:
         for seed in seeds:
             for algo in algos:
@@ -155,42 +121,29 @@ def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=0.5,
                 for k in k_values:
                     deadline = None if timeout_s is None else time.perf_counter() + timeout_s
                     try:
-                        report = run_algorithm(algo, oracle, k, seed=seed,
-                                               epsilon=epsilon, deadline=deadline)
-                        rows.append(_report_row(report))
+                        reports.append(run_algorithm(algo, oracle, k, seed=seed,
+                                                     epsilon=epsilon, deadline=deadline))
                     except Exception as exc:  # noqa: BLE001 - recorded per cell
-                        rows.append(_failed_row(algo, oracle, k, seed, epsilon,
-                                                f"error:{type(exc).__name__}"))
-    return rows
+                        reports.append(RunReport(algo=algo, n=oracle.n, d=oracle.d, k=k,
+                                                 input_kind=oracle.input_kind, seed=seed,
+                                                 epsilon=epsilon,
+                                                 extras={"error": type(exc).__name__}))
+    return reports
 
 
-def soft_speed_warnings(rows) -> list[str]:
-    """Warn when a lazyfast cell is slower than 1.2x its fast sibling."""
-    fast_times: dict[tuple, float] = {}
-    for row in rows:
-        if row["algo"] == "fast" and row["time_ms"]:
-            key = (row["n"], row["d"], row["k"], row["seed"], row["input_kind"])
-            fast_times[key] = float(row["time_ms"])
+def soft_speed_warnings(reports) -> list[str]:
+    """Warn when a lazyfast cell is slower than 1.2x its fast sibling; failed cells are skipped."""
+    def key(report):
+        return (report.n, report.d, report.k, report.seed, report.input_kind)
+
+    done = [r for r in reports if "error" not in r.extras]
+    fast_times = {key(r): r.timings["total_ms"] for r in done if r.algo == "fast"}
     warnings = []
-    for row in rows:
-        if row["algo"] != "lazyfast" or not row["time_ms"]:
-            continue
-        key = (row["n"], row["d"], row["k"], row["seed"], row["input_kind"])
-        if key in fast_times:
-            lf, fa = float(row["time_ms"]), fast_times[key]
+    for r in done:
+        if r.algo == "lazyfast" and key(r) in fast_times:
+            lf, fa = r.timings["total_ms"], fast_times[key(r)]
             if lf > SOFT_SPEED_FACTOR * fa:
                 warnings.append(
                     f"WARNING: lazyfast {lf:.1f} ms exceeds {SOFT_SPEED_FACTOR} x fast "
-                    f"{fa:.1f} ms on n={row['n']} k={row['k']} seed={row['seed']}")
+                    f"{fa:.1f} ms on n={r.n} k={r.k} seed={r.seed}")
     return warnings
-
-
-def write_rows(path, rows) -> None:
-    """Append rows to a CSV, creating it (with header) if needed."""
-    path = Path(path)
-    fresh = not path.exists()
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        if fresh:
-            writer.writeheader()
-        writer.writerows(rows)

@@ -4,7 +4,7 @@ Subcommands:
   gen     write a synthetic feature matrix
   ingest  binarize rating triples into a sparse feature matrix
   run     run one algorithm on one instance, write a JSON report
-  bench   sweep a grid and append CSV rows
+  bench   sweep a grid and append one JSON report line per cell
   verify  run the invariant/differential battery (nonzero exit on failure)
 """
 
@@ -14,16 +14,22 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from . import bench as benchmod
 from . import matrixio, verify
 from .bench import ALGORITHMS, resolve_adjustment, run_algorithm
 from .datagen import (RatingsSpec, SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic,
                       ingest_ratings, write_idmap)
+from .errors import AsymmetricKernelError
 from .kernel import KernelOracle
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def load_oracle(path: str, input_kind: str, scale: float, shift: float) -> KernelOracle:
@@ -31,7 +37,15 @@ def load_oracle(path: str, input_kind: str, scale: float, shift: float) -> Kerne
     if input_kind == "L":
         if kind != "dense":
             raise ValueError("kernel (L) input requires a dense matrix file")
-        return KernelOracle.from_dense_kernel(payload, scale, shift)
+        oracle = KernelOracle.from_dense_kernel(payload, scale, shift)
+        # Checked here, not in from_dense_kernel: fast_double_greedy wraps its
+        # kernel inverse, which is not bitwise symmetric, through that constructor.
+        bits = np.ascontiguousarray(payload, dtype=np.float64).view(np.uint64)
+        asymmetric = np.argwhere(bits != bits.T)
+        if asymmetric.size:
+            i, j = asymmetric[0]
+            raise AsymmetricKernelError(f"kernel (L) input is not bitwise symmetric at K[{i}, {j}]")
+        return oracle
     if kind == "dense":
         return KernelOracle.from_dense_features(payload, scale, shift)
     return KernelOracle.from_sparse_features(payload, scale, shift)
@@ -80,20 +94,16 @@ def cmd_bench(args) -> int:
     for algo in algos:
         if algo not in ALGORITHMS:
             raise SystemExit(f"unknown algorithm {algo!r}")
-    n_values = args.n_grid if args.n_grid else [args.n]
-    k_values = args.k_grid if args.k_grid else [args.k]
-    if any(v is None for v in n_values) or any(v is None for v in k_values):
-        raise SystemExit("bench needs --n/--n-grid and --k/--k-grid")
-    seeds = args.seeds if args.seeds else [args.seed if args.seed is not None else 1]
-    rows = benchmod.bench_cells(
-        algos, n_values, k_values, d=args.d, seeds=seeds,
+    reports = benchmod.bench_cells(
+        algos, args.n, args.k, d=args.d, seeds=args.seed,
         epsilon=args.epsilon, input_kind=args.input_kind,
         scale=args.scale, shift=args.shift,
         timeout_s=args.timeout_s)
-    benchmod.write_rows(args.out, rows)
-    for warning in benchmod.soft_speed_warnings(rows):
+    with open(args.out, "a") as fh:
+        fh.writelines(report.to_json_line() for report in reports)
+    for warning in benchmod.soft_speed_warnings(reports):
         print(warning, file=sys.stderr)
-    print(f"appended {len(rows)} rows to {args.out}")
+    print(f"appended {len(reports)} reports to {args.out}")
     return 0
 
 
@@ -146,15 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("bench", help="sweep a grid, append CSV rows")
+    p = sub.add_parser("bench", help="sweep a grid, append one JSON report line per cell")
     p.add_argument("--algos", required=True, help="comma-separated algorithm names")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-grid", type=_parse_int_list, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--k-grid", type=_parse_int_list, default=None)
-    p.add_argument("--seeds", type=_parse_int_list, default=None)
-    p.add_argument("--seed", type=int, default=None, help="single-seed shorthand")
+    p.add_argument("--n", type=_parse_int_list, required=True, help="comma-separated item counts")
+    p.add_argument("--d", type=int, default=None, help="feature dimension (default: n)")
+    p.add_argument("--k", type=_parse_int_list, required=True, help="comma-separated cardinality bounds")
+    p.add_argument("--seed", type=_parse_int_list, default=[1], help="comma-separated seeds (default: 1)")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--input-kind", choices=("B", "L"), default="B")
     p.add_argument("--scale", type=float, default=None)

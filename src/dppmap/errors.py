@@ -27,3 +27,7 @@ class SelectionDriftError(RuntimeError):
 
 class NonFiniteInputError(ValueError):
     """Input features or kernel entries contain NaN or infinity."""
+
+
+class AsymmetricKernelError(ValueError):
+    """A kernel (L) input matrix is not bitwise equal to its transpose."""

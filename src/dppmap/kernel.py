@@ -216,6 +216,8 @@ class KernelOracle:
     """
 
     def __init__(self, kind, n, d, scale=1.0, shift=0.0, feats=None, sparse=None, matrix=None):
+        if not (np.isfinite(scale) and np.isfinite(shift)):
+            raise NonFiniteInputError(f"kernel scale {scale!r} and shift {shift!r} must be finite")
         if shift < 0:
             raise ValueError("shift must be nonnegative")
         self.kind = kind

@@ -51,6 +51,10 @@ class RunReport:
             data.pop("timings")
         return json.dumps(data, sort_keys=True, indent=2, default=_array_as_list) + "\n"
 
+    def to_json_line(self) -> str:
+        """The whole report on one line, as ``dppmap bench`` appends it; :meth:`from_json` reads it back."""
+        return json.dumps(self.to_dict(), sort_keys=True, default=_array_as_list) + "\n"
+
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_json())

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrixio, reference
-from .bench import build_synthetic_oracle, naive_twin_report, run_algorithm, soft_speed_warnings, _report_row
+from .bench import build_synthetic_oracle, naive_twin_report, run_algorithm, soft_speed_warnings
 from .cholesky import WINDOW, CholeskyState
 from .datagen import RatingsSpec, SyntheticSpec, gen_synthetic, ingest_ratings
 from .doublegreedy import fast_double_greedy, jacobi_gain_check, naive_double_greedy
@@ -566,7 +566,7 @@ def check_double_half_expectation(n: int = 10, seed0: int = 6000, runs: int = 20
 def check_lazy_savings(n: int = 2000, d: int | None = None, k: int = 100,
                        seeds=(1, 2, 3, 4, 5)) -> CheckResult:
     """Lazy refreshes do under half the eager off-diagonal work, seed-averaged."""
-    rows = []
+    reports = []
     fast_counts, lazy_counts = [], []
     for seed in seeds:
         oracle = build_synthetic_oracle(n, d, seed, "B")
@@ -574,11 +574,10 @@ def check_lazy_savings(n: int = 2000, d: int | None = None, k: int = 100,
         lf_rep = run_algorithm("lazyfast", oracle, k, seed=seed)
         fast_counts.append(fast_rep.offdiag_count)
         lazy_counts.append(lf_rep.offdiag_count)
-        rows.append(_report_row(fast_rep))
-        rows.append(_report_row(lf_rep))
+        reports += [fast_rep, lf_rep]
     mean_fast = float(np.mean(fast_counts))
     mean_lazy = float(np.mean(lazy_counts))
-    warnings = soft_speed_warnings(rows)
+    warnings = soft_speed_warnings(reports)
     detail = (f"mean counts: lazyfast {mean_lazy:.0f} vs fast {mean_fast:.0f} "
               f"({mean_lazy / mean_fast:.1%}); {len(warnings)} soft speed warning(s)")
     if mean_lazy >= 0.5 * mean_fast:

@@ -12,6 +12,7 @@ from dppmap.bench import (
     soft_speed_warnings,
 )
 from dppmap.naive_variants import naive_interlace_greedy, naive_random_greedy, naive_stochastic_greedy
+from dppmap.report import RunReport
 from dppmap.stream import DecisionStream
 from dppmap.variants import VariantConfig
 
@@ -66,29 +67,42 @@ def test_deadline_mid_run_is_partial_but_consistent():
     assert len(report.objective_trace) == len(report.selection)
 
 
-def test_bench_cells_records_timeout_rows():
-    rows = bench_cells(["fast"], [40], [10], seeds=(1,), timeout_s=0.0)
-    assert len(rows) == 1
-    assert rows[0]["terminated_early"] == "timeout"
+def test_bench_cells_records_a_timeout_as_the_report_flag():
+    (report,) = bench_cells(["fast"], [40], [10], seeds=(1,), timeout_s=0.0)
+    assert report.timed_out
+    assert RunReport.from_json(report.to_json_line()).timed_out
+
+
+def test_bench_cells_records_a_failed_cell():
+    """random greedy needs n >= 2k; the cell records the error and zero counters."""
+    (report,) = bench_cells(["random"], [7], [4], seeds=(2,), epsilon=0.25)
+    assert report.extras == {"error": "ValueError"}
+    assert (report.algo, report.n, report.d, report.k, report.input_kind, report.seed, report.epsilon) == (
+        "random", 7, 7, 4, "B", 2, 0.25)
+    assert (report.offdiag_count, report.kernel_evals, report.pq_ops, report.timings) == (0, 0, 0, {})
+    assert RunReport.from_json(report.to_json_line()) == report
 
 
 def test_bench_cells_grid_shape():
-    rows = bench_cells(["fast", "lazyfast"], [15, 20], [3], seeds=(1, 2))
-    assert len(rows) == 2 * 2 * 1 * 2
-    assert {r["n"] for r in rows} == {15, 20}
+    reports = bench_cells(["fast", "lazyfast"], [15, 20], [3], seeds=(1, 2))
+    assert len(reports) == 2 * 2 * 1 * 2
+    assert {r.n for r in reports} == {15, 20}
 
 
 def test_soft_speed_warning_trigger():
-    rows = [
-        {"algo": "fast", "n": 10, "d": 10, "k": 2, "seed": 1, "input_kind": "B",
-         "time_ms": "100.0"},
-        {"algo": "lazyfast", "n": 10, "d": 10, "k": 2, "seed": 1, "input_kind": "B",
-         "time_ms": "150.0"},
-    ]
-    warnings = soft_speed_warnings(rows)
-    assert len(warnings) == 1 and "WARNING" in warnings[0]
-    rows[1]["time_ms"] = "90.0"
-    assert soft_speed_warnings(rows) == []
+    def cell(algo, total_ms=None):
+        report = RunReport(algo=algo, n=10, d=10, k=2, input_kind="B", seed=1)
+        if total_ms is None:
+            report.extras["error"] = "ValueError"
+        else:
+            report.timings["total_ms"] = total_ms
+        return report
+
+    reports = [cell("fast", 100.0), cell("lazyfast", 150.0), cell("lazyfast")]
+    assert soft_speed_warnings(reports) == [
+        "WARNING: lazyfast 150.0 ms exceeds 1.2 x fast 100.0 ms on n=10 k=2 seed=1"]
+    reports[1].timings["total_ms"] = 90.0
+    assert soft_speed_warnings(reports) == []
 
 
 def test_check_objective_accepts_and_rejects():

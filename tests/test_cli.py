@@ -1,12 +1,11 @@
-import csv
 import json
 
 import numpy as np
 import pytest
 
 from dppmap import matrixio
-from dppmap.bench import CSV_COLUMNS
 from dppmap.cli import load_oracle, main
+from dppmap.errors import AsymmetricKernelError
 from dppmap.kernel import SparseColumns, _int_dot, seq_dot
 from dppmap.report import RunReport
 
@@ -65,7 +64,7 @@ def test_run_all_algorithms_smoke(tmp_path):
                    "--k", "3", "--seed", "1", "--epsilon", "0.5", "--out", str(out)])
         assert rc == 0, algo
         report = RunReport.from_json(out.read_text())
-        assert report.algo in (algo, algo.replace("double-", "double-"))
+        assert report.algo == algo
 
 
 def test_run_l_input(tmp_path):
@@ -79,41 +78,82 @@ def test_run_l_input(tmp_path):
     assert RunReport.from_json(out.read_text()).input_kind == "L"
 
 
-def test_bench_csv_columns_and_lazy_leq_fast(tmp_path):
-    out = tmp_path / "bench.csv"
+def test_run_rejects_an_asymmetric_kernel(tmp_path):
+    """One ulp between K[0, 1] and K[1, 0] is enough; the same file symmetrized runs."""
+    feats = np.random.default_rng(0).standard_normal((8, 8))
+    kernel = feats.T @ feats
+    kernel[0, 1] = np.nextafter(kernel[0, 1], np.inf)
+    l_path = tmp_path / "l.dppm1"
+    matrixio.write_dense(l_path, kernel)
+    with pytest.raises(AsymmetricKernelError, match=r"not bitwise symmetric at K\[0, 1\]"):
+        main(["run", "--algo", "fast", "--input", str(l_path), "--input-kind", "L", "--k", "3"])
+    assert issubclass(AsymmetricKernelError, ValueError)
+    kernel[0, 1] = kernel[1, 0]
+    matrixio.write_dense(l_path, kernel)
+    assert load_oracle(str(l_path), "L", 1.0, 0.0).n == 8
+
+
+def _bench_lines(path) -> list[RunReport]:
+    return [RunReport.from_json(line) for line in path.read_text().splitlines()]
+
+
+def test_bench_json_lines_and_lazy_leq_fast(tmp_path):
+    out = tmp_path / "bench.jsonl"
     rc = main(["bench", "--algos", "fast,lazyfast", "--n", "60", "--k", "8",
-               "--seeds", "1,2", "--out", str(out)])
+               "--seed", "1,2", "--out", str(out)])
     assert rc == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0].keys()) == CSV_COLUMNS
+    reports = _bench_lines(out)
+    assert len(reports) == 4
     by_key = {}
-    for row in rows:
-        by_key.setdefault((row["n"], row["k"], row["seed"]), {})[row["algo"]] = row
+    for report in reports:
+        by_key.setdefault((report.n, report.k, report.seed), {})[report.algo] = report
     assert len(by_key) == 2
     for pair in by_key.values():
-        assert int(pair["lazyfast"]["U"]) <= int(pair["fast"]["U"])
+        assert pair["lazyfast"].offdiag_count <= pair["fast"].offdiag_count
 
 
 def test_bench_appends(tmp_path):
-    out = tmp_path / "bench.csv"
+    out = tmp_path / "bench.jsonl"
     main(["bench", "--algos", "fast", "--n", "20", "--k", "3", "--out", str(out)])
     main(["bench", "--algos", "fast", "--n", "20", "--k", "4", "--out", str(out)])
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    assert {row["k"] for row in rows} == {"3", "4"}
+    reports = _bench_lines(out)
+    assert len(reports) == 2
+    assert {report.k for report in reports} == {3, 4}
 
 
 def test_bench_grid_flags(tmp_path):
-    out = tmp_path / "grid.csv"
-    rc = main(["bench", "--algos", "lazyfast", "--n-grid", "20,30", "--k", "4",
+    out = tmp_path / "grid.jsonl"
+    rc = main(["bench", "--algos", "lazyfast", "--n", "20,30", "--k", "3,4", "--seed", "1,2",
                "--input-kind", "L", "--out", str(out)])
     assert rc == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert {row["n"] for row in rows} == {"20", "30"}
-    assert {row["input_kind"] for row in rows} == {"L"}
+    reports = _bench_lines(out)
+    assert sorted((r.n, r.seed, r.k) for r in reports) == [
+        (n, seed, k) for n in (20, 30) for seed in (1, 2) for k in (3, 4)]
+    assert {r.input_kind for r in reports} == {"L"}
+
+
+@pytest.mark.parametrize("flag", ["--n", "--k", "--seed"])
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_bench_rejects_an_empty_grid(tmp_path, capsys, flag, value):
+    out = tmp_path / "bench.jsonl"
+    argv = {"--algos": "fast", "--n": "20", "--k": "3", "--out": str(out), flag: value}
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", *[tok for pair in argv.items() for tok in pair]])
+    assert exit_info.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["lazyfast", "random"])
+def test_bench_line_equals_the_run_report(tmp_path, algo):
+    """A bench cell is the report ``dppmap run`` writes for the same instance, timings aside."""
+    b, run_out, bench_out = tmp_path / "b.dppm1", tmp_path / "r.json", tmp_path / "bench.jsonl"
+    main(["gen", "--n", "16", "--seed", "3", "--out", str(b)])
+    main(["run", "--algo", algo, "--input", str(b), "--k", "4", "--seed", "3", "--out", str(run_out)])
+    main(["bench", "--algos", algo, "--n", "16", "--k", "4", "--seed", "3", "--out", str(bench_out)])
+    (line,) = bench_out.read_text().splitlines()
+    bench_report, run_report = RunReport.from_json(line), RunReport.from_json(run_out.read_text())
+    assert bench_report.to_json(include_timings=False) == run_report.to_json(include_timings=False)
 
 
 def test_ingest_cli_writes_sidecar(tmp_path):

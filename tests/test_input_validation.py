@@ -121,3 +121,22 @@ def test_files_with_non_finite_values_fail_in_dppmap_run(tmp_path):
         matrixio.read_sparse(sparse)
     with pytest.raises(NonFiniteInputError):
         main(["run", "--algo", "random", "--k", "4", "--input", str(sparse)])
+
+
+@pytest.mark.parametrize("adjustment", [{"scale": np.nan}, {"scale": np.inf}, {"scale": -np.inf},
+                                        {"shift": np.nan}, {"shift": np.inf}])
+def test_non_finite_scale_or_shift_fails_fast(tmp_path, adjustment):
+    """Unvalidated, ``scale=nan`` on this seed-0 8 x 10 matrix (k = 3) gave ``fast`` [0, 1, 2],
+    ``lazyfast`` [6, 2, 0] and ``naive`` [] with three different objectives."""
+    features = np.random.default_rng(0).standard_normal((8, 10))
+    constructors = [lambda: KernelOracle.from_dense_features(features, **adjustment),
+                    lambda: KernelOracle.from_sparse_features(SparseColumns.from_dense(features), **adjustment),
+                    lambda: KernelOracle.from_dense_kernel(features.T @ features, **adjustment)]
+    for build in constructors:
+        with pytest.raises(NonFiniteInputError, match="must be finite"):
+            build()
+    path = tmp_path / "b.dppm1"
+    matrixio.write_dense(path, features)
+    flags = [f"--{name}={value}" for name, value in adjustment.items()]
+    with pytest.raises(NonFiniteInputError, match="must be finite"):
+        main(["run", "--algo", "fast", "--k", "3", "--input", str(path), *flags])

@@ -12,6 +12,7 @@ def test_json_roundtrip():
                     timings={"greedy_ms": 1.0})
     back = RunReport.from_json(rep.to_json())
     assert back == rep
+    assert RunReport.from_json(rep.to_json_line()) == rep
 
 
 def test_json_sorted_and_newline_terminated():
@@ -38,5 +39,8 @@ def test_array_series_give_the_same_json_as_lists():
                           timings={"greedy_ms": 1.0})
     assert as_arrays.to_json() == as_lists.to_json()
     assert as_arrays.to_json(include_timings=False) == as_lists.to_json(include_timings=False)
+    line = as_arrays.to_json_line()
+    assert line == as_lists.to_json_line() and line.count("\n") == 1 and line.endswith("\n")
+    assert RunReport.from_json(line).to_json() == as_lists.to_json()
     empty = RunReport(algo="x", n=0, d=0, k=0, gains=np.empty(0), extras={"ab_gains": np.empty((0, 2))})
     assert empty.to_json() == RunReport(algo="x", n=0, d=0, k=0, extras={"ab_gains": []}).to_json()
