@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 
 from . import doublegreedy, naive_variants, reference, variants
 from .datagen import SyntheticSpec, gen_synthetic
@@ -103,32 +104,33 @@ def build_synthetic_oracle(n: int, d: int | None, seed: int, input_kind: str,
 
 
 def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=0.5,
-                input_kind="B", scale=None, shift=None, timeout_s=None) -> list[RunReport]:
-    """Sweep a (n x k x seed x algo) grid of synthetic instances, serially, one report per cell.
+                input_kind="B", scale=None, shift=None, timeout_s=None) -> Iterator[RunReport]:
+    """Sweep a (n x k x seed x algo) grid of synthetic instances, serially, yielding one report per cell.
 
-    Instances are generated per (n, seed); each algorithm gets its own oracle
-    so evaluation counters stay honest.  A cell that hits the per-cell
-    timeout is its solver's report with ``timed_out`` set.  A cell that
-    raises is a report of the cell's own fields with ``extras["error"]``
+    Each report is yielded as its cell finishes.  Instances are generated per
+    (n, seed); each algorithm gets its own oracle so evaluation counters stay
+    honest.  A cell that hits the per-cell timeout is its solver's report
+    with ``timed_out`` set.  A cell that raises, building its instance
+    included, is a report of the cell's own fields with ``extras["error"]``
     naming the exception; its counters stay zero and its ``timings`` empty.
+    Its ``d`` is the oracle's, or the requested one when no oracle was built.
     """
-    reports: list[RunReport] = []
     for n in n_values:
         for seed in seeds:
             for algo in algos:
                 cell_scale, cell_shift = resolve_adjustment(algo, scale, shift)
-                oracle = build_synthetic_oracle(n, d, seed, input_kind, cell_scale, cell_shift)
+                oracle = None
                 for k in k_values:
-                    deadline = None if timeout_s is None else time.perf_counter() + timeout_s
                     try:
-                        reports.append(run_algorithm(algo, oracle, k, seed=seed,
-                                                     epsilon=epsilon, deadline=deadline))
+                        if oracle is None:
+                            oracle = build_synthetic_oracle(n, d, seed, input_kind, cell_scale, cell_shift)
+                        deadline = None if timeout_s is None else time.perf_counter() + timeout_s
+                        report = run_algorithm(algo, oracle, k, seed=seed, epsilon=epsilon, deadline=deadline)
                     except Exception as exc:  # noqa: BLE001 - recorded per cell
-                        reports.append(RunReport(algo=algo, n=oracle.n, d=oracle.d, k=k,
-                                                 input_kind=oracle.input_kind, seed=seed,
-                                                 epsilon=epsilon,
-                                                 extras={"error": type(exc).__name__}))
-    return reports
+                        cell_d = oracle.d if oracle is not None else (n if d is None else d)
+                        report = RunReport(algo=algo, n=n, d=cell_d, k=k, input_kind=input_kind,
+                                           seed=seed, epsilon=epsilon, extras={"error": type(exc).__name__})
+                    yield report
 
 
 def soft_speed_warnings(reports) -> list[str]:

@@ -23,6 +23,21 @@ arithmetic in the same order, so a row's values do not depend on which one
 computed them.  Between a prefetch and the adopting ``update_row`` a row's
 pivot is ahead of its stamp; only fresh rows' gains are ever read.
 
+The scalar loop folds a dot product of fewer than ``SHORT_FOLD`` terms in
+Python floats: it reads the row's computed columns once with ``tolist``, and
+folds ``acc = 0.0; acc += a * b`` over a committed row's frozen entries
+(converted on first use and kept, since committed rows never change).
+CPython rounds the multiply and the add separately, as numpy does, so this is
+:func:`~dppmap.kernel.seq_dot`'s ascending fold bit for bit.  A fold that
+starts from ``+0.0`` never returns ``-0.0`` under round to nearest (a sum is
+``-0.0`` only when both terms are), so it needs no ``+ 0.0`` of its own.
+Longer dot products take :func:`~dppmap.kernel.seq_dot` over the numpy row:
+a Python fold costs about 55 ns per term and ``seq_dot`` about 1.5 us
+whatever the length, so they cross near 27 terms.  Short folds are the lazy
+catch-ups of a small selection (``random`` on sparse input); long ones are
+eager one-column refreshes late in a long run (``fast`` at k = 50), which a
+Python fold alone made about 10% slower.
+
 A prefetch usually follows the schedule fast double greedy produces: the
 newest commit is item ``lo - 1``, and every row ``lo..n-1`` is uncommitted and
 lacks only that commit's column.  The state tells that schedule apart in
@@ -62,6 +77,7 @@ from .kernel import KernelOracle, seq_dot
 
 PIVOT_FLOOR = 1e-12
 WINDOW = 64  # candidate items the in-order dot cache covers
+SHORT_FOLD = 32  # the scalar loop folds dot products of fewer terms in Python floats
 
 
 class CholeskyState:
@@ -89,6 +105,7 @@ class CholeskyState:
         self._ready = np.zeros(n, dtype=np.int64)
         self.selection: list[int] = []
         self.selected_pivots: list[float] = []
+        self._prefixes: list[list[float] | None] = []  # per column t < SHORT_FOLD: row j_t's frozen entries as floats
         self.objective_trace: list[float] = []
         self.in_selection = np.zeros(n, dtype=bool)
         self.offdiag_count = 0
@@ -131,8 +148,14 @@ class CholeskyState:
         ``(K[i, j_t] - <row_i[:t], row_jt[:t]>) / p_jt`` with ``p_jt`` the
         pivot frozen when ``j_t`` was committed, after which the row's own
         pivot shrinks by the Pythagorean update.  Columns a :meth:`prefetch`
-        already computed are adopted as they are.  Each adopted column bumps
-        the off-diagonal counter exactly once.
+        already computed are adopted as they are, with no conversion to
+        Python floats; the rest are computed by the scalar loop of the module
+        docstring, one :meth:`KernelOracle.entry` per column.  Each adopted
+        column bumps the off-diagonal counter exactly once.  A
+        :class:`SingularPivotError` part-way leaves the row's pivot, stamp
+        and readiness and the counter as they were; the columns it wrote are
+        past the row's readiness, so nothing reads them before they are
+        computed again.
         """
         if self.in_selection[i]:
             raise ValueError(f"row {i} is already committed")
@@ -141,19 +164,33 @@ class CholeskyState:
         m = len(self.selection)
         if start == m:
             return float(self.pivots[i])
-        row = self.factor[i]
         piv = float(self.pivots[i])
         ready = int(self._ready[i])
-        if i >= self._mark_lo and ready < m:
-            self._mark_lo = self.n  # the loop below moves a row the mark vouches for
-        for t in range(ready, m):
-            jt = self.selection[t]
-            denom = self.selected_pivots[t]
-            if denom < PIVOT_FLOOR:
-                raise SingularPivotError(f"numerically singular pivot {denom} at column {t}")
-            val = (self.oracle.entry(i, jt) - seq_dot(row[:t], self.factor[jt, :t])) / denom
-            row[t] = val
-            piv = math.sqrt(max(piv * piv - val * val, 0.0))
+        if ready < m:
+            if i >= self._mark_lo:
+                self._mark_lo = self.n  # the loop below moves a row the mark vouches for
+            row = self.factor[i]
+            vals = row[:ready].tolist() if ready < SHORT_FOLD else None
+            entry, prefixes = self.oracle.entry, self._prefixes
+            for t in range(ready, m):
+                jt = self.selection[t]
+                denom = self.selected_pivots[t]
+                if denom < PIVOT_FLOOR:
+                    raise SingularPivotError(f"numerically singular pivot {denom} at column {t}")
+                if t < SHORT_FOLD:
+                    crow = prefixes[t]
+                    if crow is None:
+                        crow = prefixes[t] = self.factor[jt, :t].tolist()
+                    acc = 0.0
+                    for a, b in zip(vals, crow):
+                        acc += a * b
+                else:
+                    acc = seq_dot(row[:t], self.factor[jt, :t])
+                val = (entry(i, jt) - acc) / denom
+                row[t] = val
+                if t < SHORT_FOLD:
+                    vals.append(val)
+                piv = math.sqrt(max(piv * piv - val * val, 0.0))
         self.pivots[i] = piv
         self.offdiag_count += m - start
         self.stamps[i] = m
@@ -273,6 +310,7 @@ class CholeskyState:
             raise ValueError("selection capacity exhausted")
         self.selection.append(i)
         self.selected_pivots.append(p)
+        self._prefixes.append(None)
         gain = 2.0 * math.log(p)
         prev = self.objective_trace[-1] if self.objective_trace else 0.0
         self.objective_trace.append(prev + gain)

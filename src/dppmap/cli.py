@@ -25,11 +25,36 @@ from .errors import AsymmetricKernelError
 from .kernel import KernelOracle
 
 
+def _parse_list(text: str, item, what: str) -> list:
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return [item(tok) for tok in tokens]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_int_list(text: str) -> list[int]:
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return values
+    return _parse_list(text, int, "integers")
+
+
+def _parse_k_list(text: str) -> list[int]:
+    return _parse_list(text, _positive_int, "integers")
+
+
+def _algorithm(name: str) -> str:
+    if name not in ALGORITHMS:
+        raise argparse.ArgumentTypeError(f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}")
+    return name
+
+
+def _parse_algos(text: str) -> list[str]:
+    return _parse_list(text, _algorithm, "algorithm names")
 
 
 def load_oracle(path: str, input_kind: str, scale: float, shift: float) -> KernelOracle:
@@ -90,17 +115,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise SystemExit(f"unknown algorithm {algo!r}")
-    reports = benchmod.bench_cells(
-        algos, args.n, args.k, d=args.d, seeds=args.seed,
+    cells = benchmod.bench_cells(
+        args.algos, args.n, args.k, d=args.d, seeds=args.seed,
         epsilon=args.epsilon, input_kind=args.input_kind,
         scale=args.scale, shift=args.shift,
         timeout_s=args.timeout_s)
+    reports = []
     with open(args.out, "a") as fh:
-        fh.writelines(report.to_json_line() for report in reports)
+        for report in cells:  # each line is written as its cell finishes
+            fh.write(report.to_json_line())
+            fh.flush()
+            reports.append(report)
     for warning in benchmod.soft_speed_warnings(reports):
         print(warning, file=sys.stderr)
     print(f"appended {len(reports)} reports to {args.out}")
@@ -143,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--input", required=True)
     p.add_argument("--input-kind", choices=("B", "L"), default="B")
-    p.add_argument("--k", type=int, default=None, help="cardinality bound (default: n)")
+    p.add_argument("--k", type=_positive_int, default=None, help="cardinality bound (default: n)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--scale", type=float, default=None,
@@ -157,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("bench", help="sweep a grid, append one JSON report line per cell")
-    p.add_argument("--algos", required=True, help="comma-separated algorithm names")
+    p.add_argument("--algos", type=_parse_algos, required=True, help="comma-separated algorithm names")
     p.add_argument("--n", type=_parse_int_list, required=True, help="comma-separated item counts")
     p.add_argument("--d", type=int, default=None, help="feature dimension (default: n)")
-    p.add_argument("--k", type=_parse_int_list, required=True, help="comma-separated cardinality bounds")
+    p.add_argument("--k", type=_parse_k_list, required=True, help="comma-separated cardinality bounds")
     p.add_argument("--seed", type=_parse_int_list, default=[1], help="comma-separated seeds (default: 1)")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--input-kind", choices=("B", "L"), default="B")

@@ -31,3 +31,7 @@ class NonFiniteInputError(ValueError):
 
 class AsymmetricKernelError(ValueError):
     """A kernel (L) input matrix is not bitwise equal to its transpose."""
+
+
+class NonPositiveKError(ValueError):
+    """A cardinality bound ``k`` below 1 was requested."""

@@ -7,14 +7,24 @@ inner products are summed in ascending feature-index order with a single
 accumulator, so entries are bit-for-bit reproducible across calls and across
 the dense/sparse storage of the same features.
 
-Sparse features whose every stored value is an integer, with
-``max_nnz * max|v|**2 <= 2**53`` (``max_nnz`` the most values any one column
-stores), sum with one ``np.dot`` instead.  Every product and every partial
-sum of such a dot is an integer of magnitude at most ``2**53``, so it is
-exactly representable and every summation order (BLAS blocking and FMA
-included) gives the bits of the ascending fold.  Binarized ratings, whose
-values are all ``1.0``, always qualify.  The oracle decides once, at
-construction; every other input stays on the fold.
+Two kinds of sparse input take an exact integer sum instead of the fold.
+The oracle decides once, at construction; every other input stays on the fold.
+
+* Sparse features whose every stored value is ``1.0`` (binarized ratings),
+  and whose per-item bitsets take no more room than the index copy they
+  replace (``n * ceil(d / 64) <= nnz``, a density of at least 1/64), keep one
+  Python-int bitset per item.  A lookup is the popcount of two bitsets'
+  intersection: the number of common indices, which is the sum of the
+  products ``1.0 * 1.0`` over them.  That count is at most ``d < 2**53``, so
+  it converts to a float exactly, and the ascending fold of those products
+  reaches the same integer at every step without rounding.
+* Other sparse features whose every stored value is an integer, with
+  ``max_nnz * max|v|**2 <= 2**53`` (``max_nnz`` the most values any one
+  column stores), sum with one ``np.dot``.  Every product and every partial
+  sum of such a dot is an integer of magnitude at most ``2**53``, so it is
+  exactly representable and every summation order (BLAS blocking and FMA
+  included) gives the bits of the ascending fold.  0/1 files below the
+  popcount density qualify here.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .errors import NonFiniteInputError
 
 B_DENSE = "bdense"
 B_SPARSE = "bsparse"
+B_BITS = "bbits"  # sparse 0/1 features held as per-item bitsets
 L_DENSE = "ldense"
 
 
@@ -157,6 +168,31 @@ def _sums_exactly(values: list[np.ndarray]) -> bool:
     return max((v.size for v in values), default=0) * top * top <= 2**53
 
 
+def _bitsets(columns: SparseColumns) -> list[int] | None:
+    """One Python-int bitset per column (bit ``s`` set for each stored index ``s``), or ``None``.
+
+    ``None`` unless every stored value is exactly ``1.0`` and the bitsets are
+    no larger than an ``intp`` index copy (see the module docstring).  Built
+    in one pass: every index is placed at its column's bit offset, the bits
+    are packed little-endian, and each column's bytes become one int.
+    """
+    n = columns.ncols
+    if not n:
+        return []
+    sizes = np.fromiter((idx.size for idx in columns.indices), np.intp, n)
+    words = -(-columns.dim // 64)
+    if n * words > int(sizes.sum()) or not (np.concatenate(columns.values) == 1.0).all():
+        return None
+    width = 64 * words
+    flat = np.concatenate(columns.indices).astype(np.intp)
+    flat += np.repeat(np.arange(n, dtype=np.intp) * width, sizes)
+    mask = np.zeros(n * width, dtype=bool)
+    mask[flat] = True
+    packed = np.packbits(mask, bitorder="little").tobytes()
+    step = width // 8
+    return [int.from_bytes(packed[c * step:(c + 1) * step], "little") for c in range(n)]
+
+
 def sparse_dot(a_idx: np.ndarray, a_val: np.ndarray, b_idx: np.ndarray, b_val: np.ndarray) -> float:
     """Inner product of two sparse columns over their common indices.
 
@@ -203,9 +239,16 @@ class KernelOracle:
     default ``scale=1, shift=0`` leaves the kernel untouched; a positive
     ``shift`` regularizes a singular kernel without materializing a new one.
 
+    Sparse features are summed one of three ways, chosen at construction
+    (see the module docstring): 0/1 features dense enough for bitsets take
+    the popcount of two items' bitset intersection, other integer features
+    one exact ``np.dot``, and the rest the ascending fold.  All three give
+    the bits of :func:`seq_dot` on the dense features.
+
     Oracles are immutable after construction and safe for concurrent reads:
-    a sparse lookup writes only to a scratch vector private to the calling
-    thread (see :class:`_Scratch`).  The scratch keeps the last item it
+    a bitset lookup writes nothing, and any other sparse lookup writes only
+    to a scratch vector private to the calling thread (see
+    :class:`_Scratch`).  The scratch keeps the last item it
     scattered between lookups, and a lookup scatters only when neither of its
     items is the one held; so a factor row's catch-up, ``entry(i, j)`` for
     one ``i`` and many ``j``, scatters ``i`` once.  Both gather directions
@@ -229,9 +272,13 @@ class KernelOracle:
         self._sparse = sparse
         self._matrix = matrix
         if sparse is not None:
-            self._sparse_idx = [idx.astype(np.intp) for idx in sparse.indices]
-            self._scratch = _Scratch(self.d)
-            self._dot = _int_dot if _sums_exactly(sparse.values) else seq_dot
+            self._bits = _bitsets(sparse)
+            if self._bits is not None:
+                self.kind = B_BITS
+            else:
+                self._sparse_idx = [idx.astype(np.intp) for idx in sparse.indices]
+                self._scratch = _Scratch(self.d)
+                self._dot = _int_dot if _sums_exactly(sparse.values) else seq_dot
         self.eval_count = 0
 
     # -- constructors ------------------------------------------------------
@@ -274,6 +321,8 @@ class KernelOracle:
         self.eval_count += 1
         if self.kind == L_DENSE:
             raw = float(self._matrix[i, j])
+        elif self.kind == B_BITS:
+            raw = float((self._bits[i] & self._bits[j]).bit_count())
         elif self.kind == B_DENSE:
             raw = seq_dot(self._feats[i], self._feats[j])
         else:
@@ -302,9 +351,9 @@ class KernelOracle:
         ``entry(r, j)`` reads), and the shift goes to row ``j`` only when
         ``lo <= j < hi``.  Dense kinds gather or sum all rows in one numpy
         pass; each row's sum keeps the ascending single-accumulator order of
-        :func:`seq_dot`.  Sparse features hold item ``j`` in the scratch
-        (scattering it unless it is already held) and gather per row.  Counts
-        one lookup per row.
+        :func:`seq_dot`.  Bitset features take one popcount per row; other
+        sparse features hold item ``j`` in the scratch (scattering it unless
+        it is already held) and gather per row.  Counts one lookup per row.
         """
         if isinstance(rows, slice):
             lo, hi = rows.start, rows.stop
@@ -322,6 +371,10 @@ class KernelOracle:
         elif self.kind == B_DENSE:
             products = self._feats[rows] * self._feats[j]
             raw = np.add.accumulate(products, axis=1)[:, -1] + 0.0 if self.d else np.zeros(count)
+        elif self.kind == B_BITS:
+            bits, bits_j = self._bits, self._bits[j]
+            items = bits[rows] if isinstance(rows, slice) else [bits[r] for r in rows.tolist()]
+            raw = np.fromiter(((b & bits_j).bit_count() for b in items), np.float64, count)
         else:
             idx, values, dot = self._sparse_idx, self._sparse.values, self._dot
             buf = self._hold(self._scratch, j)

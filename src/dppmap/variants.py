@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cholesky import CholeskyState
-from .greedy import ZERO_GAIN_PIVOT, pop_fresh_argmax
+from .greedy import ZERO_GAIN_PIVOT, pop_fresh_argmax, require_positive_k
 from .kernel import KernelOracle
 from .pqueue import LazyMaxQueue
 from .report import RunReport, SolverRun
@@ -32,6 +32,9 @@ class VariantConfig:
     k: int
     epsilon: float | None = None  # stochastic greedy only
     seed: int = 0  # read by no solver: the draws and the report's seed come from the DecisionStream
+
+    def __post_init__(self):
+        require_positive_k(self.k)
 
 
 def stochastic_sample_size(n: int, k: int, epsilon: float) -> int:
@@ -113,7 +116,7 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
     skipped_steps: list[int] = []
     pq_ops = 0
     for step in run.steps(cfg.k, deadline):
-        pool = np.array([i for i in range(n) if not state.in_selection[i]], dtype=np.int64)
+        pool = np.flatnonzero(~state.in_selection)
         sample = stream.sample_sorted(pool, s)
         sample_sizes.append(int(sample.size))
         queue = LazyMaxQueue(n)

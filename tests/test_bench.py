@@ -84,7 +84,7 @@ def test_bench_cells_records_a_failed_cell():
 
 
 def test_bench_cells_grid_shape():
-    reports = bench_cells(["fast", "lazyfast"], [15, 20], [3], seeds=(1, 2))
+    reports = list(bench_cells(["fast", "lazyfast"], [15, 20], [3], seeds=(1, 2)))
     assert len(reports) == 2 * 2 * 1 * 2
     assert {r.n for r in reports} == {15, 20}
 

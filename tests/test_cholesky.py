@@ -5,9 +5,9 @@ import pytest
 
 from dppmap import reference
 from dppmap.doublegreedy import fast_double_greedy
-from dppmap.cholesky import WINDOW, CholeskyState
+from dppmap.cholesky import SHORT_FOLD, WINDOW, CholeskyState
 from dppmap.errors import NegativeDiagonalError, SingularPivotError, StaleRowError
-from dppmap.kernel import KernelOracle, SparseColumns
+from dppmap.kernel import KernelOracle, SparseColumns, seq_dot
 from dppmap.stream import DecisionStream
 from dppmap.verify import (
     check_gain_identity,
@@ -399,3 +399,96 @@ def test_in_order_mark_is_cleared_by_a_skipping_sweep_and_a_scalar_catch_up(in_o
                 s.update_row(i)
     assert state.factor.tobytes() == scalar.factor.tobytes()
     assert state.pivots.tobytes() == scalar.pivots.tobytes()
+
+
+def _seq_dot_row(state, i):
+    """Row ``i``'s factor entries and pivot from scratch, with each dot taken by ``seq_dot`` over numpy slices."""
+    oracle = state.oracle
+    row = np.zeros(state.capacity)
+    piv = math.sqrt(oracle.entry(i, i))
+    for t, jt in enumerate(state.selection):
+        val = (oracle.entry(i, jt) - seq_dot(row[:t], state.factor[jt, :t])) / state.selected_pivots[t]
+        row[t] = val
+        piv = math.sqrt(max(piv * piv - val * val, 0.0))
+    return row, piv
+
+
+def _tiny_overlap_kernel(seed, n=10):
+    """Unit diagonal and off-diagonals near 1e-155 or 1e-170, some of them -0.0: factor entries
+    are tiny, so products of two of them are subnormal or underflow to a signed zero."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.standard_normal((n, n)) * rng.choice([1e-155, 1e-170], (n, n)), 1)
+    upper[rng.random((n, n)) < 0.15] = -0.0
+    kernel = np.eye(n) + upper + upper.T
+    kernel[np.tril_indices(n, -1)] = kernel.T[np.tril_indices(n, -1)]
+    return kernel
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_python_float_catch_up_is_bitwise_seq_dot(seed):
+    """Catch-ups of 0 to 6 columns, from a row's first column (t = 0) or part-way, equal the
+    ``seq_dot`` fold bit for bit, also where products are -0.0 or subnormal."""
+    kernel = _tiny_overlap_kernel(seed)
+    # Row 4's first column is -0.0 - 0.0; row 6's second is -0.0 less a fold of the one product
+    # -0.0 * 1e-155, which seq_dot's accumulate leaves at -0.0 until its + 0.0.
+    for i, j, value in ((4, 0, -0.0), (6, 0, -0.0), (3, 0, 1e-155), (6, 3, -0.0)):
+        kernel[i, j] = kernel[j, i] = value
+    state = CholeskyState(KernelOracle.from_dense_kernel(kernel), 6)
+    for step, j in enumerate((0, 3, 1, 7, 2, 5)):
+        state.update_row(j)
+        state.commit(j)
+        if step == 2:
+            state.update_row(8)  # row 8 later catches up from column 3
+    products = []
+    for i in (4, 6, 8, 9):
+        state.update_row(i)
+        row, piv = _seq_dot_row(state, i)
+        assert state.factor[i].tobytes() == row.tobytes(), i
+        assert np.float64(state.pivots[i]).tobytes() == np.float64(piv).tobytes(), i
+        for t, jt in enumerate(state.selection):
+            products.extend((row[:t] * state.factor[jt, :t]).tolist())
+    zeros = [p for p in products if p == 0.0]
+    assert any(math.copysign(1.0, p) < 0 for p in zeros) and any(0.0 < abs(p) < 2.3e-308 for p in products)
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_catch_ups_across_the_short_fold_length_are_bitwise_seq_dot(tiny):
+    """Catch-ups that fold in Python floats only, cross ``SHORT_FOLD`` part-way, or start past it."""
+    n, m = 2 * SHORT_FOLD + 16, SHORT_FOLD + 8
+    if tiny:
+        kernel = _tiny_overlap_kernel(5, n)
+    else:
+        root = np.random.default_rng(5).standard_normal((n, n))
+        kernel = root.T @ root / n + np.eye(n)
+    state = CholeskyState(KernelOracle.from_dense_kernel(kernel), m)
+    early, late = m, m + 1
+    for step in range(m):
+        if step == SHORT_FOLD - 4:
+            state.update_row(early)  # later crosses SHORT_FOLD
+        if step == SHORT_FOLD + 3:
+            state.update_row(late)   # later starts past it
+        state.update_row(step)
+        state.commit(step)
+    for i in (early, late, m + 2):
+        state.update_row(i)
+        row, piv = _seq_dot_row(state, i)
+        assert state.factor[i].tobytes() == row.tobytes(), i
+        assert np.float64(state.pivots[i]).tobytes() == np.float64(piv).tobytes(), i
+
+
+def test_a_singular_pivot_part_way_through_a_catch_up_changes_nothing():
+    rng = np.random.default_rng(2)
+    root = rng.standard_normal((8, 8))
+    state = _state(root.T @ root + np.eye(8), 4)
+    for j in (2, 5, 7):
+        state.update_row(j)
+        state.commit(j)
+    state.update_row(0)
+    before = (state.pivots.copy(), state.stamps.copy(), state._ready.copy(), state.offdiag_count)
+    state.selected_pivots[2] = 0.0  # the third column of a catch-up from column 0 fails
+    with pytest.raises(SingularPivotError, match="at column 2"):
+        state.update_row(4)
+    after = (state.pivots, state.stamps, state._ready, state.offdiag_count)
+    for was, now in zip(before, after):
+        assert np.array_equal(was, now)
+    assert state.oracle.eval_count == 8 + 2 * 3 + 2  # diagonals, the three refreshes, two columns of row 4

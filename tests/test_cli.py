@@ -6,7 +6,7 @@ import pytest
 from dppmap import matrixio
 from dppmap.cli import load_oracle, main
 from dppmap.errors import AsymmetricKernelError
-from dppmap.kernel import SparseColumns, _int_dot, seq_dot
+from dppmap.kernel import B_BITS, SparseColumns, _int_dot, seq_dot
 from dppmap.report import RunReport
 
 
@@ -238,13 +238,77 @@ def test_unknown_algo_rejected(tmp_path):
 
 def test_binarized_sparse_files_load_onto_the_exact_dot(tmp_path):
     """A 0/1 DPPS1 file shaped like the benchmark's sparse workload (d = 2000, n = 1000,
-    about 5% dense) sums its lookups with one exact ``np.dot``; Gaussian features stay on the fold."""
+    about 5% dense) takes the popcount bitsets.  A 0/1 file below density 1/64, one with a
+    single 2.0 and a signed-integer one sum with the exact ``np.dot``; Gaussian features
+    stay on the fold."""
     gauss = np.random.default_rng(3).standard_normal((2000, 1000))
-    binary = tmp_path / "binary.dpps1"
-    matrixio.write_sparse(binary, SparseColumns.from_dense((gauss > 1.645).astype(np.float64)))
-    assert load_oracle(str(binary), "B", 1.0, 0.0)._dot is _int_dot
-    assert load_oracle(str(binary), "B", 0.9, 0.1)._dot is _int_dot
-    gauss[np.abs(gauss) < 1.645] = 0.0
-    signed = tmp_path / "gauss.dpps1"
-    matrixio.write_sparse(signed, SparseColumns.from_dense(gauss))
-    assert load_oracle(str(signed), "B", 1.0, 0.0)._dot is seq_dot
+    strong = np.abs(gauss) > 1.645
+
+    def load(name, dense, scale=1.0, shift=0.0):
+        path = tmp_path / f"{name}.dpps1"
+        matrixio.write_sparse(path, SparseColumns.from_dense(dense))
+        return load_oracle(str(path), "B", scale, shift)
+
+    binary = (gauss > 1.645).astype(np.float64)
+    assert load("binary", binary).kind == B_BITS
+    assert load("binary", binary, 0.9, 0.1).kind == B_BITS
+    assert load("thin", (gauss > 2.6).astype(np.float64))._dot is _int_dot  # about 0.5% dense
+    binary[np.flatnonzero(binary[:, 7])[0], 7] = 2.0
+    assert load("one-two", binary)._dot is _int_dot
+    assert load("signed", np.sign(gauss) * strong)._dot is _int_dot
+    assert load("gauss", gauss * strong)._dot is seq_dot
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_run_rejects_a_non_positive_k(tmp_path, capsys, k):
+    b, out = tmp_path / "b.dppm1", tmp_path / "r.json"
+    main(["gen", "--n", "6", "--out", str(b)])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--algo", "fast", "--input", str(b), "--k", k, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", "0,-2", "expected a positive integer"),
+    ("--k", "3,0", "expected a positive integer"),
+    ("--algos", ",", "expected comma-separated algorithm names"),
+    ("--algos", "fast,bogus", "unknown algorithm 'bogus'"),
+])
+def test_bench_rejects_a_bad_k_or_algorithm_list(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "bench.jsonl"
+    argv = {"--algos": "fast", "--n": "20", "--k": "3", "--out": str(out), flag: value}
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", *[tok for pair in argv.items() for tok in pair]])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_records_a_grid_value_that_cannot_build_an_instance(tmp_path):
+    out = tmp_path / "bench.jsonl"
+    assert main(["bench", "--algos", "fast", "--n", "20,-3", "--k", "3,4", "--out", str(out)]) == 0
+    reports = _bench_lines(out)
+    assert [(r.n, r.k, r.extras) for r in reports] == [
+        (20, 3, {}), (20, 4, {}), (-3, 3, {"error": "ValueError"}), (-3, 4, {"error": "ValueError"})]
+    assert [len(r.selection) for r in reports] == [3, 4, 0, 0]
+
+
+def test_bench_keeps_the_finished_cells_when_a_sweep_is_interrupted(tmp_path, monkeypatch):
+    from dppmap import bench
+
+    real, calls = bench.run_algorithm, []
+
+    def interrupted(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_algorithm", interrupted)
+    out = tmp_path / "bench.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        main(["bench", "--algos", "fast,lazyfast", "--n", "20", "--k", "3", "--out", str(out)])
+    (report,) = _bench_lines(out)
+    assert (report.algo, report.k, len(report.selection)) == ("fast", 3, 3)

@@ -1,4 +1,4 @@
-"""Non-finite input and negative kernel diagonals fail fast with typed errors, whatever the solver or storage."""
+"""Non-finite input, negative kernel diagonals and k < 1 fail fast with typed errors, whatever the solver or storage."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ from dppmap import matrixio
 from dppmap.bench import ALGORITHMS, naive_twin_report, run_algorithm
 from dppmap.cli import main
 from dppmap.doublegreedy import naive_double_greedy
-from dppmap.errors import NegativeDiagonalError, NonFiniteInputError, SingularKernelError
+from dppmap.errors import NegativeDiagonalError, NonFiniteInputError, NonPositiveKError, SingularKernelError
+from dppmap.greedy import GreedyConfig
+from dppmap.variants import VariantConfig
 from dppmap.kernel import KernelOracle, SparseColumns
 
 
@@ -140,3 +142,20 @@ def test_non_finite_scale_or_shift_fails_fast(tmp_path, adjustment):
     flags = [f"--{name}={value}" for name, value in adjustment.items()]
     with pytest.raises(NonFiniteInputError, match="must be finite"):
         main(["run", "--algo", "fast", "--k", "3", "--input", str(path), *flags])
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_non_positive_k_fails_fast_in_both_solver_families(k):
+    """Before, ``fast`` with k = -2 returned a successful report with an empty selection."""
+    assert issubclass(NonPositiveKError, ValueError)
+    for config in (GreedyConfig, VariantConfig):
+        with pytest.raises(NonPositiveKError, match=f"k must be at least 1, got {k}"):
+            config(k=k)
+    oracle = KernelOracle.from_dense_features(np.random.default_rng(0).standard_normal((5, 8)))
+    for algo in ("naive", "lazy", "fast", "lazyfast", "random", "stochastic", "interlace"):
+        with pytest.raises(NonPositiveKError):
+            run_algorithm(algo, oracle, k, epsilon=0.5)
+    for algo in ("random", "stochastic", "interlace"):
+        with pytest.raises(NonPositiveKError):
+            naive_twin_report(algo, oracle, k, 0, epsilon=0.5)
+    assert oracle.eval_count == 0

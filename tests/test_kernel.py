@@ -7,7 +7,7 @@ import pytest
 
 from dppmap import reference
 from dppmap.bench import build_synthetic_oracle
-from dppmap.kernel import KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
+from dppmap.kernel import B_BITS, KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
 
 
 def test_seq_dot_matches_left_fold():
@@ -412,9 +412,13 @@ def _assert_lookups_match(ora, dense):
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize("seed", range(3))
 def test_integer_features_take_the_exact_dot_and_keep_the_bits(seed, signed):
+    """Signed integers take the exact ``np.dot``; 0/1 features (30% dense) take the bitsets."""
     dense = _integer_features(seed, signed)
     ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
-    assert ora._dot is _int_dot
+    if signed:
+        assert ora._dot is _int_dot
+    else:
+        assert ora.kind == B_BITS
     _assert_lookups_match(ora, dense)
 
 
@@ -462,8 +466,10 @@ def test_interleaved_lookups_on_one_oracle_keep_the_bits(signed):
         else:
             got = sparse_dot(cols.indices[i], cols.values[i], cols.indices[j], cols.values[j])
         assert _bits(got) == _bits(want), (op, i, j)
-        held = ora._scratch.held
-        assert np.array_equal(ora._scratch.buf, dense[:, held] if held >= 0 else np.zeros(ora.d))
+        if signed:  # 0/1 features take the bitsets, which keep no scratch
+            held = ora._scratch.held
+            assert np.array_equal(ora._scratch.buf, dense[:, held] if held >= 0 else np.zeros(ora.d))
+    assert (ora.kind == B_BITS) != signed
 
 
 def test_lookups_scatter_only_when_neither_item_is_held():
@@ -502,3 +508,68 @@ def test_two_threads_read_one_integer_oracle():
         _integer_features(11, signed=True, d=60, n=30)))
     assert ora._dot is _int_dot
     _read_in_two_threads(ora)
+
+
+def _binary_oracles(scale, shift):
+    """(label, 0/1 features, bitset oracle): the structured pattern, one dense enough for two
+    64-bit words, and one whose columns are all empty but one."""
+    wide = (np.random.default_rng(9).random((130, 20)) < 0.2).astype(np.float64)
+    wide[:, 3] = 0.0
+    wide[[0, 63, 64, 127, 129], 4] = 1.0                  # word edges
+    lone = np.zeros((64, 3))
+    lone[[0, 5, 63], 1] = 1.0
+    out = []
+    for label, dense in (("structured", _integer_features(6, signed=False)), ("two words", wide),
+                         ("lone", lone)):
+        ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense), scale, shift)
+        assert ora.kind == B_BITS, label
+        out.append((label, dense, ora))
+    return out
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.9, 0.1), (-0.5, 2.0)])
+def test_bitset_lookups_keep_the_bits_of_the_fold(scale, shift):
+    """``entry`` and ``column`` (index arrays and ranges) on 0/1 bitset oracles equal the
+    searchsorted fold and the dense ``seq_dot`` oracle bit for bit, empty columns and the
+    shifted diagonal included."""
+    for label, dense, ora in _binary_oracles(scale, shift):
+        cols = SparseColumns.from_dense(dense)
+        ora_d = KernelOracle.from_dense_features(dense, scale, shift)
+        n = ora.n
+        for i in range(n):
+            for j in range(n):
+                raw = _searchsorted_dot(cols.indices[i], cols.values[i], cols.indices[j], cols.values[j])
+                want = scale * raw
+                if i == j:
+                    want += shift
+                assert _bits(ora.entry(i, j)) == _bits(want) == _bits(ora_d.entry(i, j)), (label, i, j)
+        for j in range(n):
+            for rows in (np.arange(n), np.array([j, 0, n - 1, j]), np.zeros(0, np.intp),
+                         slice(0, n), slice(j, n), slice(0, 0)):
+                got, want = ora.column(j, rows), ora_d.column(j, rows)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (label, j, rows)
+
+
+def test_two_threads_read_one_bitset_oracle():
+    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(
+        _integer_features(11, signed=False, d=60, n=30)))
+    assert ora.kind == B_BITS
+    _read_in_two_threads(ora)
+
+
+@pytest.mark.parametrize("label, make, bits", [
+    ("0/1 at density 1/64", lambda dense: dense, True),
+    ("0/1 below density 1/64", lambda dense: np.hstack([dense, np.zeros((128, 1))]), False),
+    ("one value 2.0", lambda dense: np.where((dense == 1.0) & (np.arange(128)[:, None] == 0), 2.0, dense), False),
+    ("signed integers", lambda dense: -dense, False),
+    ("Gaussian", lambda dense: dense * np.random.default_rng(1).standard_normal(dense.shape), False),
+])
+def test_bitsets_need_all_ones_and_density_one_in_64(label, make, bits):
+    """``n * ceil(d / 64) <= nnz``: 40 columns of 128 rows need 80 stored values."""
+    dense = np.zeros((128, 40))
+    dense[np.arange(80) % 128, np.arange(80) // 2] = 1.0   # two values per column, row 0 in column 0
+    dense = make(dense)
+    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
+    assert (ora.kind == B_BITS) == bits, label
+    assert not bits or not hasattr(ora, "_scratch")
+    _assert_lookups_match(ora, dense)
