@@ -22,7 +22,7 @@ from .bench import ALGORITHMS, resolve_adjustment, run_algorithm
 from .datagen import (RatingsSpec, SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic,
                       ingest_ratings, write_idmap)
 from .errors import AsymmetricKernelError
-from .kernel import KernelOracle
+from .kernel import B_SPARSE, KernelOracle
 
 
 def _parse_list(text: str, item, what: str) -> list:
@@ -73,7 +73,8 @@ def load_oracle(path: str, input_kind: str, scale: float, shift: float) -> Kerne
         return oracle
     if kind == "dense":
         return KernelOracle.from_dense_features(payload, scale, shift)
-    return KernelOracle.from_sparse_features(payload, scale, shift)
+    # read_sparse has validated the columns; from_sparse_features would check them again.
+    return KernelOracle(B_SPARSE, payload.ncols, payload.dim, scale, shift, sparse=payload)
 
 
 def cmd_gen(args) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import SparseColumns
-from .stream import DecisionStream
+from .stream import NORMAL_BLOCK, DecisionStream
 
 RATING_RANGE = (0.0, 10.0)
 
@@ -31,17 +31,26 @@ class SyntheticSpec:
 def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     """A d-by-n feature matrix of i.i.d. standard normals.
 
-    Deterministic given the seed: draws fill item vectors one item at a time
-    (column-major), from the package-wide decision stream.
+    Deterministic given the seed: item ``i``'s vector is values
+    ``i*d .. i*d + d - 1`` of one ``stream.normals(n * d)`` draw on the
+    package-wide decision stream.  The draw is streamed in blocks of whole
+    items (an even number of them when d is odd, so every block starts on a
+    Box-Muller pair), each written straight into the C-contiguous output, so
+    generation holds one copy of the matrix plus one block.
     """
     if spec.n < 1:
         raise ValueError("n must be positive")
     d = spec.n if spec.d is None else spec.d
     if d < 1:
         raise ValueError("d must be positive")
-    stream = DecisionStream(spec.seed)
-    values = stream.normals(spec.n * d)
-    return values.reshape(spec.n, d).T.copy()
+    items = max(1, 2 * NORMAL_BLOCK // d)
+    if d % 2:
+        items = max(2, items - items % 2)
+    out = np.empty((d, spec.n))
+    blocks = DecisionStream(spec.seed).normal_blocks(spec.n * d, items * d // 2)
+    for first, values in zip(range(0, spec.n, items), blocks, strict=True):
+        out[:, first:first + items] = values.reshape(-1, d).T
+    return out
 
 
 @dataclass

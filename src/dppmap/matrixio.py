@@ -8,6 +8,7 @@ CSV fallback, read only, for dense matrices: comma-separated decimal floats, no 
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -29,7 +30,7 @@ def write_dense(path, matrix: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(DENSE_MAGIC)
         fh.write(struct.pack("<II", rows, cols))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(matrix, dtype="<f8")))
 
 
 def _read_exact(fh, size: int, path, what: str) -> bytes:
@@ -37,6 +38,15 @@ def _read_exact(fh, size: int, path, what: str) -> bytes:
     if len(data) != size:
         raise ValueError(f"{path}: truncated {what}")
     return data
+
+
+def _bytes_left(fh) -> int:
+    """Bytes between the read position and the end of the file.
+
+    Every size a header claims is checked against this before it is read, so
+    a hostile header cannot ask for an oversized read or allocation.
+    """
+    return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
 def _expect_end(fh, path) -> None:
@@ -50,6 +60,8 @@ def read_dense(path) -> np.ndarray:
         if magic != DENSE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {DENSE_MAGIC!r}")
         rows, cols = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        if rows * cols * 8 > _bytes_left(fh):
+            raise ValueError(f"{path}: truncated payload")
         data = np.frombuffer(_read_exact(fh, rows * cols * 8, path, "payload"), dtype="<f8")
         _expect_end(fh, path)
     return data.reshape(rows, cols).astype(np.float64)
@@ -75,10 +87,14 @@ def read_sparse(path) -> SparseColumns:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {SPARSE_MAGIC!r}")
         dim, ncols = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
         cols = SparseColumns(dim=dim)
+        left = _bytes_left(fh)
         for _ in range(ncols):
             (nnz,) = struct.unpack("<I", _read_exact(fh, 4, path, "column"))
-            rec = np.frombuffer(_read_exact(fh, nnz * _PAIR_DTYPE.itemsize, path, "column"),
-                                dtype=_PAIR_DTYPE)
+            size = nnz * _PAIR_DTYPE.itemsize
+            left -= 4 + size
+            if left < 0:
+                raise ValueError(f"{path}: truncated column")
+            rec = np.frombuffer(_read_exact(fh, size, path, "column"), dtype=_PAIR_DTYPE)
             cols.indices.append(rec["i"].astype(np.uint32))
             cols.values.append(rec["v"].astype(np.float64))
         _expect_end(fh, path)

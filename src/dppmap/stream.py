@@ -12,6 +12,15 @@ byte-identical decision sequences:
   consumes no words when the whole pool is returned.
 * ``normals(m)``     - Box-Muller pairs from two words each, vectorized.
 
+``normals(m)`` draws ``p = ceil(m / 2)`` pairs from the next ``2p`` words:
+pair ``i`` takes u1 from word ``i`` and u2 from word ``p + i``, and yields
+``r cos(theta)`` then ``r sin(theta)``.  The pairs are computed in blocks of
+at most ``NORMAL_BLOCK`` (:meth:`DecisionStream.normal_blocks`) by two
+cursors, one at the first u1 word and one ``p`` words on at the first u2
+word, so a large draw holds one block of temporaries, not several copies of
+its output.  Each value sees the same words and the same elementwise
+``log``/``sqrt``/``cos``/``sin`` at any block size, so blocking changes no bit.
+
 Word consumption per operation is part of the contract.  Integer draws are
 exactly reproducible everywhere; the Box-Muller floats additionally depend on
 the platform's libm rounding of log/cos/sin, which is stable in practice but
@@ -21,11 +30,19 @@ not formally specified.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 _INV_2_53 = 2.0 ** -53
 _WORD_SPAN = 2 ** 64
+
+# Box-Muller pairs per block.  A block's temporaries stay small and in cache,
+# so a large draw never holds extra copies of its output.  Chosen by timing
+# gen_synthetic(n=1000, d=2000) with 2**12 .. 2**16 pairs per block (medians of
+# 7, three runs each): 96-104, 80-86, 78-94, 88-98 and 87-91 ms, against
+# 110 ms for the one-shot draw; 2**16 also raised peak RSS by 4.5 MB.
+NORMAL_BLOCK = 2 ** 13
 
 
 class DecisionStream:
@@ -33,10 +50,6 @@ class DecisionStream:
         self.seed = int(seed)
         self._bits = np.random.PCG64(self.seed)
         self.words_drawn = 0
-
-    def _words(self, m: int) -> np.ndarray:
-        self.words_drawn += m
-        return np.asarray(self._bits.random_raw(m), dtype=np.uint64).reshape(m)
 
     def _word(self) -> int:
         self.words_drawn += 1
@@ -76,21 +89,49 @@ class DecisionStream:
             work[t], work[j] = work[j], work[t]
         return work[:s]
 
+    def _cursor(self, ahead: int) -> np.random.PCG64:
+        """A private PCG64 positioned ``ahead`` words past this stream."""
+        cursor = np.random.PCG64(0)
+        cursor.state = self._bits.state
+        cursor.advance(ahead)
+        return cursor
+
+    def normal_blocks(self, count: int, block: int = NORMAL_BLOCK) -> Iterator[np.ndarray]:
+        """``count`` standard normals as consecutive arrays of ``2 * block`` values.
+
+        The last array is shorter when the pairs run out, and drops the final
+        sine when ``count`` is odd.  The stream moves past all ``2 * pairs``
+        words at once, when this is called, so what follows it does not depend
+        on how far the blocks are read.
+        """
+        pairs = (count + 1) // 2
+        u1_bits, u2_bits = self._cursor(0), self._cursor(pairs)
+        self._bits.advance(2 * pairs)
+        self.words_drawn += 2 * pairs
+        return _box_muller(u1_bits, u2_bits, pairs, count, block)
+
     def normals(self, count: int) -> np.ndarray:
         """``count`` i.i.d. standard normals via Box-Muller.
 
         Each pair consumes two words: u1 is nudged into (0, 1) by the +0.5
         offset so the log never sees zero.
         """
-        pairs = (count + 1) // 2
-        if pairs == 0:
-            return np.empty(0)
-        w = self._words(2 * pairs)
-        u1 = ((w[:pairs] >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-        u2 = (w[pairs:] >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        out = np.empty(count)
+        start = 0
+        for values in self.normal_blocks(count):
+            out[start:start + values.size] = values
+            start += values.size
+        return out
+
+
+def _box_muller(u1_bits, u2_bits, pairs: int, count: int, block: int) -> Iterator[np.ndarray]:
+    for first in range(0, pairs, block):
+        m = min(block, pairs - first)
+        u1 = ((u1_bits.random_raw(m) >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+        u2 = (u2_bits.random_raw(m) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         radius = np.sqrt(-2.0 * np.log(u1))
         angle = 2.0 * math.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:count]
+        values = np.empty(2 * m)
+        values[0::2] = radius * np.cos(angle)
+        values[1::2] = radius * np.sin(angle)
+        yield values[:count - 2 * first]

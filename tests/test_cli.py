@@ -1,13 +1,22 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dppmap
 from dppmap import matrixio
 from dppmap.cli import load_oracle, main
 from dppmap.errors import AsymmetricKernelError
 from dppmap.kernel import B_BITS, SparseColumns, _int_dot, seq_dot
 from dppmap.report import RunReport
+from dppmap.stream import DecisionStream
+
+from test_stream import one_shot_normals
 
 
 def test_gen_writes_feature_matrix(tmp_path, capsys):
@@ -312,3 +321,61 @@ def test_bench_keeps_the_finished_cells_when_a_sweep_is_interrupted(tmp_path, mo
         main(["bench", "--algos", "fast,lazyfast", "--n", "20", "--k", "3", "--out", str(out)])
     (report,) = _bench_lines(out)
     assert (report.algo, report.k, len(report.selection)) == ("fast", 3, 3)
+
+
+def test_a_gen_file_is_the_header_and_the_one_shot_features(tmp_path):
+    """``gen`` writes the streamed matrix buffer unchanged: the header, then the
+    item-major one-shot Box-Muller draw transposed to d-by-n, byte for byte."""
+    out = tmp_path / "g.dppm1"
+    main(["gen", "--n", "33", "--d", "17", "--seed", "5", "--out", str(out)])
+    want = one_shot_normals(DecisionStream(5), 33 * 17).reshape(33, 17).T.copy()
+    assert out.read_bytes() == b"DPPM1" + struct.pack("<II", 17, 33) + want.astype("<f8").tobytes()
+
+
+def test_a_sparse_run_validates_its_columns_once(tmp_path, monkeypatch):
+    path = tmp_path / "s.dpps1"
+    matrixio.write_sparse(path, SparseColumns.from_dense(np.eye(6)[:, [0, 1, 2, 3, 4, 5, 0]]))
+    calls = []
+    original = SparseColumns.validate
+    monkeypatch.setattr(SparseColumns, "validate", lambda cols: calls.append(cols) or original(cols))
+    assert main(["run", "--algo", "random", "--input", str(path), "--k", "3",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+
+
+SCIPY_GUARD = """
+import json, sys
+import dppmap
+from dppmap import matrixio
+from dppmap.cli import main
+from dppmap.kernel import SparseColumns
+import numpy as np
+
+work = sys.argv[1]
+loaded = {"import": "scipy" in sys.modules}
+features = (np.arange(60.0).reshape(6, 10) % 7 == 0).astype(np.float64)
+matrixio.write_sparse(f"{work}/s.dpps1", SparseColumns.from_dense(features))
+main(["run", "--algo", "random", "--input", f"{work}/s.dpps1", "--k", "3", "--out", f"{work}/r.json"])
+loaded["random"] = "scipy" in sys.modules
+gram = np.random.default_rng(0).standard_normal((8, 8))
+matrixio.write_dense(f"{work}/l.dppm1", gram.T @ gram)
+main(["run", "--algo", "lazyfast", "--input", f"{work}/l.dppm1", "--input-kind", "L", "--k", "3",
+      "--out", f"{work}/r.json"])
+loaded["lazyfast"] = "scipy" in sys.modules
+main(["run", "--algo", "double-fast", "--input", f"{work}/l.dppm1", "--input-kind", "L",
+      "--out", f"{work}/r.json"])
+loaded["double-fast"] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_double_greedy_loads_scipy(tmp_path):
+    """A process that imports dppmap and runs the greedy solvers never imports scipy;
+    double greedy does, for its kernel inverse, and still runs."""
+    src = str(Path(dppmap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": False, "random": False, "lazyfast": False, "double-fast": True}

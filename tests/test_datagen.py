@@ -8,6 +8,9 @@ from dppmap.datagen import (
     gen_synthetic,
     ingest_ratings,
 )
+from dppmap.stream import NORMAL_BLOCK, DecisionStream
+
+from test_stream import one_shot_normals
 
 
 def columns_to_triples(cols):
@@ -145,3 +148,23 @@ def test_netflix_bad_rating_names_file_and_line(tmp_path):
     path.write_text("12:\n101,5,2005-01-01\n102, five ,2005-01-02\n")
     with pytest.raises(ValueError, match=r"mv\.txt:3: bad rating 'five'"):
         convert_netflix([path])
+
+
+def one_shot_features(n, d, seed):
+    """``gen_synthetic`` as one normals draw reshaped item-major and transposed."""
+    values = one_shot_normals(DecisionStream(seed), n * d)
+    return values.reshape(n, d).T.copy()
+
+
+@pytest.mark.parametrize("n, d", [
+    (1, 1), (7, 1), (5, 7), (33, 17), (300, 300), (2000, 37),
+    (3, 2 * NORMAL_BLOCK),          # one item per block, d even
+    (3, 2 * NORMAL_BLOCK + 1),      # two items per block, d odd, n odd
+    (9, NORMAL_BLOCK - 1),          # blocks of two items straddling pairs
+    (40, 2 * NORMAL_BLOCK // 10),   # ten items per block, last block partial
+])
+def test_streamed_generation_keeps_the_one_shot_bits(n, d):
+    got = gen_synthetic(SyntheticSpec(n=n, d=d, seed=n + d))
+    want = one_shot_features(n, d, n + d)
+    assert got.shape == (d, n) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()

@@ -1,8 +1,23 @@
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dppmap
 from dppmap import matrixio
 from dppmap.kernel import SparseColumns
+
+# Address-space cap for loads of hostile files: far above what the loader
+# needs, far below the gigabytes a trusted oversized header would ask for.
+ADDRESS_CAP = 1 << 30
+FUZZ_EXAMPLES = 300
 
 
 def write_dense_csv(path, matrix):
@@ -124,3 +139,122 @@ def test_truncation_names_the_cut_section(tmp_path):
         sparse.write_bytes(raw[:cut])
         with pytest.raises(ValueError, match="truncated column"):
             matrixio.read_sparse(sparse)
+
+
+def run_capped(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter under ``ADDRESS_CAP`` bytes of address space.
+
+    A loader that trusted a hostile header would fail fast there with
+    ``MemoryError`` instead of allocating gigabytes.  BLAS is held to one
+    thread so that its buffers fit under the cap.
+    """
+    paths = [str(Path(dppmap.__file__).parents[1]), str(Path(__file__).parent)]
+    prelude = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_CAP}, {ADDRESS_CAP})); "
+               f"sys.path[:0] = {paths!r}\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", prelude + code], capture_output=True, text=True,
+                          timeout=300, env=env)
+
+
+def describe_load(path) -> dict:
+    """What ``load_matrix(path)`` raised: the exception's name, whether it is a ValueError, its message."""
+    try:
+        matrixio.load_matrix(path)
+    except Exception as exc:
+        return {"raised": type(exc).__name__, "value_error": isinstance(exc, ValueError), "message": str(exc)}
+    return {"raised": None}
+
+
+def load_capped(path) -> dict:
+    """:func:`describe_load` in a fresh interpreter under the address-space cap."""
+    proc = run_capped(f"import json, test_matrixio; print(json.dumps(test_matrixio.describe_load({str(path)!r})))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("raw, message", [
+    # rows * cols * 8 overflows a C ssize_t read size
+    (b"DPPM1" + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF), "truncated payload"),
+    # a 29-byte file claiming 2**20 x 2**12 doubles (32 GiB)
+    (b"DPPM1" + struct.pack("<II", 1 << 20, 1 << 12) + bytes(16), "truncated payload"),
+    # one column claiming 2**32 - 1 records (48 GiB)
+    (b"DPPS1" + struct.pack("<III", 4, 1, 0xFFFFFFFF) + bytes(12), "truncated column"),
+], ids=["dense-overflow", "dense-32GiB", "sparse-column-48GiB"])
+def test_hostile_headers_raise_before_any_oversized_read(tmp_path, raw, message):
+    path = tmp_path / "hostile.bin"
+    path.write_bytes(raw)
+    out = load_capped(path)
+    assert out["value_error"], out
+    assert message in out["message"] and str(path) in out["message"]
+
+
+def _count_offsets(raw: bytes) -> list[int]:
+    """Byte offsets of each column's u32 record count in a well-formed DPPS1 file."""
+    offsets, pos = [], 13
+    while pos < len(raw):
+        offsets.append(pos)
+        (nnz,) = struct.unpack_from("<I", raw, pos)
+        pos += 4 + 12 * nnz
+    return offsets
+
+
+def _payload_bytes(kind: str, payload) -> int:
+    """The file size a loaded payload accounts for."""
+    if kind == "dense":
+        return 13 + 8 * payload.size
+    return 13 + sum(4 + 12 * idx.size for idx in payload.indices)
+
+
+@st.composite
+def _well_formed(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 7.0]), min_size=rows * cols, max_size=rows * cols))
+    matrix = np.array(values, dtype=np.float64).reshape(rows, cols)
+    return draw(st.sampled_from(["dense", "sparse"])), matrix
+
+
+def fuzz_load_matrix(workdir) -> None:
+    """Truncate, extend and overwrite the header and count bytes of DPPM1/DPPS1 files.
+
+    ``load_matrix`` may raise only ``ValueError`` subclasses, must reject every
+    truncated or extended file, and may accept an overwritten one only when
+    its payload accounts for every byte of the file.
+    """
+    path = Path(workdir) / "fuzzed.bin"
+
+    @settings(max_examples=FUZZ_EXAMPLES, derandomize=True, database=None, deadline=None)
+    @given(_well_formed(), st.data())
+    def check(instance, data):
+        fmt, matrix = instance
+        if fmt == "dense":
+            matrixio.write_dense(path, matrix)
+        else:
+            matrixio.write_sparse(path, SparseColumns.from_dense(matrix))
+        raw = path.read_bytes()
+        edit = data.draw(st.sampled_from(["truncate", "extend", "overwrite"]))
+        if edit == "truncate":
+            mutated = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif edit == "extend":
+            mutated = raw + data.draw(st.binary(min_size=1, max_size=16))
+        else:
+            targets = list(range(13)) + (_count_offsets(raw) if fmt == "sparse" else [])
+            at = data.draw(st.sampled_from(targets))
+            patch = data.draw(st.one_of(st.sampled_from([b"\xff\xff\xff\xff", b"\x00\x00\x00\x00",
+                                                         b"\xff\xff\xff\x7f", b"\x00\x00\x10\x00"]),
+                                        st.binary(min_size=1, max_size=4)))
+            mutated = raw[:at] + patch + raw[at + len(patch):]
+        path.write_bytes(mutated)
+        try:
+            kind, payload = matrixio.load_matrix(path)
+        except ValueError:
+            return
+        assert edit == "overwrite", f"accepted a file after {edit}: {mutated!r}"
+        assert mutated[:5] in (matrixio.DENSE_MAGIC, matrixio.SPARSE_MAGIC), mutated
+        assert _payload_bytes(kind, payload) == len(mutated), mutated
+
+    check()
+
+
+def test_load_matrix_survives_a_header_and_count_fuzzer(tmp_path):
+    proc = run_capped(f"import test_matrixio; test_matrixio.fuzz_load_matrix({str(tmp_path)!r})")
+    assert proc.returncode == 0, proc.stderr[-4000:]

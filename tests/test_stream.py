@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dppmap.stream import DecisionStream
+from dppmap.stream import NORMAL_BLOCK, DecisionStream
 
 
 def test_same_seed_same_draws():
@@ -75,3 +77,57 @@ def test_normals_odd_count():
     s = DecisionStream(9)
     assert s.normals(7).shape == (7,)
     assert s.normals(0).shape == (0,)
+
+
+def one_shot_normals(stream: DecisionStream, count: int) -> np.ndarray:
+    """The reference Box-Muller draw: one vectorized pass over all ``2 * pairs`` words.
+
+    u1 from the first ``pairs`` words, u2 from the next ``pairs``, cosines at
+    even and sines at odd places, with no blocks.
+    """
+    pairs = (count + 1) // 2
+    if pairs == 0:
+        return np.empty(0)
+    w = stream._bits.random_raw(2 * pairs)
+    stream.words_drawn += 2 * pairs
+    u1 = ((w[:pairs] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    u2 = (w[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * math.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
+BLOCK_VALUES = 2 * NORMAL_BLOCK
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 1001, BLOCK_VALUES - 1, BLOCK_VALUES,
+                                   BLOCK_VALUES + 1, BLOCK_VALUES + 2, 3 * BLOCK_VALUES + 5])
+def test_streamed_normals_keep_the_one_shot_bits_and_words(count):
+    streamed, one_shot = DecisionStream(11), DecisionStream(11)
+    streamed.uniform(), one_shot.uniform()  # start part-way into the stream
+    got = streamed.normals(count)
+    want = one_shot_normals(one_shot, count)
+    assert got.shape == (count,)
+    assert got.tobytes() == want.tobytes()
+    assert streamed.words_drawn == one_shot.words_drawn
+    assert streamed.uniform() == one_shot.uniform()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 500])
+def test_normal_blocks_give_the_same_values_at_any_block_size(block):
+    count = 2001
+    blocks = list(DecisionStream(12).normal_blocks(count, block))
+    assert all(b.size == 2 * block for b in blocks[:-1])
+    assert np.concatenate(blocks).tobytes() == one_shot_normals(DecisionStream(12), count).tobytes()
+
+
+def test_the_stream_moves_past_a_draw_before_its_blocks_are_read():
+    a, b = DecisionStream(13), DecisionStream(13)
+    unread = a.normal_blocks(101)  # nothing read from it
+    b.normals(101)
+    assert a.words_drawn == b.words_drawn == 102
+    assert a.uniform() == b.uniform()
+    assert np.concatenate(list(unread)).tobytes() == one_shot_normals(DecisionStream(13), 101).tobytes()
