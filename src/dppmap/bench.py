@@ -98,9 +98,7 @@ def build_synthetic_oracle(n: int, d: int | None, seed: int, input_kind: str,
     bora = KernelOracle.from_dense_features(features, scale, shift)
     if input_kind == "B":
         return bora
-    matrix = bora.materialize()
-    bora.eval_count = 0
-    return KernelOracle.from_dense_kernel(matrix)
+    return KernelOracle.from_dense_kernel(bora.materialize())
 
 
 def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=0.5,

@@ -71,11 +71,13 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
     in index order, so each prefetch reads its dot products from the
     factor's windowed dot cache instead of re-folding every row from
     column 0; the cache sums in the same order, so factors, pivots and the
-    report do not change.  The off-diagonal count is ``T*(T-1)/2`` for ``T`` attempted steps; prefetched
-    columns of rows a deadline leaves unvisited are not counted.  The
-    per-step series (``gains``, ``objective_trace`` and ``extras["ab_gains"]``)
-    are float64 arrays of shapes (T,), (T,) and (T, 2); their JSON is the
-    same as that of the equivalent lists.
+    report do not change.  The off-diagonal count is ``T*(T-1)/2`` for ``T``
+    attempted steps; prefetched columns of rows a deadline leaves unvisited
+    are not counted.  The grow factor's commits are the report's, copied out
+    by :meth:`SolverRun.finish` (gains from its frozen pivots).  The per-step
+    series (``gains`` and ``objective_trace`` over the G grown items, and
+    ``extras["ab_gains"]``) are float64 arrays of shapes (G,), (G,) and
+    (T, 2); their JSON is the same as that of the equivalent lists.
     """
     n = oracle.n
     run = SolverRun("double-fast", oracle, n, seed=stream.seed)
@@ -113,7 +115,7 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
         raise SelectionDriftError("shrink-side selection drifted from the rejected items")
 
     run.finish(grow, setup_ms=setup_ms)
-    report.gains = np.array([2.0 * math.log(p) for p in grow.selected_pivots], dtype=np.float64)
+    report.gains = np.array(report.gains, dtype=np.float64)
     report.objective_trace = np.array(grow.objective_trace, dtype=np.float64)
     report.offdiag_count += shrink.offdiag_count
     report.extras["ab_gains"] = np.array(ab_gains, dtype=np.float64).reshape(-1, 2)
@@ -133,22 +135,17 @@ def naive_double_greedy(matrix: np.ndarray, stream: DecisionStream,
     n = oracle.n
     run = SolverRun("double-naive", oracle, n, seed=stream.seed)
     report = run.report
-    selected: list[int] = []
     ab_gains: list[tuple[float, float]] = []
     for step in run.steps(n, deadline):
         i = step - 1
-        add_gain = reference.log_det(matrix, selected + [i]) - reference.log_det(matrix, selected)
-        keep = selected + list(range(i, n))  # survivor set going into step i
-        keep_minus = selected + list(range(i + 1, n))
+        add_gain = reference.log_det(matrix, report.selection + [i]) - report.final_objective
+        keep = report.selection + list(range(i, n))  # survivor set going into step i
+        keep_minus = report.selection + list(range(i + 1, n))
         remove_gain = reference.log_det(matrix, keep_minus) - reference.log_det(matrix, keep)
         if not (math.isfinite(add_gain) and math.isfinite(remove_gain)):
             raise SingularKernelError("kernel numerically singular under brute-force gains")
         ab_gains.append((add_gain, remove_gain))
         if _decide(add_gain, remove_gain, stream.uniform()):
-            selected.append(i)
-            report.gains.append(add_gain)
-            report.objective_trace.append(reference.log_det(matrix, selected))
-    report.selection = selected
-    report.final_objective = reference.log_det(matrix, selected)
+            run.take(i, add_gain, reference.log_det(matrix, report.selection + [i]))
     report.extras["ab_gains"] = [[a, b] for a, b in ab_gains]
     return run.finish()

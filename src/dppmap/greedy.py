@@ -95,22 +95,13 @@ def naive_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None
     reference.require_nonnegative_diagonal(matrix)
     setup_ms = run.ms()
 
-    selected: list[int] = []
-    base = 0.0
     for step in run.steps(cfg.k, deadline):
-        best_i, best_gain = gain_argmax(matrix, selected, base,
-                                        (i for i in range(oracle.n) if i not in selected))
+        best_i, best_gain = gain_argmax(matrix, report.selection, report.final_objective,
+                                        (i for i in range(oracle.n) if i not in report.selection))
         if best_gain <= 0.0:  # also no candidate left, or every candidate dependent (-inf)
-            if best_gain == 0.0:
-                report.boundary_gain_steps.append(step)
-            report.terminated_early = True
+            run.stop(step, best_gain, 0.0)
             break
-        selected.append(best_i)
-        base = reference.log_det(matrix, selected)
-        report.gains.append(best_gain)
-        report.objective_trace.append(base)
-    report.selection = selected
-    report.final_objective = base
+        run.take(best_i, best_gain, reference.log_det(matrix, report.selection + [best_i]))
     return run.finish(setup_ms=setup_ms)
 
 
@@ -126,8 +117,6 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
     stamps = np.zeros(n, dtype=np.int64)
     queue = LazyMaxQueue.build([reference.log_det(matrix, [i]) for i in range(n)])
     gain_evals = n
-    selected: list[int] = []
-    base = 0.0
     for step in run.steps(cfg.k, deadline):
         winner = None
         winner_gain = -math.inf
@@ -139,26 +128,19 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
             if key <= 0.0:
                 winner_gain = key
                 break
-            if stamps[i] == len(selected):
+            if stamps[i] == len(report.selection):
                 queue.pop_max()
                 winner, winner_gain = i, key
                 break
             queue.pop_max()
-            gain = reference.log_det(matrix, selected + [i]) - base
+            gain = reference.log_det(matrix, report.selection + [i]) - report.final_objective
             gain_evals += 1
-            stamps[i] = len(selected)
+            stamps[i] = len(report.selection)
             queue.push(i, gain)
         if winner is None:
-            if winner_gain == 0.0:
-                report.boundary_gain_steps.append(step)
-            report.terminated_early = True
+            run.stop(step, winner_gain, 0.0)
             break
-        selected.append(winner)
-        base = reference.log_det(matrix, selected)
-        report.gains.append(winner_gain)
-        report.objective_trace.append(base)
-    report.selection = selected
-    report.final_objective = base
+        run.take(winner, winner_gain, reference.log_det(matrix, report.selection + [winner]))
     report.extras["gain_evals"] = gain_evals
     return run.finish(pq_ops=queue.op_count, setup_ms=setup_ms)
 
@@ -172,7 +154,6 @@ def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
     ``(T-1) * (n - T/2)`` for a run of ``T`` attempted steps.
     """
     run = SolverRun("fast", oracle, cfg.k)
-    report = run.report
     state = CholeskyState(oracle, cfg.k)
     n = oracle.n
     for step in run.steps(cfg.k, deadline):
@@ -180,11 +161,8 @@ def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
         best = int(np.argmax(masked))
         piv = float(masked[best])
         if piv <= ZERO_GAIN_PIVOT:  # also nothing left (-inf) or a dependent item (0)
-            if piv == ZERO_GAIN_PIVOT:
-                report.boundary_gain_steps.append(step)
-            report.terminated_early = True
+            run.stop(step, piv, ZERO_GAIN_PIVOT)
             break
-        report.gains.append(state.marginal_gain(best))
         state.commit(best)
         if step == cfg.k:
             break
@@ -197,16 +175,12 @@ def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
 def lazy_fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None = None) -> RunReport:
     """Greedy via incremental factor rows refreshed lazily from a queue."""
     run = SolverRun("lazyfast", oracle, cfg.k)
-    report = run.report
     state = CholeskyState(oracle, cfg.k)
     queue = LazyMaxQueue.build(state.pivots)
     for step in run.steps(cfg.k, deadline):
         best, stop_key = pop_fresh_argmax(queue, state, ZERO_GAIN_PIVOT)
         if best is None:
-            if stop_key == ZERO_GAIN_PIVOT:
-                report.boundary_gain_steps.append(step)
-            report.terminated_early = True
+            run.stop(step, stop_key, ZERO_GAIN_PIVOT)
             break
-        report.gains.append(state.marginal_gain(best))
         state.commit(best)
     return run.finish(state, pq_ops=queue.op_count)

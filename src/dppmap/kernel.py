@@ -219,7 +219,11 @@ def require_finite(array: np.ndarray, what: str) -> None:
 
 
 class _Scratch(threading.local):
-    """A length-``dim`` vector per thread, allocated on its first lookup.
+    """A length-``dim`` vector per thread, allocated as the oracle is built
+    and on another thread's first lookup.
+
+    ``dim`` is the largest stored index plus one, not the header's ``d``,
+    which a file may set far above any index it stores.
 
     Between lookups it holds one item: ``buf`` is that item's values
     scattered at its indices and zeros elsewhere, and ``held`` is the item
@@ -277,7 +281,8 @@ class KernelOracle:
                 self.kind = B_BITS
             else:
                 self._sparse_idx = [idx.astype(np.intp) for idx in sparse.indices]
-                self._scratch = _Scratch(self.d)
+                width = max((int(idx[-1]) + 1 for idx in self._sparse_idx if idx.size), default=0)
+                self._scratch = _Scratch(width)
                 self._dot = _int_dot if _sums_exactly(sparse.values) else seq_dot
         self.eval_count = 0
 
@@ -419,7 +424,7 @@ class KernelOracle:
         else:
             dense = self._sparse.to_dense()
             raw = dense.T @ dense
-        out = self.scale * raw
+        raw *= self.scale  # raw is a fresh array on every path
         if self.shift:
-            out[np.diag_indices_from(out)] += self.shift
-        return out
+            raw[np.diag_indices_from(raw)] += self.shift
+        return raw

@@ -27,29 +27,23 @@ def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: Decisi
     matrix = oracle.materialize()
     reference.require_nonnegative_diagonal(matrix)
     n = oracle.n
-    selected: list[int] = []
     rank_draws: list[int] = []
     dummy_steps: list[int] = []
     for step in run.steps(cfg.k, deadline):
         rank = stream.rank(cfg.k)
         rank_draws.append(rank)
-        base = reference.log_det(matrix, selected)
         gains = sorted(
-            ((reference.log_det(matrix, selected + [i]) - base, i)
-             for i in range(n) if i not in selected),
+            ((reference.log_det(matrix, report.selection + [i]) - report.final_objective, i)
+             for i in range(n) if i not in report.selection),
             key=lambda gv: (-gv[0], gv[1]),
         )
         gain, cand = gains[rank - 1]
         if gain > 0.0:
-            selected.append(cand)
-            report.gains.append(gain)
-            report.objective_trace.append(reference.log_det(matrix, selected))
+            run.take(cand, gain, reference.log_det(matrix, report.selection + [cand]))
         else:
             if gain == 0.0:
                 report.boundary_gain_steps.append(step)
             dummy_steps.append(step)
-    report.selection = selected
-    report.final_objective = reference.log_det(matrix, selected)
     report.extras.update(rank_draws=rank_draws, dummy_steps=dummy_steps)
     return run.finish()
 
@@ -66,23 +60,17 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
     report = run.report
     matrix = oracle.materialize()
     reference.require_nonnegative_diagonal(matrix)
-    selected: list[int] = []
     skipped_steps: list[int] = []
     for step in run.steps(cfg.k, deadline):
-        pool = np.array([i for i in range(n) if i not in selected], dtype=np.int64)
+        pool = np.array([i for i in range(n) if i not in report.selection], dtype=np.int64)
         sample = stream.sample_sorted(pool, s)
-        base = reference.log_det(matrix, selected)
-        winner, gain = gain_argmax(matrix, selected, base, sample)
+        winner, gain = gain_argmax(matrix, report.selection, report.final_objective, sample)
         if gain > 0.0:
-            selected.append(winner)
-            report.gains.append(gain)
-            report.objective_trace.append(reference.log_det(matrix, selected))
+            run.take(winner, gain, reference.log_det(matrix, report.selection + [winner]))
         else:
             if gain == 0.0:
                 report.boundary_gain_steps.append(step)
             skipped_steps.append(step)
-    report.selection = selected
-    report.final_objective = reference.log_det(matrix, selected)
     report.extras.update(sample_size=s, skipped_steps=skipped_steps)
     return run.finish()
 

@@ -1,14 +1,14 @@
 """Run reports, and the one place that runs and finishes them.
 
 :class:`RunReport` is everything a solver run produces besides its side
-effects.  Every solver keeps its run bookkeeping in a :class:`SolverRun`:
-the report, the clock, the oracle's starting lookup count, the step loop
-with its deadline, and the copy-out of the final factor state and counters.
+effects.  Every solver keeps its run bookkeeping in a :class:`SolverRun`,
+the one writer of the report's per-step results.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -83,6 +83,12 @@ class SolverRun:
     Built before the solver's first kernel lookup, so ``kernel_evals`` covers
     everything the run asks of ``oracle`` (a ``materialize`` included).
     ``fields`` are further :class:`RunReport` fields, such as ``seed``.
+
+    Solvers do not write the per-step fields themselves.  A factor-based
+    solver commits to a :class:`~dppmap.cholesky.CholeskyState` and
+    :meth:`finish` copies the commits out; a brute-force solver hands each
+    commit to :meth:`take`.  A greedy run that no gain can continue ends
+    through :meth:`stop`.
     """
 
     def __init__(self, algo: str, oracle, k: int, **fields):
@@ -110,17 +116,37 @@ class SolverRun:
             report.steps_attempted += 1
             yield step
 
+    def take(self, item: int, gain: float, objective: float) -> None:
+        """Record one commit: ``item``, its marginal ``gain`` and the ``objective`` it reaches."""
+        report = self.report
+        report.selection.append(item)
+        report.gains.append(gain)
+        report.objective_trace.append(objective)
+        report.final_objective = objective
+
+    def stop(self, step: int, key: float, boundary: float) -> None:
+        """End the run at ``step``, whose best ``key`` did not clear ``boundary``, the zero-gain key.
+
+        A key exactly on the boundary is recorded in ``boundary_gain_steps``.
+        """
+        if key == boundary:
+            self.report.boundary_gain_steps.append(step)
+        self.report.terminated_early = True
+
     def finish(self, state=None, pq_ops: int = 0, setup_ms: float = 0.0) -> RunReport:
         """Copy out the final state and counters and return the report.
 
         A :class:`~dppmap.cholesky.CholeskyState` gives the selection, the
-        objective trace and final objective, and ``offdiag_count``; without
-        one, the solver has filled those in itself.  ``greedy_ms`` is the time
+        gains (``2 ln p`` of each frozen pivot ``p``, the float
+        ``marginal_gain`` read before the commit), the objective trace and
+        final objective, and ``offdiag_count``; without one, the solver has
+        recorded its commits through :meth:`take`.  ``greedy_ms`` is the time
         after the first ``setup_ms``.
         """
         report = self.report
         if state is not None:
             report.selection = list(state.selection)
+            report.gains = [2.0 * math.log(p) for p in state.selected_pivots]
             report.objective_trace = list(state.objective_trace)
             report.final_objective = state.objective()
             report.offdiag_count = state.offdiag_count

@@ -84,7 +84,6 @@ def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionS
             pool.append(i)
             if len(pool) == rank:
                 committed = i
-                report.gains.append(state.marginal_gain(i))
                 state.commit(i)
         for i in pool:
             if i != committed:
@@ -129,7 +128,6 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
             continue
         piv = float(state.pivots[winner])
         if piv > ZERO_GAIN_PIVOT:
-            report.gains.append(state.marginal_gain(winner))
             state.commit(winner)
         else:
             if piv == ZERO_GAIN_PIVOT:
@@ -205,10 +203,9 @@ def interlace_greedy_lf(oracle: KernelOracle, cfg: VariantConfig,
             if obj > best_obj:
                 best_label, best_len, best_obj = label, t, obj
     best_state = dict(runs)[best_label]
-    report.selection = list(best_state.selection[:best_len])
-    report.objective_trace = list(best_state.objective_trace[:best_len])
-    report.gains = [2.0 * math.log(p) for p in best_state.selected_pivots[:best_len]]
-    report.final_objective = best_obj
+    for t in range(best_len):
+        run.take(best_state.selection[t], 2.0 * math.log(best_state.selected_pivots[t]),
+                 best_state.objective_trace[t])
     report.offdiag_count = sum(state.offdiag_count for _, state in runs)
     report.steps_attempted = cfg.k
     report.extras["sequences"] = {label: list(state.selection) for label, state in runs}

@@ -95,12 +95,12 @@ def test_criterion_04_work_count_bands():
             failures.append(f"t={t}: lazyfast above fast")
         if k >= 1 and n >= 4 * k:
             seed = 9000 + t
-            r_rep = random_greedy_lf(oracle, VariantConfig(k=k, seed=seed), DecisionStream(seed))
+            r_rep = random_greedy_lf(oracle, VariantConfig(k=k), DecisionStream(seed))
             lo, hi = random_greedy_band(n, k, len(r_rep.selection))
             if not (lo <= r_rep.offdiag_count <= hi):
                 failures.append(f"t={t}: random {r_rep.offdiag_count} outside [{lo},{hi}]")
             eps = 0.5
-            s_rep = stochastic_greedy_lf(oracle, VariantConfig(k=k, epsilon=eps, seed=seed),
+            s_rep = stochastic_greedy_lf(oracle, VariantConfig(k=k, epsilon=eps),
                                          DecisionStream(seed))
             s = stochastic_sample_size(n, k, eps)
             hi = stochastic_upper_bound(n, k, s)

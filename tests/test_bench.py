@@ -50,7 +50,7 @@ def test_deadline_already_passed_times_out(algo):
     oracle = build_synthetic_oracle(30, 30, 1, "B", scale, shift)
     deadline = time.perf_counter() - 1.0
     if algo in NAIVE_TWINS:
-        report = NAIVE_TWINS[algo](oracle, VariantConfig(k=5, epsilon=0.5, seed=1), deadline)
+        report = NAIVE_TWINS[algo](oracle, VariantConfig(k=5, epsilon=0.5), deadline)
     else:
         report = run_algorithm(algo, oracle, 5, seed=1, epsilon=0.5, deadline=deadline)
     assert report.timed_out

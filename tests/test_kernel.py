@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,19 @@ def test_materialize_matches_entries():
     for i in range(5):
         for j in range(5):
             assert mat[i, j] == pytest.approx(ora.entry(i, j), rel=1e-12, abs=1e-12)
+
+
+def test_materialize_scales_its_result_in_place():
+    n = 400
+    oracle = KernelOracle.from_dense_features(np.random.default_rng(11).standard_normal((20, n)), 0.9, 0.1)
+    tracemalloc.start()
+    try:
+        matrix = oracle.materialize()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.nbytes == n * n * 8
+    assert peak <= 1.2 * matrix.nbytes
 
 
 def test_sparse_columns_validation():

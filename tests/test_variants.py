@@ -85,7 +85,7 @@ def test_random_coupling_and_drop_safety():
         n = 4 * k + 3
         oracle = build_synthetic_oracle(n, n, 700 + t, "B")
         seed = 31 * t
-        rep = random_greedy_lf(oracle, VariantConfig(k=k, seed=seed), DecisionStream(seed))
+        rep = random_greedy_lf(oracle, VariantConfig(k=k), DecisionStream(seed))
         twin = naive_twin_report("random", oracle, k, seed)
         assert rep.selection == twin.selection
         assert rep.extras["rank_draws"] == twin.extras["rank_draws"]
@@ -110,7 +110,7 @@ def test_stochastic_coupling():
         oracle = build_synthetic_oracle(n, n, 600 + t, "B")
         seed = 17 * t + 1
         eps = 0.3 + 0.1 * (t % 5)
-        cfg = VariantConfig(k=k, epsilon=eps, seed=seed)
+        cfg = VariantConfig(k=k, epsilon=eps)
         rep = stochastic_greedy_lf(oracle, cfg, DecisionStream(seed))
         twin = naive_twin_report("stochastic", oracle, k, seed, epsilon=eps)
         assert rep.selection == twin.selection, f"t={t}"
@@ -209,7 +209,7 @@ def test_rank_deficient_kernels_stay_coupled():
         oracle = build_synthetic_oracle(16, 3, 50 + t, "B")  # rank <= 3
         seed = 99 + t
         for algo, eps in (("random", None), ("stochastic", 0.4), ("interlace", None)):
-            cfg = VariantConfig(k=4, epsilon=eps, seed=seed)
+            cfg = VariantConfig(k=4, epsilon=eps)
             if algo == "random":
                 rep = random_greedy_lf(oracle, cfg, DecisionStream(seed))
             elif algo == "stochastic":
