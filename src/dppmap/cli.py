@@ -14,14 +14,11 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from . import bench as benchmod
 from . import matrixio, verify
 from .bench import ALGORITHMS, resolve_adjustment, run_algorithm
 from .datagen import (RatingsSpec, SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic,
                       ingest_ratings, write_idmap)
-from .errors import AsymmetricKernelError
 from .kernel import B_SPARSE, KernelOracle
 
 
@@ -62,15 +59,7 @@ def load_oracle(path: str, input_kind: str, scale: float, shift: float) -> Kerne
     if input_kind == "L":
         if kind != "dense":
             raise ValueError("kernel (L) input requires a dense matrix file")
-        oracle = KernelOracle.from_dense_kernel(payload, scale, shift)
-        # Checked here, not in from_dense_kernel: fast_double_greedy wraps its
-        # kernel inverse, which is not bitwise symmetric, through that constructor.
-        bits = np.ascontiguousarray(payload, dtype=np.float64).view(np.uint64)
-        asymmetric = np.argwhere(bits != bits.T)
-        if asymmetric.size:
-            i, j = asymmetric[0]
-            raise AsymmetricKernelError(f"kernel (L) input is not bitwise symmetric at K[{i}, {j}]")
-        return oracle
+        return KernelOracle.from_dense_kernel(payload, scale, shift)
     if kind == "dense":
         return KernelOracle.from_dense_features(payload, scale, shift)
     # read_sparse has validated the columns; from_sparse_features would check them again.

@@ -19,7 +19,7 @@ import numpy as np
 from . import reference
 from .cholesky import CholeskyState
 from .errors import SelectionDriftError, SingularKernelError, SingularPivotError
-from .kernel import KernelOracle
+from .kernel import L_DENSE, KernelOracle
 from .report import RunReport, SolverRun
 from .stream import DecisionStream
 
@@ -92,8 +92,10 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
     setup_ms = run.ms()
     report.timings.update(product_ms=product_ms, inverse_ms=setup_ms - product_ms)
 
-    grow = CholeskyState(KernelOracle.from_dense_kernel(matrix), n)
-    shrink = CholeskyState(KernelOracle.from_dense_kernel(inv), n)
+    # Trusted constructor: both come from an already checked oracle, and
+    # from_dense_kernel would refuse the inverse, which is not bitwise symmetric.
+    grow = CholeskyState(KernelOracle(L_DENSE, n, 0, matrix=matrix), n)
+    shrink = CholeskyState(KernelOracle(L_DENSE, n, 0, matrix=np.ascontiguousarray(inv)), n)
     ab_gains: list[tuple[float, float]] = []
     try:
         for step in run.steps(n, deadline):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteInputError
+from .errors import AsymmetricKernelError, NegativeDiagonalError, NonFiniteInputError
 
 B_DENSE = "bdense"
 B_SPARSE = "bsparse"
@@ -243,6 +243,16 @@ class KernelOracle:
     default ``scale=1, shift=0`` leaves the kernel untouched; a positive
     ``shift`` regularizes a singular kernel without materializing a new one.
 
+    The ``from_*`` classmethods are the checked way in and the only place a
+    kernel is judged valid; solvers check nothing.  Past the checks every
+    constructor makes (a finite, nonnegative ``scale`` and ``shift``, at
+    least one item), they refuse non-finite input, and ``from_dense_kernel``
+    an asymmetric matrix or a negative adjusted diagonal.  A feature
+    kernel's adjusted diagonal ``scale * sum(f**2) + shift`` cannot be
+    negative.  The bare constructor trusts its caller with the rest: it is
+    for data already checked, such as a DPPS1 file ``read_sparse`` validated,
+    or the kernel and inverse fast double greedy derives from a checked oracle.
+
     Sparse features are summed one of three ways, chosen at construction
     (see the module docstring): 0/1 features dense enough for bitsets take
     the popcount of two items' bitset intersection, other integer features
@@ -267,6 +277,10 @@ class KernelOracle:
             raise NonFiniteInputError(f"kernel scale {scale!r} and shift {shift!r} must be finite")
         if shift < 0:
             raise ValueError("shift must be nonnegative")
+        if scale < 0:
+            raise ValueError("scale must be nonnegative")
+        if n < 1:
+            raise ValueError("a kernel needs at least one item")
         self.kind = kind
         self.n = int(n)
         self.d = int(d)
@@ -306,13 +320,31 @@ class KernelOracle:
 
     @classmethod
     def from_dense_kernel(cls, matrix: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> "KernelOracle":
-        """Wrap a precomputed n-by-n kernel matrix (O(1) entry access)."""
+        """Wrap a precomputed n-by-n kernel matrix (O(1) entry access).
+
+        Past the checks every constructor makes, the matrix must be bitwise
+        equal to its transpose (:class:`AsymmetricKernelError`), and every
+        adjusted diagonal entry ``scale * K[i, i] + shift``, the value
+        ``entry(i, i)`` returns, must be nonnegative
+        (:class:`NegativeDiagonalError`, naming the first).
+        """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("kernel matrix must be square")
         require_finite(matrix, "kernel matrix")
         matrix = np.ascontiguousarray(matrix)
-        return cls(L_DENSE, matrix.shape[0], 0, scale, shift, matrix=matrix)
+        oracle = cls(L_DENSE, matrix.shape[0], 0, scale, shift, matrix=matrix)
+        bits = matrix.view(np.uint64)
+        asymmetric = bits != bits.T
+        if asymmetric.any():
+            i, j = np.argwhere(asymmetric)[0]
+            raise AsymmetricKernelError(f"kernel (L) input is not bitwise symmetric at K[{i}, {j}]")
+        diag = oracle.scale * np.diagonal(matrix) + oracle.shift
+        negative = np.flatnonzero(diag < 0)
+        if negative.size:
+            i = int(negative[0])
+            raise NegativeDiagonalError(f"negative kernel diagonal at {i}: {float(diag[i])}")
+        return oracle
 
     # -- access ------------------------------------------------------------
 

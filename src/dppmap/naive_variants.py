@@ -15,17 +15,15 @@ from .greedy import gain_argmax
 from .kernel import KernelOracle
 from .report import RunReport, SolverRun
 from .stream import DecisionStream
-from .variants import VariantConfig, stochastic_sample_size
+from .variants import VariantConfig, require_size, stochastic_sample_size
 
 
 def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
                         deadline: float | None = None) -> RunReport:
-    if oracle.n < 2 * cfg.k:
-        raise ValueError(f"random greedy requires n >= 2k (n={oracle.n}, k={cfg.k})")
+    require_size("random", oracle.n, cfg.k, 2)
     run = SolverRun("random-naive", oracle, cfg.k, seed=stream.seed)
     report = run.report
     matrix = oracle.materialize()
-    reference.require_nonnegative_diagonal(matrix)
     n = oracle.n
     rank_draws: list[int] = []
     dummy_steps: list[int] = []
@@ -50,16 +48,12 @@ def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: Decisi
 
 def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
                             deadline: float | None = None) -> RunReport:
-    if oracle.n < 3 * cfg.k:
-        raise ValueError(f"stochastic greedy requires n >= 3k (n={oracle.n}, k={cfg.k})")
-    if cfg.epsilon is None:
-        raise ValueError("stochastic greedy requires epsilon")
+    require_size("stochastic", oracle.n, cfg.k, 3)
     n = oracle.n
     s = stochastic_sample_size(n, cfg.k, cfg.epsilon)
     run = SolverRun("stochastic-naive", oracle, cfg.k, seed=stream.seed, epsilon=cfg.epsilon)
     report = run.report
     matrix = oracle.materialize()
-    reference.require_nonnegative_diagonal(matrix)
     skipped_steps: list[int] = []
     for step in run.steps(cfg.k, deadline):
         pool = np.array([i for i in range(n) if i not in report.selection], dtype=np.int64)
@@ -77,12 +71,10 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
 
 def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
                            deadline: float | None = None) -> RunReport:
-    if oracle.n < 4 * cfg.k:
-        raise ValueError(f"interlace greedy requires n >= 4k (n={oracle.n}, k={cfg.k})")
+    require_size("interlace", oracle.n, cfg.k, 4)
     run = SolverRun("interlace-naive", oracle, cfg.k)
     report = run.report
     matrix = oracle.materialize()
-    reference.require_nonnegative_diagonal(matrix)
     n = oracle.n
 
     def interlaced_pair(seed_item):

@@ -17,7 +17,6 @@ class LazyMaxQueue:
     def __init__(self, n: int):
         self._heap: list[tuple[float, int, int]] = []  # (-key, index, version)
         self._version = [0] * n
-        self._live_key: list[float | None] = [None] * n
         self._excluded = [False] * n
         self.op_count = 0
 
@@ -27,14 +26,12 @@ class LazyMaxQueue:
         keys = list(keys)
         q = cls(len(keys))
         q._heap = [(-float(k), i, 0) for i, k in enumerate(keys)]
-        q._live_key = [float(k) for k in keys]
         heapq.heapify(q._heap)
         q.op_count += len(keys)
         return q
 
     def push(self, index: int, key: float) -> None:
         self._version[index] += 1
-        self._live_key[index] = float(key)
         heapq.heappush(self._heap, (-float(key), index, self._version[index]))
         self.op_count += 1
 
@@ -46,8 +43,7 @@ class LazyMaxQueue:
         heap = self._heap
         while heap:
             neg_key, index, version = heap[0]
-            if version == self._version[index] and not self._excluded[index] \
-                    and self._live_key[index] is not None:
+            if version == self._version[index] and not self._excluded[index]:
                 return
             heapq.heappop(heap)
 
@@ -68,6 +64,5 @@ class LazyMaxQueue:
         if not self._heap:
             raise IndexError("pop from queue with no live entries")
         neg_key, index, _ = heapq.heappop(self._heap)
-        self._live_key[index] = None
         self.op_count += 1
         return index, -neg_key

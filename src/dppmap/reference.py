@@ -13,23 +13,10 @@ import math
 
 import numpy as np
 
-from .errors import EnumerationLimitError, NegativeDiagonalError, SingularKernelError
+from .errors import EnumerationLimitError, SingularKernelError
 
 PIVOT_FLOOR = 1e-14
 ENUMERATION_LIMIT = 20
-
-
-def require_nonnegative_diagonal(matrix: np.ndarray) -> None:
-    """Raise :class:`NegativeDiagonalError` at the first negative diagonal entry.
-
-    The brute-force solvers refuse such a kernel with the same error and
-    message as the factor-based ones, which cannot start a row from it.
-    """
-    diag = np.diagonal(matrix)
-    bad = np.flatnonzero(diag < 0)
-    if bad.size:
-        i = int(bad[0])
-        raise NegativeDiagonalError(f"negative kernel diagonal at {i}: {float(diag[i])}")
 
 
 def log_det(matrix: np.ndarray, subset) -> float:

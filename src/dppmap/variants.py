@@ -37,16 +37,19 @@ class VariantConfig:
         require_positive_k(self.k)
 
 
-def stochastic_sample_size(n: int, k: int, epsilon: float) -> int:
+def require_size(name: str, n: int, k: int, ratio: int) -> None:
+    """Raise ``ValueError`` unless ``n >= ratio * k``, the variant's precondition."""
+    if n < ratio * k:
+        raise ValueError(f"{name} greedy requires n >= {ratio}k (n={n}, k={k})")
+
+
+def stochastic_sample_size(n: int, k: int, epsilon: float | None) -> int:
     """Per-step sample size ceil((n/k) * ln(1/epsilon))."""
+    if epsilon is None:
+        raise ValueError("stochastic greedy requires epsilon")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     return math.ceil((n / k) * math.log(1.0 / epsilon))
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
@@ -59,7 +62,7 @@ def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionS
     step with no commit (the dummy branch) and is discarded for good - it can
     never win later because gains only shrink.
     """
-    _require(oracle.n >= 2 * cfg.k, f"random greedy requires n >= 2k (n={oracle.n}, k={cfg.k})")
+    require_size("random", oracle.n, cfg.k, 2)
     run = SolverRun("random", oracle, cfg.k, seed=stream.seed)
     report = run.report
     state = CholeskyState(oracle, cfg.k)
@@ -103,9 +106,7 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
     pivots, then refreshes lazily within the sample.  Row pivots are
     initialized from the kernel diagonal only when a row is first sampled.
     """
-    _require(oracle.n >= 3 * cfg.k, f"stochastic greedy requires n >= 3k (n={oracle.n}, k={cfg.k})")
-    if cfg.epsilon is None:
-        raise ValueError("stochastic greedy requires epsilon")
+    require_size("stochastic", oracle.n, cfg.k, 3)
     n = oracle.n
     s = stochastic_sample_size(n, cfg.k, cfg.epsilon)
     run = SolverRun("stochastic", oracle, cfg.k, seed=stream.seed, epsilon=cfg.epsilon)
@@ -186,7 +187,7 @@ def interlace_greedy_lf(oracle: KernelOracle, cfg: VariantConfig,
     all-zero ties).  Deterministic: no randomness is consumed.  Reports
     ``steps_attempted = k`` whether or not a deadline cut the runs short.
     """
-    _require(oracle.n >= 4 * cfg.k, f"interlace greedy requires n >= 4k (n={oracle.n}, k={cfg.k})")
+    require_size("interlace", oracle.n, cfg.k, 4)
     run = SolverRun("interlace", oracle, cfg.k)
     report = run.report
     state_a, state_b, ops = _interlaced_pair(run, cfg.k, None, deadline)

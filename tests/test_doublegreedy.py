@@ -106,10 +106,12 @@ def test_scale_shift_defaults_applied():
 
 
 def test_singular_kernel_gated():
-    ones = np.ones((3, 3))  # rank 1, not PD
+    ones = np.ones((3, 3))  # rank 1: positive semidefinite, not definite
     oracle = KernelOracle.from_dense_kernel(ones)
     with pytest.raises(SingularKernelError):
         fast_double_greedy(oracle, DecisionStream(0))
+    with pytest.raises(SingularKernelError):
+        naive_double_greedy(ones, DecisionStream(0))
 
 
 def test_timing_split_fields():

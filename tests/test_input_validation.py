@@ -1,14 +1,26 @@
-"""Non-finite input, negative kernel diagonals and k < 1 fail fast with typed errors, whatever the solver or storage."""
+"""Invalid kernels and k < 1 fail fast with one typed error, whatever the solver or storage.
+
+A kernel is judged valid only by :class:`KernelOracle`'s checked constructors
+(and by ``dppmap run`` as it reads a file), so every solver refuses the same
+inputs with the same error.
+"""
+
+import ast
+import re
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dppmap
 from dppmap import matrixio
 from dppmap.bench import ALGORITHMS, naive_twin_report, run_algorithm
 from dppmap.cli import main
 from dppmap.doublegreedy import naive_double_greedy
-from dppmap.errors import NegativeDiagonalError, NonFiniteInputError, NonPositiveKError, SingularKernelError
+from dppmap.errors import AsymmetricKernelError, NegativeDiagonalError, NonFiniteInputError, NonPositiveKError
 from dppmap.greedy import GreedyConfig
+from dppmap.stream import DecisionStream
 from dppmap.variants import VariantConfig
 from dppmap.kernel import KernelOracle, SparseColumns
 
@@ -32,43 +44,6 @@ def test_non_finite_input_error_is_a_value_error():
 def test_every_solver_raises_the_same_error_on_nan_features(algo):
     with pytest.raises(NonFiniteInputError, match="feature matrix contains NaN or infinite values"):
         run_algorithm(algo, KernelOracle.from_dense_features(_nan_features()), 4, seed=1)
-
-
-@pytest.mark.parametrize("algo", ["fast", "lazyfast", "random", "stochastic", "interlace",
-                                  "naive", "lazy", "random-naive", "stochastic-naive", "interlace-naive"])
-def test_factor_based_solvers_raise_the_typed_negative_diagonal_error(algo):
-    """A factor starts each row from ``sqrt`` of its diagonal entry and refuses a negative one.
-
-    The brute-force solvers and twins refuse it too, with the same error and
-    message, before their first gain.
-    """
-    kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, -1.0, -3.0, -2.0, -1.0, -4.0, -5.0]))
-    with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at [1-7]: -"):
-        if algo.endswith("-naive"):
-            naive_twin_report(algo.removesuffix("-naive"), kernel, 1, seed=1, epsilon=0.5)
-        else:
-            run_algorithm(algo, kernel, 1, seed=1, epsilon=0.5)
-
-
-def test_brute_force_solvers_name_the_first_negative_diagonal():
-    kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, -1.0, -3.0, -2.0, -1.0, -4.0, -5.0]))
-    for algo in ("naive", "lazy"):
-        with pytest.raises(NegativeDiagonalError) as err:
-            run_algorithm(algo, kernel, 1)
-        assert str(err.value) == "negative kernel diagonal at 1: -0.5"
-
-
-def test_double_naive_refuses_a_negative_diagonal_as_singular():
-    kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, 1.0]))
-    with pytest.raises(SingularKernelError):
-        run_algorithm("double-naive", kernel, 3, seed=1)
-
-
-def test_double_fast_refuses_a_negative_diagonal_at_its_inverse_gate():
-    """``double-fast`` inverts the kernel by Cholesky before it builds a factor, so it raises the gate's error."""
-    kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, 1.0]))
-    with pytest.raises(SingularKernelError, match="not positive definite"):
-        run_algorithm("double-fast", kernel, 3, seed=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -159,3 +134,134 @@ def test_non_positive_k_fails_fast_in_both_solver_families(k):
         with pytest.raises(NonPositiveKError):
             naive_twin_report(algo, oracle, k, 0, epsilon=0.5)
     assert oracle.eval_count == 0
+
+
+def _with(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+_FEATURES = np.random.default_rng(0).standard_normal((10, 8))  # d = 10 > n = 8: the kernel is positive definite
+_KERNEL = _FEATURES.T @ _FEATURES
+_VALID = {"B": _FEATURES, "S": SparseColumns.from_dense(_FEATURES), "L": _KERNEL}
+
+# fault -> (error, message pattern, input by kind: B dense features / S sparse features / L kernel, scale and shift)
+FAULTS = {
+    "nan-features": (NonFiniteInputError, "feature matrix contains NaN or infinite values",
+                     {"B": _with(_FEATURES, (0, 4), np.nan)}, {}),
+    "nan-kernel": (NonFiniteInputError, "kernel matrix contains NaN or infinite values",
+                   {"L": _with(_KERNEL, (2, 5), np.nan)}, {}),
+    "nan-sparse-value": (NonFiniteInputError, "column 4: non-finite value stored",
+                         {"S": SparseColumns.from_dense(_with(_FEATURES, (0, 4), np.nan))}, {}),
+    "nan-scale": (NonFiniteInputError, "must be finite", _VALID, {"scale": np.nan}),
+    "inf-shift": (NonFiniteInputError, "must be finite", _VALID, {"shift": np.inf}),
+    "negative-scale": (ValueError, "scale must be nonnegative", _VALID, {"scale": -0.5}),
+    "negative-shift": (ValueError, "shift must be nonnegative", _VALID, {"shift": -0.1}),
+    "asymmetric-kernel": (AsymmetricKernelError, r"not bitwise symmetric at K\[1, 2\]",
+                          {"L": _with(_KERNEL, (1, 2), 0.5)}, {}),
+    "negative-diagonal": (NegativeDiagonalError, "negative kernel diagonal at 3: -",
+                          {"L": _with(_KERNEL, (3, 3), -1.0)}, {}),
+    "no-items": (ValueError, "a kernel needs at least one item",
+                 {"B": np.zeros((10, 0)), "S": SparseColumns(dim=10), "L": np.zeros((0, 0))}, {}),
+}
+
+
+def _write_input(path, kind, data):
+    """Write ``data`` as ``dppmap run`` reads it, NaN values in a DPPS1 file included."""
+    if kind != "S":
+        matrixio.write_dense(path, data)
+        return
+    marker = np.float64(7.0)  # stands in for NaN in write_sparse, which refuses it
+    nans = sum(int(np.isnan(val).sum()) for val in data.values)
+    matrixio.write_sparse(path, SparseColumns(data.dim, data.indices,
+                                              [np.where(np.isnan(val), marker, val) for val in data.values]))
+    raw = path.read_bytes()
+    assert raw.count(marker.astype("<f8").tobytes()) == nans
+    path.write_bytes(raw.replace(marker.astype("<f8").tobytes(), np.float64(np.nan).astype("<f8").tobytes()))
+
+
+def _entry_points(inputs, adjustment, tmp_path):
+    """(label, call) for every way in to a solver: the constructor of each input, ``naive_double_greedy``
+    on a bare kernel, and ``dppmap run`` of every algorithm on each input's file."""
+    build = {"B": KernelOracle.from_dense_features, "S": KernelOracle.from_sparse_features,
+             "L": KernelOracle.from_dense_kernel}
+    calls = []
+    for kind, data in inputs.items():
+        calls.append((build[kind].__name__, partial(build[kind], data, **adjustment)))
+        if kind == "L" and not adjustment:
+            calls.append(("naive_double_greedy", partial(naive_double_greedy, data, DecisionStream(1))))
+        path = tmp_path / f"{kind}.bin"
+        _write_input(path, kind, data)
+        flags = ["--input", str(path), "--input-kind", "L" if kind == "L" else "B", "--k", "1",
+                 "--epsilon", "0.5", *(f"--{name}={value}" for name, value in adjustment.items())]
+        calls += [(f"dppmap run --algo {algo} on {kind}", partial(main, ["run", "--algo", algo, *flags]))
+                  for algo in ALGORITHMS]
+    return calls
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_one_typed_error_per_fault(fault, tmp_path):
+    """Each way in raises exactly this error: no solver accepts the input, and none raises another type."""
+    error, message, inputs, adjustment = FAULTS[fault]
+    for label, call in _entry_points(inputs, adjustment, tmp_path):
+        try:
+            call()
+            got = None
+        except ValueError as exc:  # every refusal is a ValueError; the test is its exact type
+            got = exc
+        assert type(got) is error and re.search(message, str(got)), (label, got)
+
+
+def test_the_valid_table_input_passes_every_entry_point(tmp_path, capsys):
+    """The faults differ from this input only in the fault."""
+    for label, call in _entry_points(_VALID, {}, tmp_path):
+        call()
+    assert capsys.readouterr().out.count('"selection"') == len(_VALID) * len(ALGORITHMS)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_dppmap_run_refuses_k_below_1_for_every_algorithm(k, tmp_path, capsys):
+    path = tmp_path / "b.bin"
+    matrixio.write_dense(path, _FEATURES)
+    for algo in ALGORITHMS:
+        with pytest.raises(SystemExit):
+            main(["run", "--algo", algo, "--input", str(path), f"--k={k}"])
+        assert f"expected a positive integer, got '{k}'" in capsys.readouterr().err, algo
+
+
+def test_stochastic_and_its_twin_refuse_a_negative_diagonal_it_never_samples():
+    """Before the check moved into the constructor, ``stochastic`` (which starts only
+    the rows it samples) returned [7, 25] here while its naive twin raised."""
+    features = np.random.default_rng(0).standard_normal((40, 40))
+    kernel = _with(features.T @ features, (37, 37), -1.0)
+    with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at 37: -1.0"):
+        run_algorithm("stochastic", KernelOracle.from_dense_kernel(kernel), 2, seed=1, epsilon=0.9)
+    with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at 37: -1.0"):
+        naive_twin_report("stochastic", KernelOracle.from_dense_kernel(kernel), 2, 1, epsilon=0.9)
+
+
+def test_the_first_negative_adjusted_diagonal_is_named():
+    """The check reads ``scale * K[i, i] + shift``, the value ``entry(i, i)`` returns."""
+    kernel = np.diag([2.0, -0.05, -1.0, 0.0])
+    with pytest.raises(NegativeDiagonalError) as err:
+        KernelOracle.from_dense_kernel(kernel)
+    assert str(err.value) == "negative kernel diagonal at 1: -0.05"
+    with pytest.raises(NegativeDiagonalError) as err:
+        KernelOracle.from_dense_kernel(kernel, 0.5, 0.1)
+    assert str(err.value) == f"negative kernel diagonal at 2: {0.5 * -1.0 + 0.1}"
+    KernelOracle.from_dense_kernel(kernel, 0.5, 0.5)  # every adjusted entry nonnegative
+
+
+def test_only_the_kernel_module_raises_kernel_validity_errors():
+    """The one-boundary design: no solver, CLI or reference module judges a kernel itself."""
+    names = {"NegativeDiagonalError", "AsymmetricKernelError"}
+    raisers = set()
+    for path in Path(dppmap.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name in names:
+                    raisers.add(path.name)
+    assert raisers == {"kernel.py"}
