@@ -18,7 +18,8 @@ from dppmap import matrixio
 from dppmap.bench import ALGORITHMS, naive_twin_report, run_algorithm
 from dppmap.cli import main
 from dppmap.doublegreedy import naive_double_greedy
-from dppmap.errors import AsymmetricKernelError, NegativeDiagonalError, NonFiniteInputError, NonPositiveKError
+from dppmap.errors import (AsymmetricKernelError, NegativeDiagonalError, NonFiniteInputError, NonPositiveKError,
+                           SingularKernelError)
 from dppmap.greedy import GreedyConfig
 from dppmap.stream import DecisionStream
 from dppmap.variants import VariantConfig
@@ -44,6 +45,42 @@ def test_non_finite_input_error_is_a_value_error():
 def test_every_solver_raises_the_same_error_on_nan_features(algo):
     with pytest.raises(NonFiniteInputError, match="feature matrix contains NaN or infinite values"):
         run_algorithm(algo, KernelOracle.from_dense_features(_nan_features()), 4, seed=1)
+
+
+@pytest.mark.parametrize("algo", ["fast", "lazyfast", "random", "stochastic", "interlace",
+                                  "naive", "lazy", "random-naive", "stochastic-naive", "interlace-naive"])
+def test_factor_based_solvers_raise_the_typed_negative_diagonal_error(algo):
+    """No solver or twin is handed a kernel with a negative diagonal: the
+    constructor refuses it with the typed error, naming the first entry."""
+    with pytest.raises(NegativeDiagonalError, match="^negative kernel diagonal at 1: -0.5$"):
+        kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, -1.0, -3.0, -2.0, -1.0, -4.0, -5.0]))
+        if algo.endswith("-naive"):
+            naive_twin_report(algo.removesuffix("-naive"), kernel, 1, seed=1, epsilon=0.5)
+        else:
+            run_algorithm(algo, kernel, 1, seed=1, epsilon=0.5)
+
+
+def test_double_naive_refuses_a_negative_diagonal_as_singular():
+    """A negative diagonal is refused with the typed error, also when the matrix is
+    handed to ``naive_double_greedy`` bare; a kernel the shift lifts past that check
+    to a zero diagonal entry is still refused as singular under brute-force gains."""
+    kernel = np.diag([2.0, -0.5, 1.0])
+    with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at 1: -0.5"):
+        run_algorithm("double-naive", KernelOracle.from_dense_kernel(kernel), 3, seed=1)
+    with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at 1: -0.5"):
+        naive_double_greedy(kernel, DecisionStream(1))
+    with pytest.raises(SingularKernelError, match="singular under brute-force gains"):
+        run_algorithm("double-naive", KernelOracle.from_dense_kernel(kernel, shift=0.5), 3, seed=1)
+
+
+def test_double_fast_refuses_a_negative_diagonal_at_its_inverse_gate():
+    """The constructor refuses a negative diagonal before ``double-fast`` inverts the
+    kernel; a zero diagonal entry passes it and is refused by the Cholesky inverse."""
+    kernel = np.diag([2.0, -0.5, 1.0])
+    with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at 1: -0.5"):
+        run_algorithm("double-fast", KernelOracle.from_dense_kernel(kernel), 3, seed=1)
+    with pytest.raises(SingularKernelError, match="not positive definite"):
+        run_algorithm("double-fast", KernelOracle.from_dense_kernel(kernel, shift=0.5), 3, seed=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
