@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--input", required=True)
     p.add_argument("--input-kind", choices=("B", "L"), default="B")
-    p.add_argument("--k", type=_positive_int, default=None, help="cardinality bound (default: n)")
+    p.add_argument("--k", type=_positive_int, default=None,
+                   help="cardinality bound (default: n); the double greedies take none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--scale", type=float, default=None,
@@ -192,7 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.k is not None and args.algo.startswith("double"):
+        parser.error(f"argument --k: {args.algo} takes no k; a double greedy decides on all n items")
     return args.fn(args)
 
 

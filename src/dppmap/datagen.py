@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import SparseColumns
-from .stream import NORMAL_BLOCK, DecisionStream
+from .stream import DecisionStream
 
 RATING_RANGE = (0.0, 10.0)
 
@@ -29,28 +29,23 @@ class SyntheticSpec:
 
 
 def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
-    """A d-by-n feature matrix of i.i.d. standard normals.
+    """A d-by-n feature matrix of i.i.d. standard normals, stored item-major.
 
     Deterministic given the seed: item ``i``'s vector is values
     ``i*d .. i*d + d - 1`` of one ``stream.normals(n * d)`` draw on the
-    package-wide decision stream.  The draw is streamed in blocks of whole
-    items (an even number of them when d is odd, so every block starts on a
-    Box-Muller pair), each written straight into the C-contiguous output, so
-    generation holds one copy of the matrix plus one block.
+    package-wide decision stream.  The result is a transposed view of that
+    draw reshaped to n-by-d, so each item's vector is one contiguous row of
+    its buffer (the result's ``.T`` is C-contiguous), and generation holds
+    one copy of the matrix plus one block of Box-Muller temporaries.
+    ``KernelOracle.from_dense_features`` and ``SparseColumns.from_dense``
+    read it item by item without a transpose copy.
     """
     if spec.n < 1:
         raise ValueError("n must be positive")
     d = spec.n if spec.d is None else spec.d
     if d < 1:
         raise ValueError("d must be positive")
-    items = max(1, 2 * NORMAL_BLOCK // d)
-    if d % 2:
-        items = max(2, items - items % 2)
-    out = np.empty((d, spec.n))
-    blocks = DecisionStream(spec.seed).normal_blocks(spec.n * d, items * d // 2)
-    for first, values in zip(range(0, spec.n, items), blocks, strict=True):
-        out[:, first:first + items] = values.reshape(-1, d).T
-    return out
+    return DecisionStream(spec.seed).normals(spec.n * d).reshape(spec.n, d).T
 
 
 @dataclass

@@ -137,14 +137,19 @@ class SparseColumns:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseColumns":
-        """Drop zeros from a dense d-by-n matrix, one sparse column per item."""
+        """Drop zeros from a dense d-by-n matrix, one sparse column per item.
+
+        Each item is read as a row of ``dense.T``: one contiguous read when
+        ``dense`` is item-major (as ``gen_synthetic`` makes it), a strided
+        one otherwise.  The columns are the same for either layout.
+        """
         dense = np.asarray(dense, dtype=np.float64)
-        d, n = dense.shape
+        d, _ = dense.shape
         cols = cls(dim=d)
-        for j in range(n):
-            nz = np.nonzero(dense[:, j])[0]
+        for item in dense.T:
+            nz = np.flatnonzero(item)
             cols.indices.append(nz.astype(np.uint32))
-            cols.values.append(dense[nz, j].copy())
+            cols.values.append(item[nz])
         return cols
 
     def to_dense(self) -> np.ndarray:
@@ -304,7 +309,13 @@ class KernelOracle:
 
     @classmethod
     def from_dense_features(cls, features: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> "KernelOracle":
-        """Wrap a d-by-n feature matrix (one column per item)."""
+        """Wrap a d-by-n feature matrix (one column per item).
+
+        Lookups read items as contiguous rows of an n-by-d array.  Item-major
+        input (``features.T`` C-contiguous, as ``gen_synthetic`` makes it) is
+        that array already and is kept as a view, so the caller must not
+        mutate it afterwards; any other layout is copied once.
+        """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("feature matrix must be 2-D")

@@ -17,8 +17,10 @@ pair ``i`` takes u1 from word ``i`` and u2 from word ``p + i``, and yields
 ``r cos(theta)`` then ``r sin(theta)``.  The pairs are computed in blocks of
 at most ``NORMAL_BLOCK`` (:meth:`DecisionStream.normal_blocks`) by two
 cursors, one at the first u1 word and one ``p`` words on at the first u2
-word, so a large draw holds one block of temporaries, not several copies of
-its output.  Each value sees the same words and the same elementwise
+word, so a large draw holds its output and one block of temporaries, not
+several copies of its output.  ``normals`` fills its output in draw order,
+and ``datagen.gen_synthetic`` reshapes it without a copy, one contiguous row
+per item.  Each value sees the same words and the same elementwise
 ``log``/``sqrt``/``cos``/``sin`` at any block size, so blocking changes no bit.
 
 Word consumption per operation is part of the contract.  Integer draws are
@@ -38,10 +40,12 @@ _INV_2_53 = 2.0 ** -53
 _WORD_SPAN = 2 ** 64
 
 # Box-Muller pairs per block.  A block's temporaries stay small and in cache,
-# so a large draw never holds extra copies of its output.  Chosen by timing
-# gen_synthetic(n=1000, d=2000) with 2**12 .. 2**16 pairs per block (medians of
-# 7, three runs each): 96-104, 80-86, 78-94, 88-98 and 87-91 ms, against
-# 110 ms for the one-shot draw; 2**16 also raised peak RSS by 4.5 MB.
+# so a large draw never holds extra copies of its output.  Timed as
+# gen_synthetic(n=1000, d=2000), one normals(2 * 10**6) draw filled in
+# order, with 2**12, 2**13, 2**14 and 2**16 pairs per block (medians of 7,
+# three alternating runs each, shared 2-core host): 72-75, 70-72, 67-69 and
+# 67-70 ms.  Blocks past 2**13 save at most a few ms for more temporaries
+# (2**16 raised peak RSS by 4.5 MB).
 NORMAL_BLOCK = 2 ** 13
 
 

@@ -69,8 +69,9 @@ def test_run_all_algorithms_smoke(tmp_path):
     for algo in ("naive", "lazy", "fast", "lazyfast", "random", "stochastic",
                  "interlace", "double-naive", "double-fast"):
         out = tmp_path / f"{algo}.json"
+        k = [] if algo.startswith("double") else ["--k", "3"]
         rc = main(["run", "--algo", algo, "--input", str(b), "--input-kind", "B",
-                   "--k", "3", "--seed", "1", "--epsilon", "0.5", "--out", str(out)])
+                   *k, "--seed", "1", "--epsilon", "0.5", "--out", str(out)])
         assert rc == 0, algo
         report = RunReport.from_json(out.read_text())
         assert report.algo == algo
@@ -279,6 +280,28 @@ def test_run_rejects_a_non_positive_k(tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algo", ["double-fast", "double-naive"])
+def test_run_refuses_k_for_the_double_greedies(tmp_path, capsys, algo):
+    b, out = tmp_path / "b.dppm1", tmp_path / "r.json"
+    main(["gen", "--n", "10", "--d", "12", "--seed", "3", "--out", str(b)])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--algo", algo, "--input", str(b), "--k", "2", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"{algo} takes no k" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", "--algo", algo, "--input", str(b), "--seed", "1", "--out", str(out)]) == 0
+    report = RunReport.from_json(out.read_text())
+    assert (report.algo, report.n, report.k) == (algo, 10, 10)
+    assert main(["run", "--algo", "fast", "--input", str(b), "--k", "2", "--out", str(out)]) == 0
+    assert len(RunReport.from_json(out.read_text()).selection) == 2
+
+
+def test_run_help_says_the_double_greedies_take_no_k(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "the double greedies take none" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--k", "0,-2", "expected a positive integer"),
     ("--k", "3,0", "expected a positive integer"),
@@ -324,8 +347,8 @@ def test_bench_keeps_the_finished_cells_when_a_sweep_is_interrupted(tmp_path, mo
 
 
 def test_a_gen_file_is_the_header_and_the_one_shot_features(tmp_path):
-    """``gen`` writes the streamed matrix buffer unchanged: the header, then the
-    item-major one-shot Box-Muller draw transposed to d-by-n, byte for byte."""
+    """``gen`` writes the header, then the item-major one-shot Box-Muller draw
+    transposed to d-by-n in row-major order, byte for byte."""
     out = tmp_path / "g.dppm1"
     main(["gen", "--n", "33", "--d", "17", "--seed", "5", "--out", str(out)])
     want = one_shot_normals(DecisionStream(5), 33 * 17).reshape(33, 17).T.copy()

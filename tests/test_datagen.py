@@ -158,13 +158,13 @@ def one_shot_features(n, d, seed):
 
 @pytest.mark.parametrize("n, d", [
     (1, 1), (7, 1), (5, 7), (33, 17), (300, 300), (2000, 37),
-    (3, 2 * NORMAL_BLOCK),          # one item per block, d even
-    (3, 2 * NORMAL_BLOCK + 1),      # two items per block, d odd, n odd
-    (9, NORMAL_BLOCK - 1),          # blocks of two items straddling pairs
+    (3, 2 * NORMAL_BLOCK),          # one item per block of normals, d even
+    (3, 2 * NORMAL_BLOCK + 1),      # items straddle blocks, d odd, n odd
+    (9, NORMAL_BLOCK - 1),          # two items per block, odd d straddles pairs
     (40, 2 * NORMAL_BLOCK // 10),   # ten items per block, last block partial
 ])
 def test_streamed_generation_keeps_the_one_shot_bits(n, d):
     got = gen_synthetic(SyntheticSpec(n=n, d=d, seed=n + d))
     want = one_shot_features(n, d, n + d)
-    assert got.shape == (d, n) and got.flags.c_contiguous
+    assert got.shape == (d, n) and got.T.flags.c_contiguous  # item-major: one row per item
     assert got.tobytes() == want.tobytes()

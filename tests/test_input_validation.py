@@ -230,9 +230,10 @@ def _entry_points(inputs, adjustment, tmp_path):
             calls.append(("naive_double_greedy", partial(naive_double_greedy, data, DecisionStream(1))))
         path = tmp_path / f"{kind}.bin"
         _write_input(path, kind, data)
-        flags = ["--input", str(path), "--input-kind", "L" if kind == "L" else "B", "--k", "1",
+        flags = ["--input", str(path), "--input-kind", "L" if kind == "L" else "B",
                  "--epsilon", "0.5", *(f"--{name}={value}" for name, value in adjustment.items())]
-        calls += [(f"dppmap run --algo {algo} on {kind}", partial(main, ["run", "--algo", algo, *flags]))
+        calls += [(f"dppmap run --algo {algo} on {kind}",
+                   partial(main, ["run", "--algo", algo, *flags, *([] if algo.startswith("double") else ["--k", "1"])]))
                   for algo in ALGORITHMS]
     return calls
 

@@ -8,7 +8,10 @@ import pytest
 
 from dppmap import reference
 from dppmap.bench import build_synthetic_oracle
+from dppmap.datagen import SyntheticSpec, gen_synthetic
 from dppmap.kernel import B_BITS, L_DENSE, KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
+
+from test_matrixio import traced_peak
 
 
 def test_seq_dot_matches_left_fold():
@@ -588,3 +591,53 @@ def test_bitsets_need_all_ones_and_density_one_in_64(label, make, bits):
     assert (ora.kind == B_BITS) == bits, label
     assert not bits or not hasattr(ora, "_scratch")
     _assert_lookups_match(ora, dense)
+
+
+def _both_layouts(seed=20, d=9, n=7):
+    """The same d-by-n features stored item-major (as ``gen_synthetic`` makes them) and row-major."""
+    rng = np.random.default_rng(seed)
+    items = rng.standard_normal((n, d))
+    items[rng.random((n, d)) < 0.5] = 0.0
+    items[2] = 0.0  # an item with no stored value
+    item_major = items.T
+    return item_major, np.ascontiguousarray(item_major)
+
+
+def test_dense_features_keep_item_major_input_and_copy_row_major_input():
+    item_major, row_major = _both_layouts()
+    assert item_major.T.flags.c_contiguous and row_major.flags.c_contiguous
+    assert np.shares_memory(KernelOracle.from_dense_features(item_major)._feats, item_major)
+    assert not np.shares_memory(KernelOracle.from_dense_features(row_major)._feats, row_major)
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.9, 0.1)])
+def test_lookups_and_materialize_are_bitwise_equal_across_layouts(scale, shift):
+    a, b = (KernelOracle.from_dense_features(f, scale, shift) for f in _both_layouts())
+    everyone = np.arange(a.n)
+    for j in range(a.n):
+        assert [_bits(a.entry(i, j)) for i in everyone] == [_bits(b.entry(i, j)) for i in everyone]
+        assert a.column(j, everyone).tobytes() == b.column(j, everyone).tobytes()
+        assert a.column(j, slice(1, a.n)).tobytes() == b.column(j, slice(1, b.n)).tobytes()
+    assert a.materialize().tobytes() == b.materialize().tobytes()
+
+
+def test_sparse_columns_from_dense_are_the_same_for_either_layout():
+    item_major, row_major = _both_layouts()
+    a, b = SparseColumns.from_dense(item_major), SparseColumns.from_dense(row_major)
+    assert a.dim == b.dim == 9 and a.ncols == b.ncols == 7
+    assert a.indices[2].size == 0
+    for col in range(a.ncols):
+        assert a.indices[col].dtype == b.indices[col].dtype == np.uint32
+        assert a.indices[col].tobytes() == b.indices[col].tobytes()
+        assert a.values[col].tobytes() == b.values[col].tobytes()
+        assert not np.shares_memory(a.values[col], item_major)
+    assert a.to_dense().tobytes() == item_major.tobytes()
+
+
+def test_wrapping_generated_features_allocates_well_under_one_feature_matrix():
+    features = gen_synthetic(SyntheticSpec(n=200, d=300, seed=3))
+    _, peak = traced_peak(KernelOracle.from_dense_features, features)
+    assert peak <= features.nbytes / 4
+    # The guard bites: a row-major copy of the same features is copied again.
+    _, peak = traced_peak(KernelOracle.from_dense_features, np.ascontiguousarray(features))
+    assert peak >= features.nbytes

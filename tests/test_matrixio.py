@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import dppmap
 from dppmap import matrixio
+from dppmap.datagen import SyntheticSpec, gen_synthetic
 from dppmap.kernel import SparseColumns
 
 # Address-space cap for loads of hostile files: far above what the loader
@@ -97,6 +99,87 @@ def test_load_matrix_sniffs(tmp_path):
     write_dense_csv(csv_path, mat)
     kind, payload = matrixio.load_matrix(csv_path)
     assert kind == "dense" and np.array_equal(payload, mat)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("block", [1, 8 * 7 * 3, 1 << 20])  # one row; three rows of 11 x 7; every row
+@pytest.mark.parametrize("shape", [(11, 7), (1, 5), (5, 1), (0, 4), (4, 0)])
+def test_dense_bytes_are_the_same_for_either_layout(tmp_path, monkeypatch, block, shape):
+    monkeypatch.setattr(matrixio, "WRITE_BLOCK", block)
+    rows, cols = shape
+    item_major = np.arange(rows * cols, dtype=np.float64).reshape(cols, rows).T - 2.5
+    want = b"DPPM1" + struct.pack("<II", rows, cols) + item_major.astype("<f8").tobytes()
+    for label, matrix in (("item-major", item_major), ("C-order", np.ascontiguousarray(item_major))):
+        path = tmp_path / f"{label}.dppm1"
+        matrixio.write_dense(path, matrix)
+        assert path.read_bytes() == want, label
+        assert matrixio.read_dense(path).shape == shape
+
+
+def test_writing_item_major_features_copies_one_block_at_most(tmp_path):
+    features = gen_synthetic(SyntheticSpec(n=1000, d=500, seed=5))  # 4 MB, sixteen blocks
+    path = tmp_path / "f.dppm1"
+    _, peak = traced_peak(matrixio.write_dense, path, features)
+    assert peak <= matrixio.WRITE_BLOCK + (64 << 10) <= features.nbytes / 3
+    assert np.array_equal(matrixio.read_dense(path), features)
+
+
+def test_dense_reads_into_one_writable_array(tmp_path):
+    matrix = np.random.default_rng(6).standard_normal((500, 1000))
+    matrix[0, :3] = [-0.0, np.inf, np.nan]
+    path = tmp_path / "m.dppm1"
+    matrixio.write_dense(path, matrix)
+    back, peak = traced_peak(matrixio.read_dense, path)
+    assert back.dtype == np.float64 and back.flags.c_contiguous and back.flags.writeable
+    assert back.tobytes() == matrix.tobytes()
+    assert peak <= 1.1 * matrix.nbytes
+
+
+def per_column_dpps1(columns: SparseColumns) -> bytes:
+    """DPPS1 bytes laid out one column at a time: its count, then its packed records."""
+    out = [b"DPPS1", struct.pack("<II", columns.dim, columns.ncols)]
+    for idx, val in zip(columns.indices, columns.values):
+        out.append(struct.pack("<I", idx.size))
+        rec = np.empty(idx.size, dtype=[("i", "<u4"), ("v", "<f8")])
+        rec["i"] = idx
+        rec["v"] = val
+        out.append(rec.tobytes())
+    return b"".join(out)
+
+
+def _binarized(n, d, seed):
+    """The benchmark's 0/1 features: generated normals above 1.645, about 5% dense."""
+    return (gen_synthetic(SyntheticSpec(n=n, d=d, seed=seed)) > 1.645).astype(np.float64)
+
+
+@pytest.mark.parametrize("label, dense", [
+    ("no columns", lambda: np.zeros((3, 0))),
+    ("n = 1", lambda: np.array([[0.0], [-1.5], [2.0]])),
+    ("n = 1, empty", lambda: np.zeros((4, 1))),
+    ("empty columns first, inside and last", lambda: np.array([[0.0, 1.0, 0.0, 0.0, 3.0, 0.0],
+                                                               [0.0, 0.0, 0.0, -2.0, 0.5, 0.0]])),
+    ("all columns empty", lambda: np.zeros((5, 3))),
+    ("Gaussian", lambda: np.where(np.arange(40).reshape(8, 5) % 3 == 0, 0.0,
+                                  np.random.default_rng(7).standard_normal((8, 5)))),
+    ("random-sparse-run shape", lambda: _binarized(1000, 2000, 1)),
+])
+def test_sparse_bytes_match_a_per_column_writer(tmp_path, label, dense):
+    columns = SparseColumns.from_dense(dense())
+    path = tmp_path / "s.dpps1"
+    matrixio.write_sparse(path, columns)
+    assert path.read_bytes() == per_column_dpps1(columns), label
+    back = matrixio.read_sparse(path)
+    assert back.dim == columns.dim and back.ncols == columns.ncols
 
 
 def _dense_file(tmp_path):
