@@ -13,12 +13,6 @@ from .report import RunReport
 from .stream import DecisionStream
 from .variants import VariantConfig
 
-ALGORITHMS = (
-    "naive", "lazy", "fast", "lazyfast",
-    "random", "stochastic", "interlace",
-    "double-naive", "double-fast",
-)
-
 SOFT_SPEED_FACTOR = 1.2
 OBJECTIVE_REL_TOL = 1e-8  # check_objective's bound, relative to max(1, |reference|)
 
@@ -30,40 +24,57 @@ def resolve_adjustment(algo: str, scale: float | None, shift: float | None) -> t
     return (1.0 if scale is None else scale, 0.0 if shift is None else shift)
 
 
+def _greedy(solver):
+    def run(oracle, k, seed, epsilon, deadline):
+        report = solver(oracle, GreedyConfig(k=k), deadline=deadline)
+        report.seed = seed  # recorded, not read: the four greedies draw nothing
+        return report
+    return run
+
+
+def _drawn(solver):
+    return lambda oracle, k, seed, epsilon, deadline: solver(
+        oracle, VariantConfig(k=k, epsilon=epsilon), DecisionStream(seed), deadline=deadline)
+
+
+def _undrawn(solver):
+    return lambda oracle, k, seed, epsilon, deadline: solver(
+        oracle, VariantConfig(k=k, epsilon=epsilon), deadline=deadline)
+
+
+def _double(solver):
+    return lambda oracle, k, seed, epsilon, deadline: solver(oracle, DecisionStream(seed), deadline=deadline)
+
+
+# name -> fn(oracle, k, seed, epsilon, deadline) -> RunReport, for every solver.
+# The double greedies ignore k: they decide on all n items.
+SOLVERS = {
+    "naive": _greedy(naive_greedy),
+    "lazy": _greedy(lazy_greedy),
+    "fast": _greedy(fast_greedy),
+    "lazyfast": _greedy(lazy_fast_greedy),
+    "random": _drawn(variants.random_greedy_lf),
+    "stochastic": _drawn(variants.stochastic_greedy_lf),
+    "interlace": _undrawn(variants.interlace_greedy_lf),
+    "double-naive": _double(doublegreedy.naive_double_greedy),
+    "double-fast": _double(doublegreedy.fast_double_greedy),
+    "random-naive": _drawn(naive_variants.naive_random_greedy),
+    "stochastic-naive": _drawn(naive_variants.naive_stochastic_greedy),
+    "interlace-naive": _undrawn(naive_variants.naive_interlace_greedy),
+}
+TWINS = ("random-naive", "stochastic-naive", "interlace-naive")  # differential references, not run choices
+ALGORITHMS = tuple(name for name in SOLVERS if name not in TWINS)
+
+
 def run_algorithm(algo: str, oracle: KernelOracle, k: int, seed: int = 0,
                   epsilon: float | None = None, deadline: float | None = None) -> RunReport:
-    """Run one solver on an oracle and return its report.
+    """Run the solver named ``algo`` (any :data:`SOLVERS` name) on an oracle and return its report.
 
     The oracle must already carry the desired scale/shift adjustment.
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
-    if algo in ("naive", "lazy", "fast", "lazyfast"):
-        cfg = GreedyConfig(k=k)
-        fn = {"naive": naive_greedy, "lazy": lazy_greedy,
-              "fast": fast_greedy, "lazyfast": lazy_fast_greedy}[algo]
-        report = fn(oracle, cfg, deadline=deadline)
-        report.seed = seed
-        return report
-    if algo in ("random", "stochastic", "interlace"):
-        cfg = VariantConfig(k=k, epsilon=epsilon)
-        if algo == "random":
-            return variants.random_greedy_lf(oracle, cfg, DecisionStream(seed), deadline=deadline)
-        if algo == "stochastic":
-            return variants.stochastic_greedy_lf(oracle, cfg, DecisionStream(seed), deadline=deadline)
-        return variants.interlace_greedy_lf(oracle, cfg, deadline=deadline)
-    if algo == "double-fast":
-        return doublegreedy.fast_double_greedy(oracle, DecisionStream(seed), deadline=deadline)
-    # double-naive: the brute force takes the materialized kernel
-    evals0, t0 = oracle.eval_count, time.perf_counter()
-    matrix = oracle.materialize()
-    product_ms = (time.perf_counter() - t0) * 1000.0
-    report = doublegreedy.naive_double_greedy(matrix, DecisionStream(seed), deadline=deadline)
-    report.d, report.input_kind = oracle.d, oracle.input_kind
-    report.kernel_evals = oracle.eval_count - evals0
-    report.timings.update(product_ms=product_ms, setup_ms=product_ms,
-                          total_ms=product_ms + report.timings["total_ms"])
-    return report
+    if algo not in SOLVERS:
+        raise ValueError(f"unknown algorithm {algo!r}; choose from {tuple(SOLVERS)}")
+    return SOLVERS[algo](oracle, k, seed, epsilon, deadline)
 
 
 def check_objective(oracle: KernelOracle, report: RunReport) -> float:
@@ -76,19 +87,6 @@ def check_objective(oracle: KernelOracle, report: RunReport) -> float:
             f"reference {expected!r}")
     report.extras["objective_check_abs_err"] = err
     return err
-
-
-def naive_twin_report(algo: str, oracle: KernelOracle, k: int, seed: int,
-                      epsilon: float | None = None) -> RunReport:
-    """The brute-force twin for a variant, on the coupled randomness."""
-    cfg = VariantConfig(k=k, epsilon=epsilon)
-    if algo == "random":
-        return naive_variants.naive_random_greedy(oracle, cfg, DecisionStream(seed))
-    if algo == "stochastic":
-        return naive_variants.naive_stochastic_greedy(oracle, cfg, DecisionStream(seed))
-    if algo == "interlace":
-        return naive_variants.naive_interlace_greedy(oracle, cfg)
-    raise ValueError(f"no naive twin for {algo!r}")
 
 
 def build_synthetic_oracle(n: int, d: int | None, seed: int, input_kind: str,

@@ -152,6 +152,11 @@ class SparseColumns:
             cols.values.append(item[nz])
         return cols
 
+    @property
+    def width(self) -> int:
+        """The largest stored index plus one (0 with nothing stored), which ``dim`` may far exceed."""
+        return max((int(idx[-1]) + 1 for idx in self.indices if idx.size), default=0)
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.ncols))
         for j, (idx, val) in enumerate(zip(self.indices, self.values)):
@@ -300,8 +305,7 @@ class KernelOracle:
                 self.kind = B_BITS
             else:
                 self._sparse_idx = [idx.astype(np.intp) for idx in sparse.indices]
-                width = max((int(idx[-1]) + 1 for idx in self._sparse_idx if idx.size), default=0)
-                self._scratch = _Scratch(width)
+                self._scratch = _Scratch(sparse.width)
                 self._dot = _int_dot if _sums_exactly(sparse.values) else seq_dot
         self.eval_count = 0
 
@@ -464,8 +468,9 @@ class KernelOracle:
             raw = self._matrix.copy()
         elif self.kind == B_DENSE:
             raw = self._feats @ self._feats.T
-        else:
-            dense = self._sparse.to_dense()
+        else:  # rows past the stored width are zero, so only the width is densified
+            cols = self._sparse
+            dense = SparseColumns(cols.width, cols.indices, cols.values).to_dense()
             raw = dense.T @ dense
         raw *= self.scale  # raw is a fresh array on every path
         if self.shift:

@@ -17,23 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from . import matrixio, reference
-from .bench import build_synthetic_oracle, naive_twin_report, run_algorithm, soft_speed_warnings
+from .bench import build_synthetic_oracle, run_algorithm, soft_speed_warnings
 from .cholesky import WINDOW, CholeskyState
 from .datagen import RatingsSpec, SyntheticSpec, gen_synthetic, ingest_ratings
-from .doublegreedy import fast_double_greedy, jacobi_gain_check, naive_double_greedy
-from .greedy import GreedyConfig, fast_greedy, lazy_fast_greedy, lazy_greedy, naive_greedy
+from .doublegreedy import jacobi_gain_check
 from .kernel import KernelOracle, SparseColumns
-from .naive_variants import naive_interlace_greedy
 from .pqueue import LazyMaxQueue
-from .stream import DecisionStream
 from .variants import (
-    VariantConfig,
     greedy_band,
     interlace_band,
-    interlace_greedy_lf,
     random_greedy_band,
-    random_greedy_lf,
-    stochastic_greedy_lf,
     stochastic_sample_size,
     stochastic_upper_bound,
     sweep_total,
@@ -304,7 +297,7 @@ def check_objective_reconstruction(instances: int = 10, seed0: int = 160) -> Che
         n = 16
         oracle = build_synthetic_oracle(n, n, seed0 + t, "B")
         matrix = oracle.materialize()
-        report = lazy_fast_greedy(oracle, GreedyConfig(k=6))
+        report = run_algorithm("lazyfast", oracle, 6)
         for m in range(1, len(report.selection) + 1):
             want = reference.log_det(matrix, report.selection[:m])
             got = report.objective_trace[m - 1]
@@ -326,9 +319,7 @@ def check_four_way(instances: int = 100, seed0: int = 1000) -> CheckResult:
         k = int(rng.integers(1, 11))
         k = min(k, n)
         oracle = build_synthetic_oracle(n, n, seed0 + t, "B")
-        cfg = GreedyConfig(k=k)
-        reports = [naive_greedy(oracle, cfg), lazy_greedy(oracle, cfg),
-                   fast_greedy(oracle, cfg), lazy_fast_greedy(oracle, cfg)]
+        reports = [run_algorithm(algo, oracle, k) for algo in ("naive", "lazy", "fast", "lazyfast")]
         selections = [r.selection for r in reports]
         if any(s != selections[0] for s in selections[1:]):
             return CheckResult("four-way-equivalence", False,
@@ -368,25 +359,17 @@ def check_termination() -> CheckResult:
     """Identity kernels stop every algorithm at the empty set; 2I fills k."""
     for n, k in ((6, 3), (12, 3)):
         oracle = KernelOracle.from_dense_kernel(np.eye(n))
-        cfg = GreedyConfig(k=k)
-        for fn in (naive_greedy, lazy_greedy, fast_greedy, lazy_fast_greedy):
-            rep = fn(oracle, cfg)
+        vk = max(1, n // 4)  # satisfies every variant's n >= c*k precondition
+        runs = [(algo, k) for algo in ("naive", "lazy", "fast", "lazyfast")]
+        runs += [(algo, vk) for algo in ("random", "stochastic", "interlace", "interlace-naive")]
+        for algo, algo_k in runs:
+            rep = run_algorithm(algo, oracle, algo_k, seed=3, epsilon=0.5)
             if rep.selection != []:
                 return CheckResult("termination-semantics", False,
-                                   f"{rep.algo} selected {rep.selection} on the identity")
-        vk = max(1, n // 4)  # satisfies every variant's n >= c*k precondition
-        vcfg = VariantConfig(k=vk, epsilon=0.5)
-        if random_greedy_lf(oracle, vcfg, DecisionStream(3)).selection != []:
-            return CheckResult("termination-semantics", False, "random greedy selected on identity")
-        if stochastic_greedy_lf(oracle, vcfg, DecisionStream(3)).selection != []:
-            return CheckResult("termination-semantics", False, "stochastic greedy selected on identity")
-        if interlace_greedy_lf(oracle, vcfg).selection != []:
-            return CheckResult("termination-semantics", False, "interlace greedy selected on identity")
-        if naive_interlace_greedy(oracle, vcfg).selection != []:
-            return CheckResult("termination-semantics", False, "naive interlace selected on identity")
+                                   f"{algo} selected {rep.selection} on the identity")
     for n, k in ((8, 3), (10, 5)):
         oracle = KernelOracle.from_dense_kernel(2.0 * np.eye(n))
-        rep = lazy_fast_greedy(oracle, GreedyConfig(k=k))
+        rep = run_algorithm("lazyfast", oracle, k)
         if rep.selection != list(range(k)):
             return CheckResult("termination-semantics", False,
                                f"2I selection {rep.selection} != {list(range(k))}")
@@ -410,7 +393,7 @@ def check_monotone_bound(instances: int = 50, seed0: int = 2000) -> CheckResult:
         # unit-shifted Gram kernel: smallest eigenvalue >= 1, hence monotone
         oracle = build_synthetic_oracle(n, n, seed0 + t, "L", scale=1.0, shift=1.0)
         matrix = oracle.materialize()
-        rep = lazy_fast_greedy(oracle, GreedyConfig(k=k))
+        rep = run_algorithm("lazyfast", oracle, k)
         _, best = reference.exhaustive_map(matrix, k)
         if rep.final_objective < factor * best - 1e-9:
             return CheckResult("monotone-approx-bound", False,
@@ -435,9 +418,8 @@ def check_variant_coupling(instances: int = 50, seed0: int = 3000) -> CheckResul
         oracle = build_synthetic_oracle(n, d, seed0 + t, "B")
         seed = seed0 + 7 * t
 
-        cfg = VariantConfig(k=k)
-        fast_rep = random_greedy_lf(oracle, cfg, DecisionStream(seed))
-        naive_rep = naive_twin_report("random", oracle, k, seed)
+        fast_rep = run_algorithm("random", oracle, k, seed=seed)
+        naive_rep = run_algorithm("random-naive", oracle, k, seed=seed)
         if fast_rep.selection != naive_rep.selection:
             return CheckResult("variant-coupling", False,
                                f"instance {t}: random greedy diverged: "
@@ -454,9 +436,8 @@ def check_variant_coupling(instances: int = 50, seed0: int = 3000) -> CheckResul
                                f"instance {t}: random count {fast_rep.offdiag_count} outside [{lo},{hi}]")
 
         eps = float(rng.uniform(0.05, 0.9))
-        cfg = VariantConfig(k=k, epsilon=eps)
-        fast_rep = stochastic_greedy_lf(oracle, cfg, DecisionStream(seed))
-        naive_rep = naive_twin_report("stochastic", oracle, k, seed, epsilon=eps)
+        fast_rep = run_algorithm("stochastic", oracle, k, seed=seed, epsilon=eps)
+        naive_rep = run_algorithm("stochastic-naive", oracle, k, seed=seed, epsilon=eps)
         if fast_rep.selection != naive_rep.selection:
             return CheckResult("variant-coupling", False,
                                f"instance {t}: stochastic greedy diverged (eps={eps}): "
@@ -468,9 +449,8 @@ def check_variant_coupling(instances: int = 50, seed0: int = 3000) -> CheckResul
                                f"instance {t}: stochastic count {fast_rep.offdiag_count} "
                                f"outside [{triangle(len(fast_rep.selection))},{hi}]")
 
-        cfg = VariantConfig(k=k)
-        fast_rep = interlace_greedy_lf(oracle, cfg)
-        naive_rep = naive_twin_report("interlace", oracle, k, seed)
+        fast_rep = run_algorithm("interlace", oracle, k, seed=seed)
+        naive_rep = run_algorithm("interlace-naive", oracle, k, seed=seed)
         if fast_rep.selection != naive_rep.selection:
             return CheckResult("variant-coupling", False,
                                f"instance {t}: interlace greedy diverged: "
@@ -505,8 +485,8 @@ def check_double(instances: int = 50, seed0: int = 4000) -> CheckResult:
         d = n + int(rng.integers(0, 8))
         oracle = build_synthetic_oracle(n, d, seed0 + t, "B", scale=0.9, shift=0.1)
         seed = seed0 + 13 * t
-        fast_rep = fast_double_greedy(oracle, DecisionStream(seed))
-        naive_rep = naive_double_greedy(oracle.materialize(), DecisionStream(seed))
+        fast_rep = run_algorithm("double-fast", oracle, n, seed=seed)
+        naive_rep = run_algorithm("double-naive", oracle, n, seed=seed)
         if fast_rep.selection != naive_rep.selection:
             return CheckResult("double-coupling", False,
                                f"instance {t}: selections diverged: "
@@ -546,7 +526,7 @@ def check_double_half_expectation(n: int = 10, seed0: int = 6000, runs: int = 20
     oracle = build_synthetic_oracle(n, n, seed0, "B", scale=0.9, shift=0.1)
     matrix = oracle.materialize()
     _, best = reference.exhaustive_map(matrix, None)
-    values = [fast_double_greedy(oracle, DecisionStream(seed0 + r)).final_objective
+    values = [run_algorithm("double-fast", oracle, n, seed=seed0 + r).final_objective
               for r in range(runs)]
     mean = float(np.mean(values))
     sem = float(np.std(values, ddof=1) / math.sqrt(runs))

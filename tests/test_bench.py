@@ -3,7 +3,7 @@ import time
 import pytest
 
 from dppmap.bench import (
-    ALGORITHMS,
+    SOLVERS,
     bench_cells,
     build_synthetic_oracle,
     check_objective,
@@ -11,10 +11,7 @@ from dppmap.bench import (
     run_algorithm,
     soft_speed_warnings,
 )
-from dppmap.naive_variants import naive_interlace_greedy, naive_random_greedy, naive_stochastic_greedy
 from dppmap.report import RunReport
-from dppmap.stream import DecisionStream
-from dppmap.variants import VariantConfig
 
 
 def test_resolve_adjustment_defaults():
@@ -26,7 +23,7 @@ def test_resolve_adjustment_defaults():
 
 
 def test_run_algorithm_dispatch_smoke():
-    for algo in ALGORITHMS:
+    for algo in SOLVERS:
         scale, shift = resolve_adjustment(algo, None, None)
         oracle = build_synthetic_oracle(13, 13, 1, "B", scale, shift)
         report = run_algorithm(algo, oracle, k=3, seed=2, epsilon=0.5)
@@ -35,24 +32,11 @@ def test_run_algorithm_dispatch_smoke():
         run_algorithm("bogus", oracle, 2)
 
 
-NAIVE_TWINS = {
-    "random-naive": lambda oracle, cfg, deadline: naive_random_greedy(
-        oracle, cfg, DecisionStream(cfg.seed), deadline=deadline),
-    "stochastic-naive": lambda oracle, cfg, deadline: naive_stochastic_greedy(
-        oracle, cfg, DecisionStream(cfg.seed), deadline=deadline),
-    "interlace-naive": lambda oracle, cfg, deadline: naive_interlace_greedy(oracle, cfg, deadline=deadline),
-}
-
-
-@pytest.mark.parametrize("algo", ALGORITHMS + tuple(NAIVE_TWINS))
+@pytest.mark.parametrize("algo", SOLVERS)
 def test_deadline_already_passed_times_out(algo):
     scale, shift = resolve_adjustment(algo, None, None)
     oracle = build_synthetic_oracle(30, 30, 1, "B", scale, shift)
-    deadline = time.perf_counter() - 1.0
-    if algo in NAIVE_TWINS:
-        report = NAIVE_TWINS[algo](oracle, VariantConfig(k=5, epsilon=0.5), deadline)
-    else:
-        report = run_algorithm(algo, oracle, 5, seed=1, epsilon=0.5, deadline=deadline)
+    report = run_algorithm(algo, oracle, 5, seed=1, epsilon=0.5, deadline=time.perf_counter() - 1.0)
     assert report.timed_out
     assert report.selection == []
     # interlace reports k attempted steps however its runs end

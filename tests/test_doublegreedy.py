@@ -76,7 +76,7 @@ def test_coupled_naive_fast_identical():
         oracle = build_synthetic_oracle(n, n + 2, 40 + t, "B", scale=0.9, shift=0.1)
         seed = 1000 + t
         rep_f = fast_double_greedy(oracle, DecisionStream(seed))
-        rep_n = naive_double_greedy(oracle.materialize(), DecisionStream(seed))
+        rep_n = naive_double_greedy(oracle, DecisionStream(seed))
         assert rep_f.selection == rep_n.selection, f"t={t}"
         for (fa, fb), (na, nb) in zip(rep_f.extras["ab_gains"], rep_n.extras["ab_gains"]):
             assert fa == pytest.approx(na, rel=1e-8, abs=1e-8)
@@ -96,7 +96,7 @@ def test_scale_shift_defaults_applied():
     """The run uses the adjustment the oracle was built with."""
     oracle = build_synthetic_oracle(6, 6, 5, "B", scale=0.9, shift=0.1)
     rep = fast_double_greedy(oracle, DecisionStream(1))
-    twin = naive_double_greedy(oracle.materialize(), DecisionStream(1))
+    twin = naive_double_greedy(oracle, DecisionStream(1))
     assert rep.selection == twin.selection
     assert rep.final_objective == pytest.approx(twin.final_objective, rel=1e-10)
     assert rep.algo == "double-fast"

@@ -15,9 +15,9 @@ import pytest
 
 import dppmap
 from dppmap import matrixio
-from dppmap.bench import ALGORITHMS, naive_twin_report, run_algorithm
+from dppmap.bench import ALGORITHMS, SOLVERS, run_algorithm
 from dppmap.cli import main
-from dppmap.doublegreedy import naive_double_greedy
+from dppmap.doublegreedy import fast_double_greedy, naive_double_greedy
 from dppmap.errors import (AsymmetricKernelError, NegativeDiagonalError, NonFiniteInputError, NonPositiveKError,
                            SingularKernelError)
 from dppmap.greedy import GreedyConfig
@@ -41,23 +41,19 @@ def test_non_finite_input_error_is_a_value_error():
     assert issubclass(NonFiniteInputError, ValueError)
 
 
-@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("algo", SOLVERS)
 def test_every_solver_raises_the_same_error_on_nan_features(algo):
     with pytest.raises(NonFiniteInputError, match="feature matrix contains NaN or infinite values"):
         run_algorithm(algo, KernelOracle.from_dense_features(_nan_features()), 4, seed=1)
 
 
-@pytest.mark.parametrize("algo", ["fast", "lazyfast", "random", "stochastic", "interlace",
-                                  "naive", "lazy", "random-naive", "stochastic-naive", "interlace-naive"])
+@pytest.mark.parametrize("algo", SOLVERS)
 def test_factor_based_solvers_raise_the_typed_negative_diagonal_error(algo):
     """No solver or twin is handed a kernel with a negative diagonal: the
     constructor refuses it with the typed error, naming the first entry."""
     with pytest.raises(NegativeDiagonalError, match="^negative kernel diagonal at 1: -0.5$"):
         kernel = KernelOracle.from_dense_kernel(np.diag([2.0, -0.5, -1.0, -3.0, -2.0, -1.0, -4.0, -5.0]))
-        if algo.endswith("-naive"):
-            naive_twin_report(algo.removesuffix("-naive"), kernel, 1, seed=1, epsilon=0.5)
-        else:
-            run_algorithm(algo, kernel, 1, seed=1, epsilon=0.5)
+        run_algorithm(algo, kernel, 1, seed=1, epsilon=0.5)
 
 
 def test_double_naive_refuses_a_negative_diagonal_as_singular():
@@ -164,12 +160,11 @@ def test_non_positive_k_fails_fast_in_both_solver_families(k):
         with pytest.raises(NonPositiveKError, match=f"k must be at least 1, got {k}"):
             config(k=k)
     oracle = KernelOracle.from_dense_features(np.random.default_rng(0).standard_normal((5, 8)))
-    for algo in ("naive", "lazy", "fast", "lazyfast", "random", "stochastic", "interlace"):
+    for algo in SOLVERS:
+        if algo.startswith("double"):  # the double greedies take no k
+            continue
         with pytest.raises(NonPositiveKError):
             run_algorithm(algo, oracle, k, epsilon=0.5)
-    for algo in ("random", "stochastic", "interlace"):
-        with pytest.raises(NonPositiveKError):
-            naive_twin_report(algo, oracle, k, 0, epsilon=0.5)
     assert oracle.eval_count == 0
 
 
@@ -276,7 +271,7 @@ def test_stochastic_and_its_twin_refuse_a_negative_diagonal_it_never_samples():
     with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at 37: -1.0"):
         run_algorithm("stochastic", KernelOracle.from_dense_kernel(kernel), 2, seed=1, epsilon=0.9)
     with pytest.raises(NegativeDiagonalError, match="negative kernel diagonal at 37: -1.0"):
-        naive_twin_report("stochastic", KernelOracle.from_dense_kernel(kernel), 2, 1, epsilon=0.9)
+        run_algorithm("stochastic-naive", KernelOracle.from_dense_kernel(kernel), 2, seed=1, epsilon=0.9)
 
 
 def test_the_first_negative_adjusted_diagonal_is_named():
@@ -303,3 +298,20 @@ def test_only_the_kernel_module_raises_kernel_validity_errors():
                 if name in names:
                     raisers.add(path.name)
     assert raisers == {"kernel.py"}
+
+
+def test_a_nan_inverse_gate_is_refused_as_singular(tmp_path):
+    """On ``K = diag(1, 1e-320)`` the inverse holds ``inf`` and ``K @ Kinv`` a ``0 * inf = nan``.
+    A gate that let NaN through made ``double-fast`` select [0] with remove gains [0, inf]
+    and ``dppmap run`` write ``Infinity``, while the naive twin raised."""
+    kernel = np.diag([1.0, 1e-320])
+    path = tmp_path / "k.bin"
+    matrixio.write_dense(path, kernel)
+    calls = [partial(fast_double_greedy, KernelOracle.from_dense_kernel(kernel), DecisionStream(1)),
+             partial(run_algorithm, "double-fast", KernelOracle.from_dense_kernel(kernel), 2, seed=1),
+             partial(main, ["run", "--algo", "double-fast", "--input", str(path), "--input-kind", "L",
+                            "--scale", "1", "--shift", "0"]),
+             partial(naive_double_greedy, kernel, DecisionStream(1))]
+    for call in calls:
+        with pytest.raises(SingularKernelError):
+            call()

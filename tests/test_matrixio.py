@@ -271,18 +271,20 @@ def test_hostile_headers_raise_before_any_oversized_read(tmp_path, raw, message)
     assert message in out["message"] and str(path) in out["message"]
 
 
-def test_a_huge_sparse_dimension_runs_within_the_cap(tmp_path):
+@pytest.mark.parametrize("argv", [["--algo", "random"], ["--algo", "naive"], ["--algo", "random", "--check"]],
+                         ids=["random", "naive", "random-check"])
+def test_a_huge_sparse_dimension_runs_within_the_cap(tmp_path, argv):
     """A 61-byte DPPS1 file may claim d = 2**32 - 1 over three one-entry columns.
 
-    Sparse lookups size their scratch vector from the largest stored index,
-    so ``dppmap run`` fits under the cap and reports the header's ``d``.
+    Sparse lookups size their scratch vector, and ``materialize`` its dense
+    copy of the features (``naive``, ``--check``), from the largest stored
+    index, so ``dppmap run`` fits under the cap and reports the header's ``d``.
     """
     path = tmp_path / "wide.bin"
     columns = b"".join(struct.pack("<IId", 1, index, value) for index, value in ((0, 2.0), (7, 3.0), (7, 1.5)))
     path.write_bytes(b"DPPS1" + struct.pack("<II", 0xFFFFFFFF, 3) + columns)
     assert path.stat().st_size == 61
-    proc = run_capped(f"from dppmap import cli; cli.main(['run', '--algo', 'random', '--k', '1', "
-                      f"'--input', {str(path)!r}])")
+    proc = run_capped(f"from dppmap import cli; cli.main(['run', *{argv!r}, '--k', '1', '--input', {str(path)!r}])")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["d"] == 0xFFFFFFFF and report["n"] == 3 and len(report["selection"]) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dppmap import reference
-from dppmap.bench import build_synthetic_oracle, naive_twin_report
+from dppmap.bench import build_synthetic_oracle, run_algorithm
 from dppmap.greedy import GreedyConfig, lazy_fast_greedy
 from dppmap.kernel import KernelOracle
 from dppmap.naive_variants import naive_stochastic_greedy
@@ -86,7 +86,7 @@ def test_random_coupling_and_drop_safety():
         oracle = build_synthetic_oracle(n, n, 700 + t, "B")
         seed = 31 * t
         rep = random_greedy_lf(oracle, VariantConfig(k=k), DecisionStream(seed))
-        twin = naive_twin_report("random", oracle, k, seed)
+        twin = run_algorithm("random-naive", oracle, k, seed=seed)
         assert rep.selection == twin.selection
         assert rep.extras["rank_draws"] == twin.extras["rank_draws"]
         assert not set(rep.extras["dropped"]) & set(twin.selection)
@@ -112,7 +112,7 @@ def test_stochastic_coupling():
         eps = 0.3 + 0.1 * (t % 5)
         cfg = VariantConfig(k=k, epsilon=eps)
         rep = stochastic_greedy_lf(oracle, cfg, DecisionStream(seed))
-        twin = naive_twin_report("stochastic", oracle, k, seed, epsilon=eps)
+        twin = run_algorithm("stochastic-naive", oracle, k, seed=seed, epsilon=eps)
         assert rep.selection == twin.selection, f"t={t}"
 
 
@@ -175,7 +175,7 @@ def test_interlace_coupling():
         n = 4 * k + 2 + t % 5
         oracle = build_synthetic_oracle(n, n, 200 + t, "B")
         rep = interlace_greedy_lf(oracle, VariantConfig(k=k))
-        twin = naive_twin_report("interlace", oracle, k, 0)
+        twin = run_algorithm("interlace-naive", oracle, k)
         assert rep.selection == twin.selection, f"t={t}"
         assert rep.extras["sequences"] == twin.extras["sequences"], f"t={t}"
 
@@ -209,13 +209,7 @@ def test_rank_deficient_kernels_stay_coupled():
         oracle = build_synthetic_oracle(16, 3, 50 + t, "B")  # rank <= 3
         seed = 99 + t
         for algo, eps in (("random", None), ("stochastic", 0.4), ("interlace", None)):
-            cfg = VariantConfig(k=4, epsilon=eps)
-            if algo == "random":
-                rep = random_greedy_lf(oracle, cfg, DecisionStream(seed))
-            elif algo == "stochastic":
-                rep = stochastic_greedy_lf(oracle, cfg, DecisionStream(seed))
-            else:
-                rep = interlace_greedy_lf(oracle, cfg)
-            twin = naive_twin_report(algo, oracle, 4, seed, epsilon=eps)
+            rep = run_algorithm(algo, oracle, 4, seed=seed, epsilon=eps)
+            twin = run_algorithm(f"{algo}-naive", oracle, 4, seed=seed, epsilon=eps)
             assert rep.selection == twin.selection, (t, algo)
             assert len(rep.selection) <= 3, (t, algo)
