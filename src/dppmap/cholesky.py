@@ -52,15 +52,13 @@ since the mark, item ``lo - 1``, is the in-order case.  Only rows
 
 That schedule takes a cheaper path through a per-state dot cache over a
 window of ``WINDOW`` candidate items ``a..a+WINDOW-1``: ``_dots[c, r - a]``
-holds, for every row ``r >= a``, the left fold from ``+0.0`` of
-``F[r, s] * F[a + c, s]`` over the first ``_dots_cols`` columns in ascending
-order, which is the sum :func:`seq_dot` returns, bit for bit.  A commit of
-item ``j`` reads its column's dots from the cache, then folds the new column
-into the whole cache rows of the candidates after ``j`` with one contiguous
-outer-product add.  The column is zero-filled on the rows ``a..j``; their
-cache entries are dead, since a later prefetch only reads rows after the
-item it follows, and every entry that is read gets the same multiply and
-add as a fold over the live rows alone.  The cache is rebuilt from the
+holds, for every row ``r`` after the newest commit, the left fold from
+``+0.0`` of ``F[r, s] * F[a + c, s]`` over the first ``_dots_cols`` columns
+in ascending order, which is the sum :func:`seq_dot` returns, bit for bit.
+A commit of item ``j`` reads its column's dots from the cache, then folds
+the new column into the cache rows of the candidates after ``j``, over the
+rows after ``j``, with one outer-product add.  Entries of rows up to ``j``
+go stale, and no later prefetch reads them.  The cache is rebuilt from the
 factor, one add per committed column in ascending order, when the committed
 item leaves the window or the cache has folded fewer columns than the factor
 holds.  Every other schedule takes the generic column sweep.
@@ -257,10 +255,9 @@ class CholeskyState:
             self._rebuild_dots(j, t)
         a, dots = self._dots_at, self._dots
         c = lo - a  # the candidates after j, and the rows from lo on
-        full = np.zeros(self.n - a)  # column t of rows a..n-1, +0.0 on the dead rows a..j
-        full[c:] = self._write_column(t, slice(lo, self.n), dots[j - a, c:])
+        col = self._write_column(t, slice(lo, self.n), dots[j - a, c:])
         self._ready[lo:] = t + 1
-        dots[c:] += full[c:len(dots), None] * full
+        dots[c:, c:] += col[:len(dots) - c, None] * col
         self._dots_cols, self._dots_lo = t + 1, lo
         self._mark_lo, self._mark_cols = lo, t + 1
 

@@ -228,6 +228,18 @@ def require_finite(array: np.ndarray, what: str) -> None:
         raise NonFiniteInputError(f"{what} contains NaN or infinite values")
 
 
+def _require_finite_diagonal(diag: np.ndarray) -> None:
+    """Refuse an adjusted kernel diagonal with a non-finite entry, naming the first.
+
+    By Cauchy-Schwarz, ``|K[i, j]| <= sqrt(K[i, i] * K[j, j])``, so a finite
+    diagonal bounds every entry of the kernel.
+    """
+    bad = np.flatnonzero(~np.isfinite(diag))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteInputError(f"kernel diagonal at {i} is not finite: {float(diag[i])}")
+
+
 class _Scratch(threading.local):
     """A length-``dim`` vector per thread, allocated as the oracle is built
     and on another thread's first lookup.
@@ -256,12 +268,16 @@ class KernelOracle:
     The ``from_*`` classmethods are the checked way in and the only place a
     kernel is judged valid; solvers check nothing.  Past the checks every
     constructor makes (a finite, nonnegative ``scale`` and ``shift``, at
-    least one item), they refuse non-finite input, and ``from_dense_kernel``
-    an asymmetric matrix or a negative adjusted diagonal.  A feature
-    kernel's adjusted diagonal ``scale * sum(f**2) + shift`` cannot be
-    negative.  The bare constructor trusts its caller with the rest: it is
-    for data already checked, such as a DPPS1 file ``read_sparse`` validated,
-    or the kernel and inverse fast double greedy derives from a checked oracle.
+    least one item), they refuse non-finite input, an adjusted diagonal
+    ``scale * K[i, i] + shift`` that overflows (which bounds every entry),
+    and ``from_dense_kernel`` an asymmetric matrix or a negative adjusted
+    diagonal.  A feature kernel's adjusted diagonal ``scale * sum(f**2) +
+    shift`` cannot be negative.  The bare constructor trusts its caller with
+    the rest: it is for data already checked, such as a DPPS1 file
+    ``read_sparse`` validated, or the kernel and inverse fast double greedy
+    derives from a checked oracle.  It does check a sparse kernel's diagonal,
+    which ``read_sparse`` cannot, knowing no ``scale``; a bitset kernel's
+    diagonal is summed only when its bound ``scale * d + shift`` overflows.
 
     Sparse features are summed one of three ways, chosen at construction
     (see the module docstring): 0/1 features dense enough for bitsets take
@@ -303,10 +319,15 @@ class KernelOracle:
             self._bits = _bitsets(sparse)
             if self._bits is not None:
                 self.kind = B_BITS
+                if not np.isfinite(self.scale * self.d + self.shift):  # a popcount is at most d
+                    raw = np.fromiter((b.bit_count() for b in self._bits), np.float64, self.n)
+                    _require_finite_diagonal(self.scale * raw + self.shift)
             else:
                 self._sparse_idx = [idx.astype(np.intp) for idx in sparse.indices]
                 self._scratch = _Scratch(sparse.width)
                 self._dot = _int_dot if _sums_exactly(sparse.values) else seq_dot
+                raw = np.fromiter((self._dot(v, v) for v in sparse.values), np.float64, self.n)
+                _require_finite_diagonal(self.scale * raw + self.shift)
         self.eval_count = 0
 
     # -- constructors ------------------------------------------------------
@@ -326,7 +347,9 @@ class KernelOracle:
         require_finite(features, "feature matrix")
         d, n = features.shape
         feats = np.ascontiguousarray(features.T)
-        return cls(B_DENSE, n, d, scale, shift, feats=feats)
+        oracle = cls(B_DENSE, n, d, scale, shift, feats=feats)
+        _require_finite_diagonal(oracle.scale * np.einsum("ij,ij->i", feats, feats) + oracle.shift)
+        return oracle
 
     @classmethod
     def from_sparse_features(cls, columns: SparseColumns, scale: float = 1.0, shift: float = 0.0) -> "KernelOracle":
@@ -340,8 +363,8 @@ class KernelOracle:
         Past the checks every constructor makes, the matrix must be bitwise
         equal to its transpose (:class:`AsymmetricKernelError`), and every
         adjusted diagonal entry ``scale * K[i, i] + shift``, the value
-        ``entry(i, i)`` returns, must be nonnegative
-        (:class:`NegativeDiagonalError`, naming the first).
+        ``entry(i, i)`` returns, must be finite (:class:`NonFiniteInputError`)
+        and nonnegative (:class:`NegativeDiagonalError`), each naming the first.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -355,6 +378,7 @@ class KernelOracle:
             i, j = np.argwhere(asymmetric)[0]
             raise AsymmetricKernelError(f"kernel (L) input is not bitwise symmetric at K[{i}, {j}]")
         diag = oracle.scale * np.diagonal(matrix) + oracle.shift
+        _require_finite_diagonal(diag)
         negative = np.flatnonzero(diag < 0)
         if negative.size:
             i = int(negative[0])

@@ -23,7 +23,7 @@ from dppmap.errors import (AsymmetricKernelError, NegativeDiagonalError, NonFini
 from dppmap.greedy import GreedyConfig
 from dppmap.stream import DecisionStream
 from dppmap.variants import VariantConfig
-from dppmap.kernel import KernelOracle, SparseColumns
+from dppmap.kernel import B_BITS, KernelOracle, SparseColumns
 
 
 def _nan_features():
@@ -177,6 +177,8 @@ def _with(array, index, value):
 _FEATURES = np.random.default_rng(0).standard_normal((10, 8))  # d = 10 > n = 8: the kernel is positive definite
 _KERNEL = _FEATURES.T @ _FEATURES
 _VALID = {"B": _FEATURES, "S": SparseColumns.from_dense(_FEATURES), "L": _KERNEL}
+_BINARY = SparseColumns.from_dense((_FEATURES > 0).astype(np.float64))  # dense enough for bitsets
+_ONE_HOT = SparseColumns.from_dense(np.eye(10)[:, :8])  # just dense enough for bitsets
 
 # fault -> (error, message pattern, input by kind: B dense features / S sparse features / L kernel, scale and shift)
 FAULTS = {
@@ -194,6 +196,11 @@ FAULTS = {
                           {"L": _with(_KERNEL, (1, 2), 0.5)}, {}),
     "negative-diagonal": (NegativeDiagonalError, "negative kernel diagonal at 3: -",
                           {"L": _with(_KERNEL, (3, 3), -1.0)}, {}),
+    "overflowing-diagonal": (NonFiniteInputError, r"^kernel diagonal at \d+ is not finite: inf$",
+                             {"B": _FEATURES * 1e160, "S": SparseColumns.from_dense(_FEATURES * 1e160),
+                              "L": _with(_KERNEL, (3, 3), 1e308)}, {"scale": 2.0}),
+    "overflowing-bitset-diagonal": (NonFiniteInputError, r"^kernel diagonal at \d+ is not finite: inf$",
+                                    {"S": _BINARY}, {"scale": 1e308}),
     "no-items": (ValueError, "a kernel needs at least one item",
                  {"B": np.zeros((10, 0)), "S": SparseColumns(dim=10), "L": np.zeros((0, 0))}, {}),
 }
@@ -213,14 +220,21 @@ def _write_input(path, kind, data):
     path.write_bytes(raw.replace(marker.astype("<f8").tobytes(), np.float64(np.nan).astype("<f8").tobytes()))
 
 
+def _solve(algo, build):
+    return run_algorithm(algo, build(), 1, seed=1, epsilon=0.5)
+
+
 def _entry_points(inputs, adjustment, tmp_path):
-    """(label, call) for every way in to a solver: the constructor of each input, ``naive_double_greedy``
-    on a bare kernel, and ``dppmap run`` of every algorithm on each input's file."""
+    """(label, call) for every way in to a solver: the constructor of each input, every
+    :data:`SOLVERS` name on the oracle it builds, ``naive_double_greedy`` on a bare kernel,
+    and ``dppmap run`` of every algorithm on each input's file."""
     build = {"B": KernelOracle.from_dense_features, "S": KernelOracle.from_sparse_features,
              "L": KernelOracle.from_dense_kernel}
     calls = []
     for kind, data in inputs.items():
-        calls.append((build[kind].__name__, partial(build[kind], data, **adjustment)))
+        oracle = partial(build[kind], data, **adjustment)
+        calls.append((build[kind].__name__, oracle))
+        calls += [(f"run_algorithm {algo} on {kind}", partial(_solve, algo, oracle)) for algo in SOLVERS]
         if kind == "L" and not adjustment:
             calls.append(("naive_double_greedy", partial(naive_double_greedy, data, DecisionStream(1))))
         path = tmp_path / f"{kind}.bin"
@@ -251,6 +265,17 @@ def test_the_valid_table_input_passes_every_entry_point(tmp_path, capsys):
     for label, call in _entry_points(_VALID, {}, tmp_path):
         call()
     assert capsys.readouterr().out.count('"selection"') == len(_VALID) * len(ALGORITHMS)
+
+
+def test_bitsets_under_an_overflowing_bound_pass_every_entry_point(tmp_path, capsys):
+    """The bitset bound ``scale * d + shift`` overflows here, but no popcount times the scale does."""
+    for label, call in _entry_points({"S": _ONE_HOT}, {"scale": 1e308}, tmp_path):
+        call()
+    assert capsys.readouterr().out.count('"selection"') == len(ALGORITHMS)
+
+
+def test_the_binary_table_inputs_are_bitsets():
+    assert KernelOracle.from_sparse_features(_BINARY).kind == KernelOracle.from_sparse_features(_ONE_HOT).kind == B_BITS
 
 
 @pytest.mark.parametrize("k", [0, -2])

@@ -1,10 +1,17 @@
+import importlib.machinery
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dppmap
 from dppmap import reference
-from dppmap.errors import EnumerationLimitError, SingularKernelError
+from dppmap.errors import EnumerationLimitError, NonFiniteInputError, SingularKernelError
 
 L22 = np.array([[4.0, 2.0], [2.0, 4.0]])
 
@@ -46,6 +53,16 @@ def test_log_det_rejects_asymmetry():
     bad = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         reference.log_det(bad, [0, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_log_det_refuses_a_non_finite_submatrix(bad):
+    """A NaN made the symmetry test ``max|sub - sub.T| > 1e-10`` read False and pass."""
+    mat = np.eye(3)
+    mat[1, 1] = bad
+    with pytest.raises(NonFiniteInputError, match="submatrix contains NaN or infinite values"):
+        reference.log_det(mat, [0, 1])
+    assert reference.log_det(mat, [0, 2]) == 0.0  # only the extracted submatrix is read
 
 
 def test_log_det_agrees_with_cofactor_expansion():
@@ -105,8 +122,90 @@ def test_inverse_random_conditioning():
 
 
 def test_inverse_rejects_indefinite():
-    with pytest.raises(SingularKernelError):
+    with pytest.raises(SingularKernelError) as err:
         reference.inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert str(err.value) == ("matrix is not positive definite: "
+                              "2-th leading minor of the array is not positive definite")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inverse_rejects_non_finite_entries(bad):
+    mat = np.eye(3)
+    mat[0, 2] = mat[2, 0] = bad
+    with pytest.raises(NonFiniteInputError, match="matrix contains NaN or infinite values"):
+        reference.inverse(mat)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 2)])
+def test_inverse_rejects_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        reference.inverse(np.ones(shape))
+
+
+def test_inverse_of_an_empty_matrix_is_empty():
+    assert reference.inverse(np.zeros((0, 0))).shape == (0, 0)
+
+
+class _IllegalArgument:
+    """LAPACK wrappers that report an illegal argument (``info < 0``), which valid calls never do."""
+
+    def __init__(self, potrf_info, potrs_info):
+        self.potrf_info, self.potrs_info = potrf_info, potrs_info
+
+    def dpotrf(self, a, lower, clean):
+        return a, self.potrf_info
+
+    def dpotrs(self, c, b, lower):
+        return b, self.potrs_info
+
+
+def test_inverse_raises_on_an_illegal_lapack_argument(monkeypatch):
+    monkeypatch.setattr(reference, "_lapack", lambda: _IllegalArgument(-2, 0))
+    with pytest.raises(ValueError, match=r'illegal value in 2-th argument on entry to "POTRF"'):
+        reference.inverse(np.eye(2))
+    monkeypatch.setattr(reference, "_lapack", lambda: _IllegalArgument(0, -3))
+    with pytest.raises(ValueError, match="illegal value in 3th argument of internal potrs"):
+        reference.inverse(np.eye(2))
+
+
+def test_lapack_falls_back_to_scipy_linalg_without_the_extension_file(monkeypatch):
+    """Where no ``_flapack`` file is found, the wrappers come from ``scipy.linalg.lapack``."""
+    lean = reference._lapack()
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
+    fallback = reference._lapack.__wrapped__()
+    assert fallback.__name__ == "scipy.linalg.lapack"
+    assert fallback.dpotrf is lean.dpotrf and fallback.dpotrs is lean.dpotrs
+
+
+LEAN_INVERSE = """
+import json, sys
+import numpy as np
+from dppmap import reference
+
+rng = np.random.default_rng(11)
+kernels = []
+for n in (1, 2, 5, 17, 64, 150):
+    root = rng.standard_normal((n + 2, n))
+    kernels += [root.T @ root, 0.9 * (root.T @ root) + 0.1 * np.eye(n)]
+kernels.append(np.diag([2.0, 3.0, 5.0]))
+inverses = [reference.inverse(k) for k in kernels]
+lean = "scipy.linalg" not in sys.modules
+from scipy.linalg import cho_factor, cho_solve
+same = [inv.tobytes() == cho_solve(cho_factor(k, lower=True), np.eye(len(k))).tobytes()
+        for k, inv in zip(kernels, inverses)]
+print(json.dumps({"lean": lean, "same": same}))
+"""
+
+
+def test_inverse_is_bitwise_scipys_cho_factor_and_cho_solve(tmp_path):
+    """The lean inverse, computed before ``scipy.linalg`` is imported, has the bits of
+    scipy's public ``cho_solve(cho_factor(K, lower=True), I)`` on every kernel."""
+    src = str(Path(dppmap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LEAN_INVERSE], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"lean": True, "same": [True] * 13}
 
 
 def test_exhaustive_dominates_greedy():
