@@ -15,6 +15,7 @@ from .variants import VariantConfig
 
 SOFT_SPEED_FACTOR = 1.2
 OBJECTIVE_REL_TOL = 1e-8  # check_objective's bound, relative to max(1, |reference|)
+EPSILON = 0.5  # stochastic greedy's epsilon when the caller names none; no other solver reads it
 
 
 def resolve_adjustment(algo: str, scale: float | None, shift: float | None) -> tuple[float, float]:
@@ -99,7 +100,7 @@ def build_synthetic_oracle(n: int, d: int | None, seed: int, input_kind: str,
     return KernelOracle.from_dense_kernel(bora.materialize())
 
 
-def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=0.5,
+def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=EPSILON,
                 input_kind="B", scale=None, shift=None, timeout_s=None) -> Iterator[RunReport]:
     """Sweep a (n x k x seed x algo) grid of synthetic instances, serially, yielding one report per cell.
 

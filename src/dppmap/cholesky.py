@@ -146,11 +146,9 @@ class CholeskyState:
         already computed are adopted as they are, with no conversion to
         Python floats; the rest are computed by the scalar loop of the module
         docstring, one :meth:`KernelOracle.entry` per column.  Each adopted
-        column bumps the off-diagonal counter exactly once.  A
-        :class:`SingularPivotError` part-way leaves the row's pivot, stamp
-        and readiness and the counter as they were; the columns it wrote are
-        past the row's readiness, so nothing reads them before they are
-        computed again.
+        column bumps the off-diagonal counter exactly once.  Every
+        denominator is a pivot :meth:`commit` accepted, so none is judged
+        here.
         """
         if self.in_selection[i]:
             raise ValueError(f"row {i} is already committed")
@@ -166,12 +164,9 @@ class CholeskyState:
                 self._mark_lo = self.n  # the loop below moves a row the mark vouches for
             row = self.factor[i]
             vals = row[:ready].tolist() if ready < SHORT_FOLD else None
-            entry, prefixes = self.oracle.entry, self._prefixes
+            entry, prefixes, frozen = self.oracle.entry, self._prefixes, self.selected_pivots
             for t in range(ready, m):
                 jt = self.selection[t]
-                denom = self.selected_pivots[t]
-                if denom < PIVOT_FLOOR:
-                    raise SingularPivotError(f"numerically singular pivot {denom} at column {t}")
                 if t < SHORT_FOLD:
                     crow = prefixes[t]
                     if crow is None:
@@ -181,7 +176,7 @@ class CholeskyState:
                         acc += a * b
                 else:
                     acc = seq_dot(row[:t], self.factor[jt, :t])
-                val = (entry(i, jt) - acc) / denom
+                val = (entry(i, jt) - acc) / frozen[t]
                 row[t] = val
                 if t < SHORT_FOLD:
                     vals.append(val)
@@ -271,10 +266,7 @@ class CholeskyState:
 
     def _write_column(self, t: int, rows, dots: np.ndarray) -> np.ndarray:
         """Set column ``t`` of ``rows`` (an index array or a range) and shrink their pivots."""
-        denom = self.selected_pivots[t]
-        if denom < PIVOT_FLOOR:
-            raise SingularPivotError(f"numerically singular pivot {denom} at column {t}")
-        vals = (self.oracle.column(self.selection[t], rows) - dots) / denom
+        vals = (self.oracle.column(self.selection[t], rows) - dots) / self.selected_pivots[t]
         self.factor[rows, t] = vals
         piv = self.pivots[rows]
         self.pivots[rows] = np.sqrt(np.maximum(piv * piv - vals * vals, 0.0))

@@ -16,10 +16,10 @@ import time
 
 from . import bench as benchmod
 from . import matrixio, verify
-from .bench import ALGORITHMS, resolve_adjustment, run_algorithm
+from .bench import ALGORITHMS, EPSILON, resolve_adjustment, run_algorithm
 from .datagen import (RatingsSpec, SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic,
                       ingest_ratings, write_idmap)
-from .kernel import B_SPARSE, KernelOracle
+from .kernel import KernelOracle
 
 
 def _parse_list(text: str, item, what: str) -> list:
@@ -63,7 +63,7 @@ def load_oracle(path: str, input_kind: str, scale: float, shift: float) -> Kerne
     if kind == "dense":
         return KernelOracle.from_dense_features(payload, scale, shift)
     # read_sparse has validated the columns; from_sparse_features would check them again.
-    return KernelOracle(B_SPARSE, payload.ncols, payload.dim, scale, shift, sparse=payload)
+    return KernelOracle(scale, shift, sparse=payload)
 
 
 def cmd_gen(args) -> int:
@@ -77,7 +77,7 @@ def cmd_ingest(args) -> int:
     spec = RatingsSpec(path=args.input, threshold=args.threshold,
                        drop_empty=not args.keep_empty)
     if args.format == "netflix":
-        cols, idmap = binarize_ratings(convert_netflix([args.input]), spec)
+        cols, idmap = binarize_ratings(convert_netflix(args.input), spec)
     else:
         cols, idmap = ingest_ratings(spec)
     matrixio.write_sparse(args.out, cols)
@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=None,
                    help="cardinality bound (default: n); the double greedies take none")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=float, default=EPSILON,
+                   help=f"stochastic greedy's epsilon (default {EPSILON}); no other algorithm reads it")
     p.add_argument("--scale", type=float, default=None,
                    help="kernel scale (default 1.0; 0.9 for double greedy)")
     p.add_argument("--shift", type=float, default=None,
@@ -178,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None, help="feature dimension (default: n)")
     p.add_argument("--k", type=_parse_k_list, required=True, help="comma-separated cardinality bounds")
     p.add_argument("--seed", type=_parse_int_list, default=[1], help="comma-separated seeds (default: 1)")
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=float, default=EPSILON,
+                   help=f"stochastic greedy's epsilon (default {EPSILON})")
     p.add_argument("--input-kind", choices=("B", "L"), default="B")
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--shift", type=float, default=None)

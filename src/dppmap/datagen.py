@@ -55,17 +55,24 @@ class RatingsSpec:
     drop_empty: bool = True
 
 
-def _warn_out_of_range(rating: float, where: str) -> None:
+def _parse_rating(raw: str, where: str) -> float:
+    """The rating field at ``where`` (``path:line``) as a float; warns when it is out of range."""
+    try:
+        rating = float(raw)
+    except ValueError:
+        raise ValueError(f"{where}: bad rating {raw!r}") from None
     if not (RATING_RANGE[0] <= rating <= RATING_RANGE[1]):
         warnings.warn(f"{where}: rating {rating} outside {RATING_RANGE}")
+    return rating
 
 
 def _parse_triples(path):
     """Yield (user, item, rating) from a ``user,item,rating`` CSV.
 
-    A header is auto-detected by a non-numeric rating field on the first row.
-    Extra columns (timestamps etc.) are ignored.
+    A header is auto-detected by a non-numeric rating field on the first
+    non-blank row.  Extra columns (timestamps etc.) are ignored.
     """
+    first = True
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
@@ -75,13 +82,13 @@ def _parse_triples(path):
             if len(parts) < 3:
                 raise ValueError(f"{path}:{ln}: expected >= 3 fields, got {len(parts)}")
             user, item, raw = parts[:3]
+            header, first = first, False
             try:
-                rating = float(raw)
+                rating = _parse_rating(raw, f"{path}:{ln}")
             except ValueError:
-                if ln == 1:
+                if header:
                     continue  # header row: non-numeric rating field
-                raise ValueError(f"{path}:{ln}: bad rating {raw!r}") from None
-            _warn_out_of_range(rating, f"{path}:{ln}")
+                raise
             yield user, item, rating
 
 
@@ -140,33 +147,27 @@ def write_idmap(path, idmap: dict) -> None:
         fh.write("\n")
 
 
-def convert_netflix(paths) -> list[tuple[str, str, float]]:
-    """Flatten the per-movie rating file format into triples.
+def convert_netflix(path) -> list[tuple[str, str, float]]:
+    """Flatten one per-movie rating file into triples.
 
     Lines of the form ``<movie_id>:`` open a movie block; subsequent lines
     are ``user,rating,date``.  Fields are stripped of surrounding blanks, as
     in a triple CSV.
     """
     triples = []
-    for path in paths:
-        movie = None
-        with open(path) as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.endswith(":"):
-                    movie = line[:-1].strip()
-                    continue
-                if movie is None:
-                    raise ValueError(f"{path}:{ln}: rating line before any movie header")
-                parts = [p.strip() for p in line.split(",")]
-                if len(parts) < 2:
-                    raise ValueError(f"{path}:{ln}: expected user,rating[,date]")
-                try:
-                    rating = float(parts[1])
-                except ValueError:
-                    raise ValueError(f"{path}:{ln}: bad rating {parts[1]!r}") from None
-                _warn_out_of_range(rating, f"{path}:{ln}")
-                triples.append((parts[0], movie, rating))
+    movie = None
+    with open(path) as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.endswith(":"):
+                movie = line[:-1].strip()
+                continue
+            if movie is None:
+                raise ValueError(f"{path}:{ln}: rating line before any movie header")
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{ln}: expected user,rating[,date]")
+            triples.append((parts[0], movie, _parse_rating(parts[1], f"{path}:{ln}")))
     return triples

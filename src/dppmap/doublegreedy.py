@@ -19,7 +19,7 @@ import numpy as np
 from . import reference
 from .cholesky import CholeskyState
 from .errors import SelectionDriftError, SingularKernelError, SingularPivotError
-from .kernel import L_DENSE, KernelOracle
+from .kernel import KernelOracle
 from .report import RunReport, SolverRun
 from .stream import DecisionStream
 
@@ -94,8 +94,8 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
 
     # Trusted constructor: both come from an already checked oracle, and
     # from_dense_kernel would refuse the inverse, which is not bitwise symmetric.
-    grow = CholeskyState(KernelOracle(L_DENSE, n, 0, matrix=matrix), n)
-    shrink = CholeskyState(KernelOracle(L_DENSE, n, 0, matrix=np.ascontiguousarray(inv)), n)
+    grow = CholeskyState(KernelOracle(matrix=matrix), n)
+    shrink = CholeskyState(KernelOracle(matrix=np.ascontiguousarray(inv)), n)
     ab_gains: list[tuple[float, float]] = []
     try:
         for step in run.steps(n, deadline):

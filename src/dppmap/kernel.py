@@ -272,8 +272,11 @@ class KernelOracle:
     ``scale * K[i, i] + shift`` that overflows (which bounds every entry),
     and ``from_dense_kernel`` an asymmetric matrix or a negative adjusted
     diagonal.  A feature kernel's adjusted diagonal ``scale * sum(f**2) +
-    shift`` cannot be negative.  The bare constructor trusts its caller with
-    the rest: it is for data already checked, such as a DPPS1 file
+    shift`` cannot be negative.  The bare constructor,
+    ``KernelOracle(scale, shift, feats= | sparse= | matrix=)``, takes one
+    payload (item-major n-by-d features, :class:`SparseColumns` or an n-by-n
+    matrix) and reads the kind, ``n`` and ``d`` off it.  It trusts its caller
+    with the rest: it is for data already checked, such as a DPPS1 file
     ``read_sparse`` validated, or the kernel and inverse fast double greedy
     derives from a checked oracle.  It does check a sparse kernel's diagonal,
     which ``read_sparse`` cannot, knowing no ``scale``; a bitset kernel's
@@ -298,13 +301,19 @@ class KernelOracle:
     concurrent readers may undercount.
     """
 
-    def __init__(self, kind, n, d, scale=1.0, shift=0.0, feats=None, sparse=None, matrix=None):
+    def __init__(self, scale=1.0, shift=0.0, *, feats=None, sparse=None, matrix=None):
         if not (np.isfinite(scale) and np.isfinite(shift)):
             raise NonFiniteInputError(f"kernel scale {scale!r} and shift {shift!r} must be finite")
         if shift < 0:
             raise ValueError("shift must be nonnegative")
         if scale < 0:
             raise ValueError("scale must be nonnegative")
+        if feats is not None:
+            kind, (n, d) = B_DENSE, feats.shape
+        elif sparse is not None:
+            kind, n, d = B_SPARSE, sparse.ncols, sparse.dim
+        else:
+            kind, n, d = L_DENSE, matrix.shape[0], 0
         if n < 1:
             raise ValueError("a kernel needs at least one item")
         self.kind = kind
@@ -345,16 +354,15 @@ class KernelOracle:
         if features.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
         require_finite(features, "feature matrix")
-        d, n = features.shape
         feats = np.ascontiguousarray(features.T)
-        oracle = cls(B_DENSE, n, d, scale, shift, feats=feats)
+        oracle = cls(scale, shift, feats=feats)
         _require_finite_diagonal(oracle.scale * np.einsum("ij,ij->i", feats, feats) + oracle.shift)
         return oracle
 
     @classmethod
     def from_sparse_features(cls, columns: SparseColumns, scale: float = 1.0, shift: float = 0.0) -> "KernelOracle":
         columns.validate()
-        return cls(B_SPARSE, columns.ncols, columns.dim, scale, shift, sparse=columns)
+        return cls(scale, shift, sparse=columns)
 
     @classmethod
     def from_dense_kernel(cls, matrix: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> "KernelOracle":
@@ -371,7 +379,7 @@ class KernelOracle:
             raise ValueError("kernel matrix must be square")
         require_finite(matrix, "kernel matrix")
         matrix = np.ascontiguousarray(matrix)
-        oracle = cls(L_DENSE, matrix.shape[0], 0, scale, shift, matrix=matrix)
+        oracle = cls(scale, shift, matrix=matrix)
         bits = matrix.view(np.uint64)
         asymmetric = bits != bits.T
         if asymmetric.any():

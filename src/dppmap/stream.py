@@ -14,14 +14,15 @@ byte-identical decision sequences:
 
 ``normals(m)`` draws ``p = ceil(m / 2)`` pairs from the next ``2p`` words:
 pair ``i`` takes u1 from word ``i`` and u2 from word ``p + i``, and yields
-``r cos(theta)`` then ``r sin(theta)``.  The pairs are computed in blocks of
-at most ``NORMAL_BLOCK`` (:meth:`DecisionStream.normal_blocks`) by two
-cursors, one at the first u1 word and one ``p`` words on at the first u2
-word, so a large draw holds its output and one block of temporaries, not
-several copies of its output.  ``normals`` fills its output in draw order,
-and ``datagen.gen_synthetic`` reshapes it without a copy, one contiguous row
-per item.  Each value sees the same words and the same elementwise
-``log``/``sqrt``/``cos``/``sin`` at any block size, so blocking changes no bit.
+``r cos(theta)`` then ``r sin(theta)``.  ``normals`` computes the pairs in
+blocks of at most ``NORMAL_BLOCK`` by two cursors, one at the first u1 word
+and one ``p`` words on at the first u2 word, and copies each block into its
+output in draw order, so a large draw holds its output and one block of
+temporaries, not several copies of its output.
+``datagen.gen_synthetic`` reshapes that output without a copy, one
+contiguous row per item.  Each value sees the same words and the same
+elementwise ``log``/``sqrt``/``cos``/``sin`` at any block size, so blocking
+changes no bit.
 
 Word consumption per operation is part of the contract.  Integer draws are
 exactly reproducible everywhere; the Box-Muller floats additionally depend on
@@ -32,7 +33,6 @@ not formally specified.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -100,42 +100,29 @@ class DecisionStream:
         cursor.advance(ahead)
         return cursor
 
-    def normal_blocks(self, count: int, block: int = NORMAL_BLOCK) -> Iterator[np.ndarray]:
-        """``count`` standard normals as consecutive arrays of ``2 * block`` values.
+    def normals(self, count: int) -> np.ndarray:
+        """``count`` i.i.d. standard normals via Box-Muller.
 
-        The last array is shorter when the pairs run out, and drops the final
-        sine when ``count`` is odd.  The stream moves past all ``2 * pairs``
-        words at once, when this is called, so what follows it does not depend
-        on how far the blocks are read.
+        Each pair consumes two words: u1 is nudged into (0, 1) by the +0.5
+        offset so the log never sees zero.  The output is filled in blocks
+        of at most ``NORMAL_BLOCK`` pairs, read by two cursors ``pairs``
+        words apart (see the module docstring).
         """
         pairs = (count + 1) // 2
         u1_bits, u2_bits = self._cursor(0), self._cursor(pairs)
         self._bits.advance(2 * pairs)
         self.words_drawn += 2 * pairs
-        return _box_muller(u1_bits, u2_bits, pairs, count, block)
-
-    def normals(self, count: int) -> np.ndarray:
-        """``count`` i.i.d. standard normals via Box-Muller.
-
-        Each pair consumes two words: u1 is nudged into (0, 1) by the +0.5
-        offset so the log never sees zero.
-        """
         out = np.empty(count)
-        start = 0
-        for values in self.normal_blocks(count):
-            out[start:start + values.size] = values
-            start += values.size
+        for first in range(0, pairs, NORMAL_BLOCK):
+            m = min(NORMAL_BLOCK, pairs - first)
+            u1 = ((u1_bits.random_raw(m) >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+            u2 = (u2_bits.random_raw(m) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+            radius = np.sqrt(-2.0 * np.log(u1))
+            angle = 2.0 * math.pi * u2
+            # A fresh block copied into place, not a strided write straight into out:
+            # that measured about 12 MB more peak RSS on the random-sparse-run benchmark.
+            values = np.empty(2 * m)
+            values[0::2] = radius * np.cos(angle)
+            values[1::2] = radius * np.sin(angle)
+            out[2 * first:2 * (first + m)] = values[:count - 2 * first]  # an odd count drops the last sine
         return out
-
-
-def _box_muller(u1_bits, u2_bits, pairs: int, count: int, block: int) -> Iterator[np.ndarray]:
-    for first in range(0, pairs, block):
-        m = min(block, pairs - first)
-        u1 = ((u1_bits.random_raw(m) >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-        u2 = (u2_bits.random_raw(m) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        values = np.empty(2 * m)
-        values[0::2] = radius * np.cos(angle)
-        values[1::2] = radius * np.sin(angle)
-        yield values[:count - 2 * first]

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dppmap
 from dppmap import reference
 from dppmap.doublegreedy import fast_double_greedy
 from dppmap.cholesky import SHORT_FOLD, WINDOW, CholeskyState
@@ -476,19 +479,22 @@ def test_catch_ups_across_the_short_fold_length_are_bitwise_seq_dot(tiny):
         assert np.float64(state.pivots[i]).tobytes() == np.float64(piv).tobytes(), i
 
 
-def test_a_singular_pivot_part_way_through_a_catch_up_changes_nothing():
-    rng = np.random.default_rng(2)
-    root = rng.standard_normal((8, 8))
-    state = _state(root.T @ root + np.eye(8), 4)
-    for j in (2, 5, 7):
-        state.update_row(j)
-        state.commit(j)
-    state.update_row(0)
-    before = (state.pivots.copy(), state.stamps.copy(), state._ready.copy(), state.offdiag_count)
-    state.selected_pivots[2] = 0.0  # the third column of a catch-up from column 0 fails
-    with pytest.raises(SingularPivotError, match="at column 2"):
-        state.update_row(4)
-    after = (state.pivots, state.stamps, state._ready, state.offdiag_count)
-    for was, now in zip(before, after):
-        assert np.array_equal(was, now)
-    assert state.oracle.eval_count == 8 + 2 * 3 + 2  # diagonals, the three refreshes, two columns of row 4
+def test_only_commit_judges_a_pivot():
+    """A pivot is judged once, when its item is committed; after that it is only a denominator."""
+    raisers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name == "SingularPivotError":
+                    raisers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in Path(dppmap.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
+    assert raisers == {"cholesky.CholeskyState.commit"}

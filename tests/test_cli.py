@@ -77,6 +77,19 @@ def test_run_all_algorithms_smoke(tmp_path):
         assert report.algo == algo
 
 
+def test_run_stochastic_without_epsilon_takes_the_bench_default(tmp_path):
+    b = tmp_path / "b.dppm1"
+    main(["gen", "--n", "13", "--seed", "4", "--out", str(b)])
+    reports = []
+    for name, flags in (("default.json", []), ("explicit.json", ["--epsilon", "0.5"])):
+        out = tmp_path / name
+        assert main(["run", "--algo", "stochastic", "--input", str(b), "--k", "3", "--seed", "1",
+                     *flags, "--out", str(out)]) == 0
+        reports.append(RunReport.from_json(out.read_text()).to_json(include_timings=False))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["epsilon"] == 0.5
+
+
 def test_run_l_input(tmp_path):
     feats = np.random.default_rng(0).standard_normal((8, 8))
     l_path = tmp_path / "l.dppm1"

@@ -79,6 +79,15 @@ def test_ingest_header_autodetected(tmp_path):
     assert idmap["items"] == {"9": 0}
 
 
+def test_a_header_after_blank_lines_is_still_the_header(tmp_path):
+    path = _write(tmp_path, "\nuser,item,rating\nu1,m1,5\n")
+    cols, idmap = ingest_ratings(RatingsSpec(path=path, threshold=4))
+    assert idmap["items"] == {"m1": 0} and idmap["users"] == {"u1": 0}
+    path = _write(tmp_path, "\n \nuser,item,rating\nuser,item,rating\n")  # only the first row may be one
+    with pytest.raises(ValueError, match=r"r\.csv:4: bad rating 'rating'"):
+        ingest_ratings(RatingsSpec(path=path))
+
+
 def test_ingest_malformed_line_reports_number(tmp_path):
     path = _write(tmp_path, "1,2,5\n1,2\n")
     with pytest.raises(ValueError, match=":2"):
@@ -94,7 +103,7 @@ def test_ingest_out_of_range_warns(tmp_path):
         ingest_ratings(RatingsSpec(path=path))
     path = _write(tmp_path, "2:\n1,5,2005-01-01\n3:\n1,42,2005-01-02\n", name="mv.txt")
     with pytest.warns(UserWarning, match="mv.txt:4: rating 42.0 outside"):
-        convert_netflix([path])
+        convert_netflix(path)
 
 
 def test_ingest_first_appearance_order(tmp_path):
@@ -135,19 +144,19 @@ def test_every_surviving_column_and_row_nonempty(tmp_path):
 def test_netflix_adapter(tmp_path):
     path = tmp_path / "mv.txt"
     path.write_text("12:\n101,5,2005-01-01\n102,3,2005-01-02\n34:\n101,4,2005-02-01\n")
-    triples = convert_netflix([path])
+    triples = convert_netflix(path)
     assert triples == [("101", "12", 5.0), ("102", "12", 3.0), ("101", "34", 4.0)]
     bad = tmp_path / "bad.txt"
     bad.write_text("101,5,2005-01-01\n")
     with pytest.raises(ValueError, match="before any movie"):
-        convert_netflix([bad])
+        convert_netflix(bad)
 
 
 def test_netflix_bad_rating_names_file_and_line(tmp_path):
     path = tmp_path / "mv.txt"
     path.write_text("12:\n101,5,2005-01-01\n102, five ,2005-01-02\n")
     with pytest.raises(ValueError, match=r"mv\.txt:3: bad rating 'five'"):
-        convert_netflix([path])
+        convert_netflix(path)
 
 
 def one_shot_features(n, d, seed):

@@ -9,7 +9,7 @@ import pytest
 from dppmap import reference
 from dppmap.bench import build_synthetic_oracle
 from dppmap.datagen import SyntheticSpec, gen_synthetic
-from dppmap.kernel import B_BITS, L_DENSE, KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
+from dppmap.kernel import B_BITS, KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
 
 from test_matrixio import traced_peak
 
@@ -380,7 +380,7 @@ def _range_oracles(shift):
     matrix = build_synthetic_oracle(40, 40, 1, "L", 0.9, 0.1).materialize()
     inv = reference.inverse(matrix)
     assert not np.array_equal(inv, inv.T)  # so reading matrix[j, r] for matrix[r, j] would show
-    inverse = KernelOracle(L_DENSE, inv.shape[0], 0, 1.0, shift, matrix=np.ascontiguousarray(inv))
+    inverse = KernelOracle(1.0, shift, matrix=np.ascontiguousarray(inv))
     return _oracles_of_every_kind(0.9, shift) + [("L inverse", inverse)]
 
 

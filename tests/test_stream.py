@@ -114,20 +114,3 @@ def test_streamed_normals_keep_the_one_shot_bits_and_words(count):
     assert got.tobytes() == want.tobytes()
     assert streamed.words_drawn == one_shot.words_drawn
     assert streamed.uniform() == one_shot.uniform()
-
-
-@pytest.mark.parametrize("block", [1, 2, 3, 500])
-def test_normal_blocks_give_the_same_values_at_any_block_size(block):
-    count = 2001
-    blocks = list(DecisionStream(12).normal_blocks(count, block))
-    assert all(b.size == 2 * block for b in blocks[:-1])
-    assert np.concatenate(blocks).tobytes() == one_shot_normals(DecisionStream(12), count).tobytes()
-
-
-def test_the_stream_moves_past_a_draw_before_its_blocks_are_read():
-    a, b = DecisionStream(13), DecisionStream(13)
-    unread = a.normal_blocks(101)  # nothing read from it
-    b.normals(101)
-    assert a.words_drawn == b.words_drawn == 102
-    assert a.uniform() == b.uniform()
-    assert np.concatenate(list(unread)).tobytes() == one_shot_normals(DecisionStream(13), 101).tobytes()
