@@ -82,8 +82,7 @@ def cmd_ingest(args) -> int:
         cols, idmap = ingest_ratings(spec)
     matrixio.write_sparse(args.out, cols)
     write_idmap(f"{args.out}.idmap.json", idmap)
-    nnz = sum(idx.size for idx in cols.indices)
-    print(f"wrote {cols.ncols} items x {cols.dim} users ({nnz} entries) to {args.out}")
+    print(f"wrote {cols.ncols} items x {cols.dim} users ({cols.indices.size} entries) to {args.out}")
     return 0
 
 

@@ -127,11 +127,11 @@ def binarize_ratings(triples, spec: RatingsSpec) -> tuple[SparseColumns, dict]:
     if not item_index:
         raise ValueError("no items survive ingestion")
 
-    cols = SparseColumns(dim=len(user_index))
-    for m in range(len(item_index)):
-        users = sorted(entries.get(m, ()))
-        cols.indices.append(np.array(users, dtype=np.uint32))
-        cols.values.append(np.ones(len(users)))
+    columns = [sorted(entries.get(m, ())) for m in range(len(item_index))]
+    indptr = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum([len(users) for users in columns], out=indptr[1:])
+    indices = np.array([user for users in columns for user in users], dtype=np.uint32)
+    cols = SparseColumns(len(user_index), indptr, indices, np.ones(indices.size))
     cols.validate()
     idmap = {
         "users": dict(user_index),

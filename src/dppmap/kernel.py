@@ -62,78 +62,57 @@ def seq_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class SparseColumns:
-    """Compressed sparse columns: per column a sorted index array + values.
+    """Compressed sparse columns: one item per column, as three flat arrays.
 
+    Column ``c`` stores ``indices[indptr[c]:indptr[c + 1]]`` with the values
+    at the same positions.  ``indptr`` is int64 of length ``ncols + 1``,
+    ``indices`` uint32 and ``values`` float64, both of length ``indptr[-1]``.
     Indices are strictly increasing within each column and below ``dim``;
-    explicit zeros are never stored.
+    explicit zeros are never stored.  The defaults hold no columns.
     """
 
     dim: int
-    indices: list[np.ndarray] = field(default_factory=list)
-    values: list[np.ndarray] = field(default_factory=list)
+    indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
+    indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint32))
+    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def ncols(self) -> int:
-        return len(self.indices)
+        return self.indptr.size - 1
 
     def validate(self) -> None:
-        """Raise ``ValueError`` naming the first malformed column, if any.
+        """Raise ``ValueError`` for malformed pointers, else naming the first column with a fault.
 
-        A NaN or infinite value raises :class:`NonFiniteInputError`.
-
-        One vectorized pass over the concatenated columns accepts well-formed
-        input; only when it fails does the per-column scan run, to name the
-        first bad column.
+        A column's faults are judged in a fixed order: indices not strictly
+        increasing, an index out of range, an explicit zero, and a NaN or
+        infinite value, which raises :class:`NonFiniteInputError`.
         """
-        if len(self.indices) != len(self.values):
-            raise ValueError("index/value column count mismatch")
-        if not self._all_columns_valid():
-            self._raise_first_fault()
-
-    def _all_columns_valid(self) -> bool:
-        """Whether every column passes, checked over the concatenated arrays.
-
-        Conservative: ``False`` only sends the caller to the per-column scan.
-        """
-        if not self.indices:
-            return True
-        sizes = np.fromiter((idx.size for idx in self.indices), np.intp, len(self.indices))
-        if not np.array_equal(sizes, np.fromiter((val.size for val in self.values),
-                                                 np.intp, len(self.values))):
-            return False
-        try:
-            flat_idx = np.concatenate(self.indices)
-            flat_val = np.concatenate(self.values)
-        except ValueError:  # 0-d or mixed-rank columns
-            return False
-        if flat_idx.ndim != 1 or flat_val.ndim != 1:
-            return False
-        if np.any(flat_val == 0.0) or not np.isfinite(flat_val).all():
-            return False
-        if not flat_idx.size:
-            return True
-        signed = flat_idx.astype(np.int64)
-        if signed.min() < 0 or signed.max() >= self.dim:
-            return False
-        steps = np.diff(signed)
-        starts = np.cumsum(sizes[:-1])
-        starts = starts[(starts > 0) & (starts < signed.size)]
-        steps[starts - 1] = 1  # the step into a new column's first index is not checked
-        return not np.any(steps <= 0)
-
-    def _raise_first_fault(self) -> None:
-        for c, (idx, val) in enumerate(zip(self.indices, self.values)):
-            if idx.shape != val.shape:
-                raise ValueError(f"column {c}: index/value length mismatch")
-            signed = idx.astype(np.int64)
-            if signed.size and np.any(np.diff(signed) <= 0):
-                raise ValueError(f"column {c}: indices not strictly increasing")
-            if signed.size and (signed[0] < 0 or signed[-1] >= self.dim):
-                raise ValueError(f"column {c}: index out of range")
-            if np.any(val == 0.0):
-                raise ValueError(f"column {c}: explicit zero stored")
-            if not np.isfinite(val).all():
-                raise NonFiniteInputError(f"column {c}: non-finite value stored")
+        indptr, indices, values = self.indptr, self.indices, self.values
+        if indptr.ndim != 1 or indices.ndim != 1 or values.ndim != 1:
+            raise ValueError("indptr, indices and values must be 1-D arrays")
+        if not indptr.size or indptr[0] != 0:
+            raise ValueError("indptr must start at 0")
+        if np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("indptr must be nondecreasing")
+        if indices.size != values.size:
+            raise ValueError("index/value length mismatch")
+        if indptr[-1] != indices.size:
+            raise ValueError(f"indptr ends at {indptr[-1]}, not at the {indices.size} stored entries")
+        signed = indices.astype(np.int64)
+        not_increasing = np.zeros(signed.size, dtype=bool)
+        not_increasing[1:] = signed[1:] <= signed[:-1]
+        not_increasing[indptr[:-1][indptr[:-1] < signed.size]] = False  # a column's first index
+        faults = ((ValueError, "indices not strictly increasing", not_increasing),
+                  (ValueError, "index out of range", (signed < 0) | (signed >= self.dim)),
+                  (ValueError, "explicit zero stored", values == 0.0),
+                  (NonFiniteInputError, "non-finite value stored", ~np.isfinite(values)))
+        bad = np.flatnonzero(np.logical_or.reduce([mask for _, _, mask in faults]))
+        if not bad.size:
+            return
+        c = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+        lo, hi = indptr[c], indptr[c + 1]
+        error, message = next((error, message) for error, message, mask in faults if mask[lo:hi].any())
+        raise error(f"column {c}: {message}")
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseColumns":
@@ -144,23 +123,22 @@ class SparseColumns:
         one otherwise.  The columns are the same for either layout.
         """
         dense = np.asarray(dense, dtype=np.float64)
-        d, _ = dense.shape
-        cols = cls(dim=d)
-        for item in dense.T:
-            nz = np.flatnonzero(item)
-            cols.indices.append(nz.astype(np.uint32))
-            cols.values.append(item[nz])
-        return cols
+        items = dense.T
+        nonzeros = [item.nonzero()[0] for item in items]
+        indptr = np.zeros(len(nonzeros) + 1, dtype=np.int64)
+        np.cumsum([nz.size for nz in nonzeros], out=indptr[1:])
+        flat = np.concatenate(nonzeros) if nonzeros else np.zeros(0, np.intp)
+        values = items[np.repeat(np.arange(len(nonzeros)), np.diff(indptr)), flat]
+        return cls(dense.shape[0], indptr, flat.astype(np.uint32), values)
 
     @property
     def width(self) -> int:
         """The largest stored index plus one (0 with nothing stored), which ``dim`` may far exceed."""
-        return max((int(idx[-1]) + 1 for idx in self.indices if idx.size), default=0)
+        return int(self.indices.max()) + 1 if self.indices.size else 0
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.ncols))
-        for j, (idx, val) in enumerate(zip(self.indices, self.values)):
-            out[idx.astype(np.intp), j] = val
+        out[self.indices.astype(np.intp), np.repeat(np.arange(self.ncols), np.diff(self.indptr))] = self.values
         return out
 
 
@@ -169,13 +147,13 @@ def _int_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(a.dot(b)) + 0.0
 
 
-def _sums_exactly(values: list[np.ndarray]) -> bool:
+def _sums_exactly(columns: SparseColumns) -> bool:
     """Whether every dot of two of these columns is an exact integer sum (see the module docstring)."""
-    flat = np.concatenate(values) if values else np.zeros(0)
-    if flat.dtype != np.float64 or not np.array_equal(flat, np.trunc(flat)):
+    values = columns.values
+    if values.dtype != np.float64 or not np.array_equal(values, np.trunc(values)):
         return False
-    top = int(np.abs(flat).max(initial=0.0))
-    return max((v.size for v in values), default=0) * top * top <= 2**53
+    top = int(np.abs(values).max(initial=0.0))
+    return int(np.diff(columns.indptr).max(initial=0)) * top * top <= 2**53
 
 
 def _bitsets(columns: SparseColumns) -> list[int] | None:
@@ -187,15 +165,12 @@ def _bitsets(columns: SparseColumns) -> list[int] | None:
     are packed little-endian, and each column's bytes become one int.
     """
     n = columns.ncols
-    if not n:
-        return []
-    sizes = np.fromiter((idx.size for idx in columns.indices), np.intp, n)
     words = -(-columns.dim // 64)
-    if n * words > int(sizes.sum()) or not (np.concatenate(columns.values) == 1.0).all():
+    if n * words > columns.indices.size or not (columns.values == 1.0).all():
         return None
     width = 64 * words
-    flat = np.concatenate(columns.indices).astype(np.intp)
-    flat += np.repeat(np.arange(n, dtype=np.intp) * width, sizes)
+    flat = columns.indices.astype(np.intp)
+    flat += np.repeat(np.arange(n, dtype=np.intp) * width, np.diff(columns.indptr))
     mask = np.zeros(n * width, dtype=bool)
     mask[flat] = True
     packed = np.packbits(mask, bitorder="little").tobytes()
@@ -274,19 +249,23 @@ class KernelOracle:
     diagonal.  A feature kernel's adjusted diagonal ``scale * sum(f**2) +
     shift`` cannot be negative.  The bare constructor,
     ``KernelOracle(scale, shift, feats= | sparse= | matrix=)``, takes one
-    payload (item-major n-by-d features, :class:`SparseColumns` or an n-by-n
-    matrix) and reads the kind, ``n`` and ``d`` off it.  It trusts its caller
-    with the rest: it is for data already checked, such as a DPPS1 file
-    ``read_sparse`` validated, or the kernel and inverse fast double greedy
-    derives from a checked oracle.  It does check a sparse kernel's diagonal,
-    which ``read_sparse`` cannot, knowing no ``scale``; a bitset kernel's
-    diagonal is summed only when its bound ``scale * d + shift`` overflows.
+    payload (item-major n-by-d features, :class:`SparseColumns`' flat
+    ``indptr``/``indices``/``values`` arrays, or an n-by-n matrix) and reads
+    the kind, ``n`` and ``d`` off it.  It trusts its caller with the rest: it
+    is for data already checked, such as a DPPS1 file ``read_sparse``
+    validated, or the kernel and inverse fast double greedy derives from a
+    checked oracle.  It does check a sparse kernel's diagonal, which
+    ``read_sparse`` cannot, knowing no ``scale``; a bitset kernel's diagonal,
+    each item's stored count, is checked only when its bound
+    ``scale * d + shift`` overflows.
 
     Sparse features are summed one of three ways, chosen at construction
     (see the module docstring): 0/1 features dense enough for bitsets take
     the popcount of two items' bitset intersection, other integer features
     one exact ``np.dot``, and the rest the ascending fold.  All three give
-    the bits of :func:`seq_dot` on the dense features.
+    the bits of :func:`seq_dot` on the dense features.  Bitsets are built
+    straight from the flat arrays; the other two split an ``intp`` copy of
+    the indices, and the values, into per-item views once, at construction.
 
     Oracles are immutable after construction and safe for concurrent reads:
     a bitset lookup writes nothing, and any other sparse lookup writes only
@@ -329,13 +308,17 @@ class KernelOracle:
             if self._bits is not None:
                 self.kind = B_BITS
                 if not np.isfinite(self.scale * self.d + self.shift):  # a popcount is at most d
-                    raw = np.fromiter((b.bit_count() for b in self._bits), np.float64, self.n)
+                    raw = np.diff(sparse.indptr).astype(np.float64)  # each item's popcount
                     _require_finite_diagonal(self.scale * raw + self.shift)
             else:
-                self._sparse_idx = [idx.astype(np.intp) for idx in sparse.indices]
+                bounds = sparse.indptr.tolist()
+                spans = list(zip(bounds[:-1], bounds[1:]))
+                flat_idx = sparse.indices.astype(np.intp)
+                self._sparse_idx = [flat_idx[lo:hi] for lo, hi in spans]
+                self._sparse_val = [sparse.values[lo:hi] for lo, hi in spans]
                 self._scratch = _Scratch(sparse.width)
-                self._dot = _int_dot if _sums_exactly(sparse.values) else seq_dot
-                raw = np.fromiter((self._dot(v, v) for v in sparse.values), np.float64, self.n)
+                self._dot = _int_dot if _sums_exactly(sparse) else seq_dot
+                raw = np.fromiter((self._dot(v, v) for v in self._sparse_val), np.float64, self.n)
                 _require_finite_diagonal(self.scale * raw + self.shift)
         self.eval_count = 0
 
@@ -410,7 +393,7 @@ class KernelOracle:
         elif self.kind == B_DENSE:
             raw = seq_dot(self._feats[i], self._feats[j])
         else:
-            values = self._sparse.values
+            values = self._sparse_val
             if i == j:
                 raw = self._dot(values[i], values[i])
             else:
@@ -460,7 +443,7 @@ class KernelOracle:
             items = bits[rows] if isinstance(rows, slice) else [bits[r] for r in rows.tolist()]
             raw = np.fromiter(((b & bits_j).bit_count() for b in items), np.float64, count)
         else:
-            idx, values, dot = self._sparse_idx, self._sparse.values, self._dot
+            idx, values, dot = self._sparse_idx, self._sparse_val, self._dot
             buf = self._hold(self._scratch, j)
             items = range(rows.start, rows.stop) if isinstance(rows, slice) else rows.tolist()
             raw = np.array([dot(buf[idx[r]], values[r]) for r in items])
@@ -480,7 +463,7 @@ class KernelOracle:
         try:
             if scratch.held >= 0:
                 buf[idx[scratch.held]] = 0.0
-            buf[idx[i]] = self._sparse.values[i]
+            buf[idx[i]] = self._sparse_val[i]
             scratch.held = i
         except BaseException:
             buf.fill(0.0)
@@ -502,7 +485,7 @@ class KernelOracle:
             raw = self._feats @ self._feats.T
         else:  # rows past the stored width are zero, so only the width is densified
             cols = self._sparse
-            dense = SparseColumns(cols.width, cols.indices, cols.values).to_dense()
+            dense = SparseColumns(cols.width, cols.indptr, cols.indices, cols.values).to_dense()
             raw = dense.T @ dense
         raw *= self.scale  # raw is a fresh array on every path
         if self.shift:

@@ -3,6 +3,9 @@
 Dense:  magic ``DPPM1`` | u32 LE rows | u32 LE cols | rows*cols f64 LE row-major.
 Sparse: magic ``DPPS1`` | u32 LE d | u32 LE n | per column: u32 LE nnz then
         nnz records of (u32 LE index, f64 LE value), indices ascending.
+        The body is a run of u32 words, so it maps onto
+        :class:`~dppmap.kernel.SparseColumns`' flat arrays: the counts give
+        ``indptr``, and the records, in file order, ``indices`` and ``values``.
 CSV fallback, read only, for dense matrices: comma-separated decimal floats, no header.
 """
 
@@ -84,50 +87,66 @@ def read_dense(path) -> np.ndarray:
     return data.astype(np.float64, copy=False)
 
 
-def write_sparse(path, columns: SparseColumns) -> None:
-    """Write validated ``columns`` as DPPS1, built in one buffer and written once.
+def _count_words(indptr: np.ndarray) -> np.ndarray:
+    """Which u32 words of a DPPS1 body are counts, for columns bounded by ``indptr``.
 
-    Past the 13-byte header the body is a run of u32 words: column ``c``'s
-    count is word ``c + 3 * s_c``, where ``s_c`` is the number of records
-    before column ``c``, and its records (three words each) follow it.
+    Column ``c``'s count is word ``c + 3 * indptr[c]``: ``indptr[c]`` records
+    (three words each) and ``c`` counts come before it.  Every other word
+    belongs to a record.
     """
+    n = indptr.size - 1
+    is_count = np.zeros(n + 3 * int(indptr[-1]), dtype=bool)
+    is_count[np.arange(n) + 3 * indptr[:-1]] = True
+    return is_count
+
+
+def write_sparse(path, columns: SparseColumns) -> None:
+    """Write validated ``columns`` as DPPS1, built in one buffer and written once."""
     columns.validate()
-    n = columns.ncols
-    sizes = np.fromiter((idx.size for idx in columns.indices), np.intp, n)
-    records = np.empty(int(sizes.sum()), dtype=_PAIR_DTYPE)
-    if n:
-        records["i"] = np.concatenate(columns.indices)
-        records["v"] = np.concatenate(columns.values)
-    out = np.empty(13 + 4 * (n + 3 * records.size), dtype=np.uint8)
+    records = np.empty(columns.indices.size, dtype=_PAIR_DTYPE)
+    records["i"] = columns.indices
+    records["v"] = columns.values
+    is_count = _count_words(columns.indptr)
+    out = np.empty(13 + 4 * is_count.size, dtype=np.uint8)
     out[:5] = np.frombuffer(SPARSE_MAGIC, np.uint8)
-    out[5:13] = np.frombuffer(struct.pack("<II", columns.dim, n), np.uint8)
+    out[5:13] = np.frombuffer(struct.pack("<II", columns.dim, columns.ncols), np.uint8)
     words = out[13:].view("<u4")
-    is_count = np.zeros(words.size, dtype=bool)
-    is_count[np.arange(n) + 3 * (np.cumsum(sizes) - sizes)] = True
-    words[is_count] = sizes
+    words[is_count] = np.diff(columns.indptr)
     words[~is_count] = records.view("<u4")
     with open(path, "wb") as fh:
         fh.write(out)
 
 
 def read_sparse(path) -> SparseColumns:
+    """Read and validate a DPPS1 file.
+
+    The body is read once.  A walk over its count words finds where each
+    column ends, and one gather over the remaining words extracts every
+    record.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(5)
         if magic != SPARSE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {SPARSE_MAGIC!r}")
         dim, ncols = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
-        cols = SparseColumns(dim=dim)
-        left = _bytes_left(fh)
-        for _ in range(ncols):
-            (nnz,) = struct.unpack("<I", _read_exact(fh, 4, path, "column"))
-            size = nnz * _PAIR_DTYPE.itemsize
-            left -= 4 + size
-            if left < 0:
-                raise ValueError(f"{path}: truncated column")
-            rec = np.frombuffer(_read_exact(fh, size, path, "column"), dtype=_PAIR_DTYPE)
-            cols.indices.append(rec["i"].astype(np.uint32))
-            cols.values.append(rec["v"].astype(np.float64))
-        _expect_end(fh, path)
+        if 4 * ncols > _bytes_left(fh):  # every column holds at least its count word
+            raise ValueError(f"{path}: truncated column")
+        body = fh.read()
+    words = np.frombuffer(body, "<u4", len(body) // 4)
+    indptr = np.zeros(ncols + 1, dtype=np.int64)
+    at = 0  # the next column's count word
+    for c in range(ncols):
+        if at >= words.size:
+            raise ValueError(f"{path}: truncated column")
+        nnz = int(words[at])
+        indptr[c + 1] = indptr[c] + nnz
+        at += 1 + 3 * nnz
+        if at > words.size:
+            raise ValueError(f"{path}: truncated column")
+    if 4 * at != len(body):
+        raise ValueError(f"{path}: trailing bytes after payload")
+    records = words[~_count_words(indptr)].view(_PAIR_DTYPE)
+    cols = SparseColumns(dim, indptr, records["i"].astype(np.uint32), records["v"].astype(np.float64))
     cols.validate()
     return cols
 

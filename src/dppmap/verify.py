@@ -589,13 +589,14 @@ def check_datagen() -> CheckResult:
         if cols.ncols != 1 or cols.dim != 2:
             return CheckResult("datagen", False,
                                f"toy ingest gave {cols.ncols} items x {cols.dim} users")
-        if cols.indices[0].tolist() != [0, 1] or cols.values[0].tolist() != [1.0, 1.0]:
+        if cols.indptr.tolist() != [0, 2] or cols.indices.tolist() != [0, 1] or cols.values.tolist() != [1.0, 1.0]:
             return CheckResult("datagen", False, "toy column contents wrong")
         sp = td / "toy.dpps1"
         matrixio.write_sparse(sp, cols)
         back = matrixio.read_sparse(sp)
-        if not all(np.array_equal(x, y) for x, y in zip(back.indices, cols.indices)):
-            return CheckResult("datagen", False, "sparse round-trip changed indices")
+        for name in ("indptr", "indices", "values"):
+            if not np.array_equal(getattr(back, name), getattr(cols, name)):
+                return CheckResult("datagen", False, f"sparse round-trip changed {name}")
     return CheckResult("datagen", True, "deterministic generation; toy ingest and round-trips hold")
 
 

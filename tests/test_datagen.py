@@ -10,12 +10,13 @@ from dppmap.datagen import (
 )
 from dppmap.stream import NORMAL_BLOCK, DecisionStream
 
+from test_matrixio import columns_of
 from test_stream import one_shot_normals
 
 
 def columns_to_triples(cols):
     """Render sparse columns back to (user, item, rating=1.0) triples."""
-    for item, (idx, val) in enumerate(zip(cols.indices, cols.values)):
+    for item, (idx, val) in enumerate(columns_of(cols)):
         for user, value in zip(idx.tolist(), val.tolist()):
             yield user, item, value
 
@@ -53,8 +54,9 @@ def test_ingest_toy_example(tmp_path):
     path = _write(tmp_path, "u1,m1,5\nu1,m2,3\nu2,m1,4\n")
     cols, idmap = ingest_ratings(RatingsSpec(path=path, threshold=4))
     assert cols.ncols == 1 and cols.dim == 2  # m2 dropped as all-zero
-    assert cols.indices[0].tolist() == [0, 1]
-    assert cols.values[0].tolist() == [1.0, 1.0]
+    assert cols.indptr.tolist() == [0, 2]
+    assert cols.indices.tolist() == [0, 1]
+    assert cols.values.tolist() == [1.0, 1.0]
     assert idmap["items"] == {"m1": 0}
     assert idmap["users"] == {"u1": 0, "u2": 1}
 
@@ -111,13 +113,13 @@ def test_ingest_first_appearance_order(tmp_path):
     cols, idmap = ingest_ratings(RatingsSpec(path=path, threshold=4))
     assert idmap["items"] == {"mB": 0, "mA": 1}
     assert idmap["users"] == {"u9": 0, "u2": 1}
-    assert cols.indices[1].tolist() == [0, 1]  # sorted user indices within a column
+    assert cols.indices[cols.indptr[1]:].tolist() == [0, 1]  # sorted user indices within a column
 
 
 def test_ingest_duplicate_triples_deduped(tmp_path):
     path = _write(tmp_path, "u1,m1,5\nu1,m1,4\n")
     cols, _ = ingest_ratings(RatingsSpec(path=path, threshold=4))
-    assert cols.indices[0].tolist() == [0]
+    assert cols.indptr.tolist() == [0, 1] and cols.indices.tolist() == [0]
 
 
 def test_ingest_idempotent(tmp_path):
@@ -127,18 +129,15 @@ def test_ingest_idempotent(tmp_path):
     path2 = _write(tmp_path, rendered, name="r2.csv")
     cols2, _ = ingest_ratings(RatingsSpec(path=path2, threshold=1))
     assert cols2.ncols == cols.ncols and cols2.dim == cols.dim
-    for a, b in zip(cols.indices, cols2.indices):
-        assert a.tolist() == b.tolist()
+    assert cols2.indptr.tolist() == cols.indptr.tolist()
+    assert cols2.indices.tolist() == cols.indices.tolist()
 
 
 def test_every_surviving_column_and_row_nonempty(tmp_path):
     path = _write(tmp_path, "u1,m1,5\nu1,m2,3\nu2,m1,4\nu3,m2,5\n")
     cols, _ = ingest_ratings(RatingsSpec(path=path, threshold=4))
-    assert all(idx.size >= 1 for idx in cols.indices)
-    covered = set()
-    for idx in cols.indices:
-        covered |= set(idx.tolist())
-    assert covered == set(range(cols.dim))
+    assert (np.diff(cols.indptr) >= 1).all()
+    assert set(cols.indices.tolist()) == set(range(cols.dim))
 
 
 def test_netflix_adapter(tmp_path):

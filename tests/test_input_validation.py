@@ -95,9 +95,8 @@ def test_dense_constructors_reject_non_finite(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sparse_validation_names_the_non_finite_column(bad):
-    cols = SparseColumns(dim=4, indices=[np.array([0, 2], dtype=np.uint32), np.array([1, 3], dtype=np.uint32)],
-                         values=[np.array([1.0, -2.0]), np.array([0.5, bad])])
-    assert not cols._all_columns_valid()
+    cols = SparseColumns(4, np.array([0, 2, 4]), np.array([0, 2, 1, 3], dtype=np.uint32),
+                         np.array([1.0, -2.0, 0.5, bad]))
     with pytest.raises(NonFiniteInputError) as err:
         cols.validate()
     assert str(err.value) == "column 1: non-finite value stored"
@@ -106,7 +105,7 @@ def test_sparse_validation_names_the_non_finite_column(bad):
 
 
 def test_structural_faults_are_named_before_non_finite_values():
-    cols = SparseColumns(dim=4, indices=[np.array([3, 1], dtype=np.uint32)], values=[np.array([np.nan, 1.0])])
+    cols = SparseColumns(4, np.array([0, 2]), np.array([3, 1], dtype=np.uint32), np.array([np.nan, 1.0]))
     with pytest.raises(ValueError) as err:
         cols.validate()
     assert type(err.value) is ValueError
@@ -212,9 +211,9 @@ def _write_input(path, kind, data):
         matrixio.write_dense(path, data)
         return
     marker = np.float64(7.0)  # stands in for NaN in write_sparse, which refuses it
-    nans = sum(int(np.isnan(val).sum()) for val in data.values)
-    matrixio.write_sparse(path, SparseColumns(data.dim, data.indices,
-                                              [np.where(np.isnan(val), marker, val) for val in data.values]))
+    nans = int(np.isnan(data.values).sum())
+    matrixio.write_sparse(path, SparseColumns(data.dim, data.indptr, data.indices,
+                                              np.where(np.isnan(data.values), marker, data.values)))
     raw = path.read_bytes()
     assert raw.count(marker.astype("<f8").tobytes()) == nans
     path.write_bytes(raw.replace(marker.astype("<f8").tobytes(), np.float64(np.nan).astype("<f8").tobytes()))

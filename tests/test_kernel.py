@@ -11,7 +11,7 @@ from dppmap.bench import build_synthetic_oracle
 from dppmap.datagen import SyntheticSpec, gen_synthetic
 from dppmap.kernel import B_BITS, KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
 
-from test_matrixio import traced_peak
+from test_matrixio import columns_of, traced_peak
 
 
 def test_seq_dot_matches_left_fold():
@@ -150,14 +150,10 @@ def test_materialize_scales_its_result_in_place():
 
 
 def test_sparse_columns_validation():
-    cols = SparseColumns(dim=4)
-    cols.indices.append(np.array([2, 1], dtype=np.uint32))  # not increasing
-    cols.values.append(np.array([1.0, 1.0]))
+    cols = _malformed(4, [([2, 1], [1.0, 1.0])])  # not increasing
     with pytest.raises(ValueError):
         cols.validate()
-    cols = SparseColumns(dim=4)
-    cols.indices.append(np.array([1], dtype=np.uint32))
-    cols.values.append(np.array([0.0]))  # explicit zero
+    cols = _malformed(4, [([1], [0.0])])  # explicit zero
     with pytest.raises(ValueError):
         cols.validate()
 
@@ -202,16 +198,16 @@ def test_sparse_lookup_bitwise_matches_dense_and_searchsorted(seed):
     dense = _structured_features(seed)
     n = dense.shape[1]
     cols = SparseColumns.from_dense(dense)
+    columns = columns_of(cols)
     ora_d = KernelOracle.from_dense_features(dense)
     ora_s = KernelOracle.from_sparse_features(cols)
     for i in range(n):
         for j in range(n):
-            want = _searchsorted_dot(cols.indices[i], cols.values[i], cols.indices[j], cols.values[j])
+            want = _searchsorted_dot(*columns[i], *columns[j])
             got = ora_s.entry(i, j)
             assert _bits(got) == _bits(want), (i, j)
             assert _bits(got) == _bits(ora_d.entry(i, j)), (i, j)
-            assert _bits(sparse_dot(cols.indices[i], cols.values[i],
-                                    cols.indices[j], cols.values[j])) == _bits(want), (i, j)
+            assert _bits(sparse_dot(*columns[i], *columns[j])) == _bits(want), (i, j)
 
 
 def test_zero_entries_are_positive_zero_in_both_storages():
@@ -226,12 +222,11 @@ def test_zero_entries_are_positive_zero_in_both_storages():
 def test_sparse_lookup_is_o_nnz_in_huge_dimension():
     d, n = 1_000_000, 40
     rng = np.random.default_rng(3)
-    cols = SparseColumns(dim=d)
+    columns = []
     for _ in range(n):
         nnz = int(rng.integers(0, 6))
-        cols.indices.append(np.sort(rng.choice(d, nnz, replace=False)).astype(np.uint32))
-        cols.values.append(rng.standard_normal(nnz) + 3.0)
-    ora = KernelOracle.from_sparse_features(cols)
+        columns.append((np.sort(rng.choice(d, nnz, replace=False)), rng.standard_normal(nnz) + 3.0))
+    ora = KernelOracle.from_sparse_features(_malformed(d, columns))
     ora.entry(0, 1)  # first lookup in this thread allocates the scratch vector
     t0 = time.perf_counter()
     for i in range(n):
@@ -275,26 +270,36 @@ def _read_in_two_threads(ora):
     assert results[0] == results[1] == serial * 5
 
 
-def _malformed(dim, columns):
-    cols = SparseColumns(dim=dim)
-    for idx, val in columns:
-        cols.indices.append(np.array(idx, dtype=np.uint32))
-        cols.values.append(np.array(val, dtype=float))
-    return cols
+def _malformed(dim, columns, index_dtype=np.uint32):
+    """Flat columns from ``(indices, values)`` pairs, checked by nothing."""
+    indptr = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum([len(idx) for idx, _ in columns], out=indptr[1:])
+    return SparseColumns(dim, indptr,
+                         np.array([i for idx, _ in columns for i in idx], dtype=index_dtype),
+                         np.array([v for _, val in columns for v in val], dtype=float))
+
+
+def _pointers(indptr, nnz=2, values=None):
+    """Columns of ``dim = 5`` over ``nnz`` valid entries with a given ``indptr``."""
+    values = np.ones(nnz) if values is None else values
+    return SparseColumns(5, np.array(indptr, dtype=np.int64), np.arange(nnz, dtype=np.uint32), values)
 
 
 @pytest.mark.parametrize("cols, message", [
-    (SparseColumns(dim=3, indices=[np.array([0], dtype=np.uint32)], values=[]),
-     "index/value column count mismatch"),
-    (_malformed(5, [([0], [1.0]), ([1, 2], [1.0])]),
-     "column 1: index/value length mismatch"),
+    (_pointers([1, 2]), "indptr must start at 0"),
+    (_pointers([]), "indptr must start at 0"),
+    (_pointers([0, 2, 1, 2]), "indptr must be nondecreasing"),
+    (_pointers([0, 1]), "indptr ends at 1, not at the 2 stored entries"),
+    (_pointers([0, 3]), "indptr ends at 3, not at the 2 stored entries"),
+    (_pointers([0, 2], values=np.ones(3)), "index/value length mismatch"),
+    (_pointers([0, 2], values=np.ones((2, 1))), "indptr, indices and values must be 1-D arrays"),
     (_malformed(5, [([0, 1], [1.0, 2.0]), ([], []), ([3, 3], [1.0, 1.0])]),
      "column 2: indices not strictly increasing"),
     (_malformed(5, [([2, 1], [1.0, 1.0])]),
      "column 0: indices not strictly increasing"),
     (_malformed(5, [([1], [1.0]), ([2, 5], [1.0, 1.0])]),
      "column 1: index out of range"),
-    (SparseColumns(dim=5, indices=[np.array([-1, 2])], values=[np.array([1.0, 1.0])]),
+    (_malformed(5, [([-1, 2], [1.0, 1.0])], index_dtype=np.int64),
      "column 0: index out of range"),
     (_malformed(5, [([4], [1.0]), ([1, 3], [2.0, 0.0])]),
      "column 1: explicit zero stored"),
@@ -313,7 +318,6 @@ def test_sparse_columns_validation_messages(cols, message):
 def test_sparse_columns_validation_accepts_boundary_steps():
     # a column may start at or below the previous column's last index
     cols = _malformed(6, [([3, 5], [1.0, -1.0]), ([], []), ([0, 5], [2.0, 1.0]), ([5], [1.0])])
-    assert cols._all_columns_valid()  # accepted by the vectorized pass, no per-column scan
     cols.validate()
 
 
@@ -418,11 +422,11 @@ def _integer_features(seed, signed, d=40, n=24):
 
 def _assert_lookups_match(ora, dense):
     """Every sparse entry equals the searchsorted fold and the dense ``seq_dot`` entry, bit for bit."""
-    cols = SparseColumns.from_dense(dense)
+    columns = columns_of(SparseColumns.from_dense(dense))
     ora_d = KernelOracle.from_dense_features(dense)
     for i in range(ora.n):
         for j in range(ora.n):
-            want = _searchsorted_dot(cols.indices[i], cols.values[i], cols.indices[j], cols.values[j])
+            want = _searchsorted_dot(*columns[i], *columns[j])
             assert _bits(want) == _bits(ora_d.entry(i, j)), (i, j)
             assert _bits(ora.entry(i, j)) == _bits(want), (i, j)
 
@@ -468,6 +472,7 @@ def test_interleaved_lookups_on_one_oracle_keep_the_bits(signed):
     """``entry`` in both argument orders, ``column`` and ``sparse_dot`` mixed on one oracle."""
     dense = _integer_features(4, signed)
     cols = SparseColumns.from_dense(dense)
+    columns = columns_of(cols)
     ora = KernelOracle.from_sparse_features(cols)
     ora_d = KernelOracle.from_dense_features(dense)
     rng = np.random.default_rng(5)
@@ -482,7 +487,7 @@ def test_interleaved_lookups_on_one_oracle_keep_the_bits(signed):
         elif op == 2:
             got = ora.column(j, np.array([i, j, 0]))[0]
         else:
-            got = sparse_dot(cols.indices[i], cols.values[i], cols.indices[j], cols.values[j])
+            got = sparse_dot(*columns[i], *columns[j])
         assert _bits(got) == _bits(want), (op, i, j)
         if signed:  # 0/1 features take the bitsets, which keep no scratch
             held = ora._scratch.held
@@ -509,15 +514,14 @@ def test_lookups_scatter_only_when_neither_item_is_held():
 
 def test_a_failed_scatter_leaves_no_item_held():
     dense = _integer_features(3, signed=True)
-    cols = SparseColumns.from_dense(dense)
-    ora = KernelOracle.from_sparse_features(cols)
+    ora = KernelOracle.from_sparse_features(SparseColumns.from_dense(dense))
     ora.entry(5, 6)
-    good = cols.values[9]
-    cols.values[9] = np.array(["x"] * good.size)
+    good = ora._sparse_val[9]
+    ora._sparse_val[9] = np.array(["x"] * good.size)
     with pytest.raises(ValueError):
         ora.entry(9, 4)
     assert ora._scratch.held == -1 and not ora._scratch.buf.any()
-    cols.values[9] = good
+    ora._sparse_val[9] = good
     _assert_lookups_match(ora, dense)
 
 
@@ -551,12 +555,12 @@ def test_bitset_lookups_keep_the_bits_of_the_fold(scale, shift):
     searchsorted fold and the dense ``seq_dot`` oracle bit for bit, empty columns and the
     shifted diagonal included."""
     for label, dense, ora in _binary_oracles(scale, shift):
-        cols = SparseColumns.from_dense(dense)
+        columns = columns_of(SparseColumns.from_dense(dense))
         ora_d = KernelOracle.from_dense_features(dense, scale, shift)
         n = ora.n
         for i in range(n):
             for j in range(n):
-                raw = _searchsorted_dot(cols.indices[i], cols.values[i], cols.indices[j], cols.values[j])
+                raw = _searchsorted_dot(*columns[i], *columns[j])
                 want = scale * raw
                 if i == j:
                     want += shift
@@ -625,12 +629,12 @@ def test_sparse_columns_from_dense_are_the_same_for_either_layout():
     item_major, row_major = _both_layouts()
     a, b = SparseColumns.from_dense(item_major), SparseColumns.from_dense(row_major)
     assert a.dim == b.dim == 9 and a.ncols == b.ncols == 7
-    assert a.indices[2].size == 0
-    for col in range(a.ncols):
-        assert a.indices[col].dtype == b.indices[col].dtype == np.uint32
-        assert a.indices[col].tobytes() == b.indices[col].tobytes()
-        assert a.values[col].tobytes() == b.values[col].tobytes()
-        assert not np.shares_memory(a.values[col], item_major)
+    assert a.indptr[2] == a.indptr[3]
+    assert a.indptr.dtype == np.int64 and a.indices.dtype == np.uint32 and a.values.dtype == np.float64
+    for name in ("indptr", "indices", "values"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert not np.shares_memory(a.values, item_major)
     assert a.to_dense().tobytes() == item_major.tobytes()
 
 

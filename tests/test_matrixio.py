@@ -57,10 +57,9 @@ def test_sparse_roundtrip(tmp_path):
     back = matrixio.read_sparse(path)
     assert back.dim == cols.dim
     assert back.ncols == cols.ncols
-    for a, b in zip(back.indices, cols.indices):
-        assert np.array_equal(a, b)
-    for a, b in zip(back.values, cols.values):
-        assert np.array_equal(a, b)
+    for name in ("indptr", "indices", "values"):
+        assert getattr(back, name).dtype == getattr(cols, name).dtype, name
+        assert np.array_equal(getattr(back, name), getattr(cols, name)), name
     assert path.read_bytes()[:5] == b"DPPS1"
 
 
@@ -145,10 +144,16 @@ def test_dense_reads_into_one_writable_array(tmp_path):
     assert peak <= 1.1 * matrix.nbytes
 
 
+def columns_of(cols):
+    """``(indices, values)`` of each column of ``cols``, as views of its flat arrays."""
+    return [(cols.indices[lo:hi], cols.values[lo:hi])
+            for lo, hi in zip(cols.indptr[:-1].tolist(), cols.indptr[1:].tolist())]
+
+
 def per_column_dpps1(columns: SparseColumns) -> bytes:
     """DPPS1 bytes laid out one column at a time: its count, then its packed records."""
     out = [b"DPPS1", struct.pack("<II", columns.dim, columns.ncols)]
-    for idx, val in zip(columns.indices, columns.values):
+    for idx, val in columns_of(columns):
         out.append(struct.pack("<I", idx.size))
         rec = np.empty(idx.size, dtype=[("i", "<u4"), ("v", "<f8")])
         rec["i"] = idx
@@ -262,7 +267,9 @@ def load_capped(path) -> dict:
     (b"DPPM1" + struct.pack("<II", 1 << 20, 1 << 12) + bytes(16), "truncated payload"),
     # one column claiming 2**32 - 1 records (48 GiB)
     (b"DPPS1" + struct.pack("<III", 4, 1, 0xFFFFFFFF) + bytes(12), "truncated column"),
-], ids=["dense-overflow", "dense-32GiB", "sparse-column-48GiB"])
+    # 2**32 - 1 columns (an int64 pointer each: 32 GiB) over a 4-byte body
+    (b"DPPS1" + struct.pack("<III", 4, 0xFFFFFFFF, 0), "truncated column"),
+], ids=["dense-overflow", "dense-32GiB", "sparse-column-48GiB", "sparse-4G-columns"])
 def test_hostile_headers_raise_before_any_oversized_read(tmp_path, raw, message):
     path = tmp_path / "hostile.bin"
     path.write_bytes(raw)
@@ -304,7 +311,7 @@ def _payload_bytes(kind: str, payload) -> int:
     """The file size a loaded payload accounts for."""
     if kind == "dense":
         return 13 + 8 * payload.size
-    return 13 + sum(4 + 12 * idx.size for idx in payload.indices)
+    return 13 + 4 * payload.ncols + 12 * payload.indices.size
 
 
 @st.composite
