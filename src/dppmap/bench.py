@@ -110,7 +110,8 @@ def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=EPSILON,
     with ``timed_out`` set.  A cell that raises, building its instance
     included, is a report of the cell's own fields with ``extras["error"]``
     naming the exception; its counters stay zero and its ``timings`` empty.
-    Its ``d`` is the oracle's, or the requested one when no oracle was built.
+    Its ``d`` is the oracle's, or the requested one when no oracle was built,
+    and it records ``epsilon`` only for the stochastic solvers, as they do.
     """
     for n in n_values:
         for seed in seeds:
@@ -125,8 +126,9 @@ def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=EPSILON,
                         report = run_algorithm(algo, oracle, k, seed=seed, epsilon=epsilon, deadline=deadline)
                     except Exception as exc:  # noqa: BLE001 - recorded per cell
                         cell_d = oracle.d if oracle is not None else (n if d is None else d)
-                        report = RunReport(algo=algo, n=n, d=cell_d, k=k, input_kind=input_kind,
-                                           seed=seed, epsilon=epsilon, extras={"error": type(exc).__name__})
+                        report = RunReport(algo=algo, n=n, d=cell_d, k=k, input_kind=input_kind, seed=seed,
+                                           epsilon=epsilon if algo.startswith("stochastic") else None,
+                                           extras={"error": type(exc).__name__})
                     yield report
 
 

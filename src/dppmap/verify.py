@@ -602,38 +602,26 @@ def check_datagen() -> CheckResult:
 
 # -- battery -------------------------------------------------------------------
 
+# (check, its keyword arguments under --quick, or None to leave it out of the quick battery)
+_BATTERY = (
+    (check_pqueue, {"total_ops": 20_000}),
+    (check_kernel, {"trials": 8}),
+    (check_gain_identity, {"instances": 10}),
+    (check_pythagoras, {"instances": 3}),
+    (check_row_independence, {}),
+    (check_objective_reconstruction, {"instances": 3}),
+    (check_four_way, {"instances": 15}),
+    (check_termination, {}),
+    (check_monotone_bound, {"instances": 10}),
+    (check_variant_coupling, {"instances": 10}),
+    (check_double, {"instances": 10}),
+    (check_jacobi, {"trials": 50}),
+    (check_double_half_expectation, None),
+    (check_datagen, {}),
+    (check_lazy_savings, {"n": 400, "k": 40, "seeds": (1, 2)}),
+)
+
+
 def run_all(quick: bool = False) -> list[CheckResult]:
-    if quick:
-        return [
-            check_pqueue(total_ops=20_000),
-            check_kernel(trials=8),
-            check_gain_identity(instances=10),
-            check_pythagoras(instances=3),
-            check_row_independence(),
-            check_objective_reconstruction(instances=3),
-            check_four_way(instances=15),
-            check_termination(),
-            check_monotone_bound(instances=10),
-            check_variant_coupling(instances=10),
-            check_double(instances=10),
-            check_jacobi(trials=50),
-            check_datagen(),
-            check_lazy_savings(n=400, k=40, seeds=(1, 2)),
-        ]
-    return [
-        check_pqueue(),
-        check_kernel(),
-        check_gain_identity(),
-        check_pythagoras(),
-        check_row_independence(),
-        check_objective_reconstruction(),
-        check_four_way(),
-        check_termination(),
-        check_monotone_bound(),
-        check_variant_coupling(),
-        check_double(),
-        check_jacobi(),
-        check_double_half_expectation(),
-        check_datagen(),
-        check_lazy_savings(),
-    ]
+    return [check(**quick_kwargs) if quick else check() for check, quick_kwargs in _BATTERY
+            if not quick or quick_kwargs is not None]

@@ -58,13 +58,16 @@ def test_bench_cells_records_a_timeout_as_the_report_flag():
 
 
 def test_bench_cells_records_a_failed_cell():
-    """random greedy needs n >= 2k; the cell records the error and zero counters."""
-    (report,) = bench_cells(["random"], [7], [4], seeds=(2,), epsilon=0.25)
-    assert report.extras == {"error": "ValueError"}
-    assert (report.algo, report.n, report.d, report.k, report.input_kind, report.seed, report.epsilon) == (
-        "random", 7, 7, 4, "B", 2, 0.25)
-    assert (report.offdiag_count, report.kernel_evals, report.pq_ops, report.timings) == (0, 0, 0, {})
-    assert RunReport.from_json(report.to_json_line()) == report
+    """random greedy needs n >= 2k and stochastic n >= 3k; each cell records the error and zero
+    counters, and ``epsilon`` only where the solver reads it."""
+    random, stochastic = bench_cells(["random", "stochastic"], [7], [4], seeds=(2,), epsilon=0.25)
+    for report, epsilon in ((random, None), (stochastic, 0.25)):
+        assert report.extras == {"error": "ValueError"}
+        assert (report.n, report.d, report.k, report.input_kind, report.seed, report.epsilon) == (
+            7, 7, 4, "B", 2, epsilon), report.algo
+        assert (report.offdiag_count, report.kernel_evals, report.pq_ops, report.timings) == (0, 0, 0, {})
+        assert RunReport.from_json(report.to_json_line()) == report
+    assert (random.algo, stochastic.algo) == ("random", "stochastic")
 
 
 def test_bench_cells_grid_shape():
