@@ -77,27 +77,19 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
     matrix = oracle.materialize()
     n = oracle.n
 
-    def interlaced_pair(seed_item):
-        first: list[int] = []
-        second: list[int] = []
-        if seed_item is not None:
-            first.append(seed_item)
-            second.append(seed_item)
-        for _ in run.steps(cfg.k if seed_item is None else cfg.k - 1, deadline):
-            taken = set(first) | set(second)
-            cands = [i for i in range(n) if i not in taken]
-            if cands:
-                base = reference.log_det(matrix, first)
-                i, gain = gain_argmax(matrix, first, base, cands)
-                if gain >= 0.0:
-                    first.append(i)
-            taken = set(first) | set(second)
-            cands = [i for i in range(n) if i not in taken]
-            if cands:
-                base = reference.log_det(matrix, second)
-                j, gain = gain_argmax(matrix, second, base, cands)
-                if gain >= 0.0:
-                    second.append(j)
+    def interlaced_pair(seed):
+        """Two alternating exclusive runs as lists of (item, gain) picks, both opened by the pick ``seed``."""
+        first = [] if seed is None else [seed]
+        second = [] if seed is None else [seed]
+        for _ in run.steps(cfg.k if seed is None else cfg.k - 1, deadline):
+            for picks in (first, second):
+                taken = {i for i, _ in first} | {i for i, _ in second}
+                cands = [i for i in range(n) if i not in taken]
+                if cands:
+                    chosen = [i for i, _ in picks]
+                    i, gain = gain_argmax(matrix, chosen, reference.log_det(matrix, chosen), cands)
+                    if gain >= 0.0:
+                        picks.append((i, gain))
         return first, second
 
     seq_a, seq_b = interlaced_pair(None)
@@ -109,14 +101,12 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
     best_label, best_len, best_obj = "A", 0, 0.0
     for label, seq in runs:
         for t in range(1, len(seq) + 1):
-            obj = reference.log_det(matrix, seq[:t])
+            obj = reference.log_det(matrix, [i for i, _ in seq[:t]])
             if obj > best_obj:
                 best_label, best_len, best_obj = label, t, obj
-    best_seq = dict(runs)[best_label][:best_len]
-    report.selection = list(best_seq)
-    report.final_objective = best_obj
-    report.objective_trace = [reference.log_det(matrix, best_seq[: t + 1]) for t in range(best_len)]
+    for item, gain in dict(runs)[best_label][:best_len]:
+        run.take(item, gain, reference.log_det(matrix, report.selection + [item]))
     report.steps_attempted = cfg.k
-    report.extras["sequences"] = {label: list(seq) for label, seq in runs}
+    report.extras["sequences"] = {label: [i for i, _ in seq] for label, seq in runs}
     report.extras["best_prefix"] = {"run": best_label, "length": best_len}
     return run.finish()

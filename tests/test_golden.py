@@ -24,7 +24,7 @@ from dppmap.kernel import KernelOracle, SparseColumns
 from dppmap.stream import DecisionStream
 
 N, K, SEEDS, EPSILON = 24, 5, (1, 2, 3), 0.5
-GOLDEN = "d72d68a70ff211644e9d337bdbce65d852417f14402fff843af9f059178fc882"
+GOLDEN = "7a28d9393d28dab0d1bad424fa86eb81e342c0b78c72637845df81074b77b4a2"
 
 
 def _oracle(kind: str, seed: int, scale: float, shift: float) -> KernelOracle:

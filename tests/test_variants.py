@@ -178,6 +178,7 @@ def test_interlace_coupling():
         twin = run_algorithm("interlace-naive", oracle, k)
         assert rep.selection == twin.selection, f"t={t}"
         assert rep.extras["sequences"] == twin.extras["sequences"], f"t={t}"
+        assert len(twin.gains) == len(twin.selection) and twin.gains == pytest.approx(rep.gains, rel=1e-8), f"t={t}"
 
 
 def test_stochastic_degenerate_matches_naive_greedy():
