@@ -123,13 +123,14 @@ class SparseColumns:
         one otherwise.  The columns are the same for either layout.
         """
         dense = np.asarray(dense, dtype=np.float64)
+        d, _ = dense.shape
         items = dense.T
         nonzeros = [item.nonzero()[0] for item in items]
         indptr = np.zeros(len(nonzeros) + 1, dtype=np.int64)
         np.cumsum([nz.size for nz in nonzeros], out=indptr[1:])
         flat = np.concatenate(nonzeros) if nonzeros else np.zeros(0, np.intp)
         values = items[np.repeat(np.arange(len(nonzeros)), np.diff(indptr)), flat]
-        return cls(dense.shape[0], indptr, flat.astype(np.uint32), values)
+        return cls(d, indptr, flat.astype(np.uint32), values)
 
     @property
     def width(self) -> int:

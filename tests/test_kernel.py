@@ -9,6 +9,7 @@ import pytest
 from dppmap import reference
 from dppmap.bench import build_synthetic_oracle
 from dppmap.datagen import SyntheticSpec, gen_synthetic
+from dppmap.errors import NonFiniteInputError
 from dppmap.kernel import B_BITS, KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
 
 from test_matrixio import columns_of, traced_peak
@@ -319,6 +320,47 @@ def test_sparse_columns_validation_accepts_boundary_steps():
     # a column may start at or below the previous column's last index
     cols = _malformed(6, [([3, 5], [1.0, -1.0]), ([], []), ([0, 5], [2.0, 1.0]), ([5], [1.0])])
     cols.validate()
+
+
+def _first_fault_by_scan(dim, columns):
+    """(error type, message) of the first fault a column-by-column scan finds, or ``None``."""
+    for c, (idx, val) in enumerate(columns):
+        idx, val = np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=float)
+        if np.any(np.diff(idx) <= 0):
+            return ValueError, f"column {c}: indices not strictly increasing"
+        if idx.size and (idx[0] < 0 or idx[-1] >= dim):
+            return ValueError, f"column {c}: index out of range"
+        if np.any(val == 0.0):
+            return ValueError, f"column {c}: explicit zero stored"
+        if not np.isfinite(val).all():
+            return NonFiniteInputError, f"column {c}: non-finite value stored"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_names_the_fault_a_column_scan_finds(seed):
+    """Random columns with occasional faults of every kind, several per input and per column."""
+    rng = np.random.default_rng(seed)
+    faulty = 0
+    for _ in range(300):
+        dim = int(rng.integers(1, 6))
+        columns = []
+        for _ in range(int(rng.integers(0, 5))):
+            idx = np.sort(rng.choice(np.arange(-1, dim + 1), int(rng.integers(0, 4))))
+            if idx.size > 1 and rng.random() < 0.1:
+                idx = idx[::-1]
+            val = rng.choice([1.0, -2.5, 0.0, np.nan, np.inf], idx.size, p=[0.45, 0.45, 0.04, 0.03, 0.03])
+            columns.append((idx, val))
+        want = _first_fault_by_scan(dim, columns)
+        cols = _malformed(dim, columns, index_dtype=np.int64)
+        if want is None:
+            cols.validate()
+            continue
+        faulty += 1
+        with pytest.raises(ValueError) as err:
+            cols.validate()
+        assert (type(err.value), str(err.value)) == want, columns
+    assert 100 < faulty < 250
 
 
 def _oracles_of_every_kind(scale=1.0, shift=0.0):
