@@ -312,11 +312,8 @@ class KernelOracle:
                     raw = np.diff(sparse.indptr).astype(np.float64)  # each item's popcount
                     _require_finite_diagonal(self.scale * raw + self.shift)
             else:
-                bounds = sparse.indptr.tolist()
-                spans = list(zip(bounds[:-1], bounds[1:]))
-                flat_idx = sparse.indices.astype(np.intp)
-                self._sparse_idx = [flat_idx[lo:hi] for lo, hi in spans]
-                self._sparse_val = [sparse.values[lo:hi] for lo, hi in spans]
+                self._sparse_idx = np.split(sparse.indices.astype(np.intp), sparse.indptr[1:-1])
+                self._sparse_val = np.split(sparse.values, sparse.indptr[1:-1])
                 self._scratch = _Scratch(sparse.width)
                 self._dot = _int_dot if _sums_exactly(sparse) else seq_dot
                 raw = np.fromiter((self._dot(v, v) for v in self._sparse_val), np.float64, self.n)
