@@ -7,7 +7,7 @@ a benchmark harness.
 """
 
 from .cholesky import CholeskyState
-from .datagen import RatingsSpec, SyntheticSpec, gen_synthetic, ingest_ratings
+from .datagen import SyntheticSpec, gen_synthetic
 from .doublegreedy import fast_double_greedy, jacobi_gain_check, naive_double_greedy
 from .greedy import GreedyConfig, fast_greedy, lazy_fast_greedy, lazy_greedy, naive_greedy
 from .kernel import KernelOracle, SparseColumns, seq_dot, sparse_dot
@@ -31,7 +31,6 @@ __all__ = [
     "GreedyConfig",
     "KernelOracle",
     "LazyMaxQueue",
-    "RatingsSpec",
     "RunReport",
     "SparseColumns",
     "SyntheticSpec",
@@ -40,7 +39,6 @@ __all__ = [
     "fast_double_greedy",
     "fast_greedy",
     "gen_synthetic",
-    "ingest_ratings",
     "interlace_greedy_lf",
     "inverse",
     "jacobi_gain_check",

@@ -17,8 +17,7 @@ import time
 from . import bench as benchmod
 from . import matrixio, verify
 from .bench import ALGORITHMS, EPSILON, resolve_adjustment, run_algorithm
-from .datagen import (RatingsSpec, SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic,
-                      ingest_ratings, write_idmap)
+from .datagen import SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic, read_triples, write_idmap
 from .kernel import KernelOracle
 
 
@@ -74,12 +73,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    spec = RatingsSpec(path=args.input, threshold=args.threshold,
-                       drop_empty=not args.keep_empty)
-    if args.format == "netflix":
-        cols, idmap = binarize_ratings(convert_netflix(args.input), spec)
-    else:
-        cols, idmap = ingest_ratings(spec)
+    read = convert_netflix if args.format == "netflix" else read_triples
+    cols, idmap = binarize_ratings(read(args.input), args.threshold, drop_empty=not args.keep_empty)
     matrixio.write_sparse(args.out, cols)
     write_idmap(f"{args.out}.idmap.json", idmap)
     print(f"wrote {cols.ncols} items x {cols.dim} users ({cols.indices.size} entries) to {args.out}")

@@ -1,21 +1,29 @@
 """Instance generation and ingestion.
 
 Synthetic instances are feature matrices with i.i.d. standard-normal entries
-(so the induced kernel is Wishart).  Real instances come from rating triples
-``user,item,rating``: ratings at or above a threshold become 1.0 entries of a
-sparse 0/1 feature matrix with users as dimensions and items as columns.
+(so the induced kernel is Wishart).  Real instances come from ratings, in a
+``user,item,rating`` CSV (:func:`read_triples`) or a per-movie file
+(:func:`convert_netflix`).  Both readers are generators over
+:func:`~dppmap.matrixio.text_lines`, so their errors surface as the triples
+are consumed, and both parse a rating by one rule: a non-numeric rating
+raises ``ValueError`` and a non-finite one ``NonFiniteInputError``, each
+naming ``path:line``.  :func:`binarize_ratings` turns ratings at or above a
+threshold into 1.0 entries of a sparse 0/1 feature matrix with users as
+dimensions and items as columns.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .errors import NonFiniteInputError
 from .kernel import SparseColumns
+from .matrixio import text_lines
 from .stream import DecisionStream
 
 RATING_RANGE = (0.0, 10.0)
@@ -48,63 +56,52 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     return DecisionStream(spec.seed).normals(spec.n * d).reshape(spec.n, d).T
 
 
-@dataclass
-class RatingsSpec:
-    path: str | Path
-    threshold: float = 4.0
-    drop_empty: bool = True
-
-
 def _parse_rating(raw: str, where: str) -> float:
     """The rating field at ``where`` (``path:line``) as a float; warns when it is out of range."""
     try:
         rating = float(raw)
     except ValueError:
         raise ValueError(f"{where}: bad rating {raw!r}") from None
+    if not math.isfinite(rating):
+        raise NonFiniteInputError(f"{where}: non-finite rating {raw!r}")
     if not (RATING_RANGE[0] <= rating <= RATING_RANGE[1]):
         warnings.warn(f"{where}: rating {rating} outside {RATING_RANGE}")
     return rating
 
 
-def _parse_triples(path):
-    """Yield (user, item, rating) from a ``user,item,rating`` CSV.
+def read_triples(path):
+    """Yield ``(user, item, rating)`` from a ``user,item,rating`` CSV, one line at a time.
 
-    A header is auto-detected by a non-numeric rating field on the first
-    non-blank row.  Extra columns (timestamps etc.) are ignored.
+    A header is recognized by a first non-blank row whose rating field does
+    not parse as a float; a first row rated ``nan`` or ``inf`` is data, and
+    is refused as every non-finite rating is.  Extra columns (timestamps
+    etc.) are ignored.
     """
     first = True
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{ln}: expected >= 3 fields, got {len(parts)}")
-            user, item, raw = parts[:3]
-            header, first = first, False
+    for where, line in text_lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) < 3:
+            raise ValueError(f"{where}: expected >= 3 fields, got {len(parts)}")
+        user, item, raw = parts[:3]
+        if first:
+            first = False
             try:
-                rating = _parse_rating(raw, f"{path}:{ln}")
+                float(raw)
             except ValueError:
-                if header:
-                    continue  # header row: non-numeric rating field
-                raise
-            yield user, item, rating
+                continue  # header row: non-numeric rating field
+        yield user, item, _parse_rating(raw, where)
 
 
-def ingest_ratings(spec: RatingsSpec) -> tuple[SparseColumns, dict]:
-    """Read the triple CSV at ``spec.path`` and binarize it (:func:`binarize_ratings`)."""
-    return binarize_ratings(_parse_triples(spec.path), spec)
-
-
-def binarize_ratings(triples, spec: RatingsSpec) -> tuple[SparseColumns, dict]:
+def binarize_ratings(triples, threshold: float = 4.0, drop_empty: bool = True) -> tuple[SparseColumns, dict]:
     """Binarize ``(user, item, rating)`` triples into sparse 0/1 feature columns.
 
-    Ratings at or above the threshold become 1.0; items and users with no
-    qualifying ratings are dropped (unless ``drop_empty`` is off, in which
-    case every id seen keeps an index).  Surviving ids are reindexed densely
-    in first-appearance order.  Returns the columns plus an id map
-    ``{"users": {...}, "items": {...}}``.
+    ``triples`` is any iterable, read once: :func:`read_triples` and
+    :func:`convert_netflix` stream theirs from a file.  Ratings at or above
+    ``threshold`` become 1.0; items and users with no qualifying ratings are
+    dropped (unless ``drop_empty`` is off, in which case every id seen keeps
+    an index).  Surviving ids are reindexed densely in first-appearance
+    order.  Returns the columns plus an id map ``{"users": {...}, "items":
+    {...}, "threshold": threshold}``.
     """
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
@@ -116,8 +113,8 @@ def binarize_ratings(triples, spec: RatingsSpec) -> tuple[SparseColumns, dict]:
         return table[key]
 
     for user, item, rating in triples:
-        qualifies = rating >= spec.threshold
-        if not qualifies and spec.drop_empty:
+        qualifies = rating >= threshold
+        if not qualifies and drop_empty:
             continue
         u = index_of(user_index, user)
         m = index_of(item_index, item)
@@ -136,7 +133,7 @@ def binarize_ratings(triples, spec: RatingsSpec) -> tuple[SparseColumns, dict]:
     idmap = {
         "users": dict(user_index),
         "items": dict(item_index),
-        "threshold": spec.threshold,
+        "threshold": threshold,
     }
     return cols, idmap
 
@@ -147,27 +144,21 @@ def write_idmap(path, idmap: dict) -> None:
         fh.write("\n")
 
 
-def convert_netflix(path) -> list[tuple[str, str, float]]:
-    """Flatten one per-movie rating file into triples.
+def convert_netflix(path):
+    """Yield ``(user, movie, rating)`` triples from one per-movie rating file, one line at a time.
 
     Lines of the form ``<movie_id>:`` open a movie block; subsequent lines
-    are ``user,rating,date``.  Fields are stripped of surrounding blanks, as
-    in a triple CSV.
+    are ``user,rating,date``.  Fields are stripped of surrounding blanks, and
+    ratings parsed by the same rule, as in a triple CSV.
     """
-    triples = []
     movie = None
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.endswith(":"):
-                movie = line[:-1].strip()
-                continue
-            if movie is None:
-                raise ValueError(f"{path}:{ln}: rating line before any movie header")
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{ln}: expected user,rating[,date]")
-            triples.append((parts[0], movie, _parse_rating(parts[1], f"{path}:{ln}")))
-    return triples
+    for where, line in text_lines(path):
+        if line.endswith(":"):
+            movie = line[:-1].strip()
+            continue
+        if movie is None:
+            raise ValueError(f"{where}: rating line before any movie header")
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) < 2:
+            raise ValueError(f"{where}: expected user,rating[,date]")
+        yield parts[0], movie, _parse_rating(parts[1], where)

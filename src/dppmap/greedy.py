@@ -14,8 +14,14 @@ lazy-and-incremental:
 
 All four share one selection rule - argmax of the gain with ties to the
 smaller index, stop when the best gain is nonpositive - and return identical
-selection sequences (exactly, assuming gains are never within float noise of
-a tie; the shared tie-break keeps even exact-tie instances aligned).
+selection sequences whenever no two candidates' gains are within float
+rounding of each other, as on Gaussian features.  Exact ties are another
+matter: integer kernels, such as those of 0/1 features, produce them.  The
+tie-break sees float gains, and the Cholesky pivots (``fast``,
+``lazyfast``) and the brute-force log-determinants (``naive``, ``lazy``)
+can round two exactly equal gains apart.  On a tie the two families may
+then take different members of it, each with exactly the best gain, and
+the sequences part from there.
 """
 
 from __future__ import annotations

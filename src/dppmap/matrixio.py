@@ -151,17 +151,30 @@ def read_sparse(path) -> SparseColumns:
     return cols
 
 
+def text_lines(path):
+    """Yield ``("path:line", line)`` for each non-blank line of the text file at ``path``, stripped.
+
+    The one place the package reads text: the dense CSV fallback, rating
+    triples and per-movie rating files all come through here.  A file that
+    is not UTF-8 text raises ``ValueError`` naming the path.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for ln, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield f"{path}:{ln}", line
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not a UTF-8 text file") from None
+
+
 def read_dense_csv(path) -> np.ndarray:
     rows = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
+    for where, line in text_lines(path):
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty matrix")
     width = len(rows[0])

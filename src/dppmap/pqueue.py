@@ -10,7 +10,6 @@ total order.
 from __future__ import annotations
 
 import heapq
-import math
 
 
 class LazyMaxQueue:
@@ -54,10 +53,6 @@ class LazyMaxQueue:
             return None
         neg_key, index, _ = self._heap[0]
         return index, -neg_key
-
-    def peek_max(self) -> float:
-        entry = self.peek_entry()
-        return -math.inf if entry is None else entry[1]
 
     def pop_max(self) -> tuple[int, float]:
         self._clean()

@@ -238,12 +238,6 @@ def greedy_band(n: int, commits: int, attempted: int) -> tuple[int, int]:
     return triangle(commits), sweep_total(n, attempted)
 
 
-def random_greedy_band(n: int, k: int, commits: int) -> tuple[int, int]:
-    """Rank draws only widen the pool, so the eager full-run sweep still caps
-    the count; the lower bound is the committed triangle."""
-    return triangle(commits), sweep_total(n, k)
-
-
 def stochastic_upper_bound(n: int, k: int, s: int) -> int:
     """Worst-case count for sample-restricted refreshes.
 

@@ -20,14 +20,13 @@ import numpy as np
 from . import matrixio, reference
 from .bench import build_synthetic_oracle, run_algorithm, soft_speed_warnings
 from .cholesky import WINDOW, CholeskyState
-from .datagen import RatingsSpec, SyntheticSpec, gen_synthetic, ingest_ratings
+from .datagen import SyntheticSpec, binarize_ratings, gen_synthetic, read_triples
 from .doublegreedy import jacobi_gain_check
 from .kernel import KernelOracle, SparseColumns
 from .pqueue import LazyMaxQueue
 from .variants import (
     greedy_band,
     interlace_band,
-    random_greedy_band,
     stochastic_sample_size,
     stochastic_upper_bound,
     sweep_total,
@@ -81,8 +80,8 @@ def check_pqueue(total_ops: int = 100_000) -> CheckResult:
                 queue.exclude(i)
                 excluded.add(i)
             elif op == 2:
-                want = max(live.items(), key=lambda kv: (kv[1], -kv[0]))[1] if live else -math.inf
-                got = queue.peek_max()
+                want = max(live.items(), key=lambda kv: (kv[1], -kv[0])) if live else None
+                got = queue.peek_entry()
                 if got != want:
                     return CheckResult("pqueue-differential", False,
                                        f"peek mismatch: {got} != {want}")
@@ -430,7 +429,8 @@ def check_variant_coupling(instances: int = 50) -> CheckResult:
         if set(fast_rep.extras["dropped"]) & set(naive_rep.selection):
             return CheckResult("variant-coupling", False,
                                f"instance {t}: a dropped element was selected by the twin")
-        lo, hi = random_greedy_band(n, k, len(fast_rep.selection))
+        # rank draws only widen the pool, so the eager sweep over all k steps still caps the count
+        lo, hi = greedy_band(n, len(fast_rep.selection), k)
         if not lo <= fast_rep.offdiag_count <= hi:
             return CheckResult("variant-coupling", False,
                                f"instance {t}: random count {fast_rep.offdiag_count} outside [{lo},{hi}]")
@@ -585,7 +585,7 @@ def check_datagen() -> CheckResult:
 
         ratings = td / "toy.csv"
         ratings.write_text("u1,m1,5\nu1,m2,3\nu2,m1,4\n")
-        cols, idmap = ingest_ratings(RatingsSpec(path=ratings, threshold=4))
+        cols, idmap = binarize_ratings(read_triples(ratings), threshold=4)
         if cols.ncols != 1 or cols.dim != 2:
             return CheckResult("datagen", False,
                                f"toy ingest gave {cols.ncols} items x {cols.dim} users")

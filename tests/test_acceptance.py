@@ -22,7 +22,6 @@ from dppmap.variants import (
     greedy_band,
     interlace_band,
     interlace_greedy_lf,
-    random_greedy_band,
     random_greedy_lf,
     stochastic_greedy_lf,
     stochastic_sample_size,
@@ -96,7 +95,7 @@ def test_criterion_04_work_count_bands():
         if k >= 1 and n >= 4 * k:
             seed = 9000 + t
             r_rep = random_greedy_lf(oracle, VariantConfig(k=k), DecisionStream(seed))
-            lo, hi = random_greedy_band(n, k, len(r_rep.selection))
+            lo, hi = greedy_band(n, len(r_rep.selection), k)  # every one of the k steps is attempted
             if not (lo <= r_rep.offdiag_count <= hi):
                 failures.append(f"t={t}: random {r_rep.offdiag_count} outside [{lo},{hi}]")
             eps = 0.5

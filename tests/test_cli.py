@@ -16,6 +16,7 @@ from dppmap.kernel import B_BITS, SparseColumns, _int_dot, seq_dot
 from dppmap.report import RunReport
 from dppmap.stream import DecisionStream
 
+from test_matrixio import NON_TEXT
 from test_stream import one_shot_normals
 
 
@@ -210,6 +211,19 @@ def test_netflix_ingest_writes_no_side_file(tmp_path):
     assert main(["ingest", "--input", str(triples), "--out", str(ref)]) == 0
     assert out.read_bytes() == ref.read_bytes()
     assert (tmp_path / "items.dpps1.idmap.json").read_text() == (ref_dir / "r.dpps1.idmap.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [["run", "--algo", "fast", "--k", "1"], ["ingest"], ["ingest", "--format", "netflix"]],
+                         ids=["run", "ingest", "ingest-netflix"])
+@pytest.mark.parametrize("raw", NON_TEXT.values(), ids=NON_TEXT)
+def test_a_binary_file_that_is_no_matrix_is_refused_naming_its_path(tmp_path, argv, raw):
+    """``run`` hands a file with neither magic to the CSV reader, and ``ingest`` reads text only."""
+    path = tmp_path / "in.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as err:
+        main([*argv, "--input", str(path), "--out", str(tmp_path / "out")])
+    assert type(err.value) is ValueError and str(err.value) == f"{path}: not a UTF-8 text file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
 
 
 def test_ingested_matrix_runs(tmp_path):

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from dppmap.datagen import (
-    RatingsSpec,
-    SyntheticSpec,
-    convert_netflix,
-    gen_synthetic,
-    ingest_ratings,
-)
+from dppmap.datagen import SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic, read_triples
+from dppmap.errors import NonFiniteInputError
 from dppmap.stream import NORMAL_BLOCK, DecisionStream
 
 from test_matrixio import columns_of
@@ -52,7 +47,7 @@ def _write(tmp_path, text, name="r.csv"):
 
 def test_ingest_toy_example(tmp_path):
     path = _write(tmp_path, "u1,m1,5\nu1,m2,3\nu2,m1,4\n")
-    cols, idmap = ingest_ratings(RatingsSpec(path=path, threshold=4))
+    cols, idmap = binarize_ratings(read_triples(path), threshold=4)
     assert cols.ncols == 1 and cols.dim == 2  # m2 dropped as all-zero
     assert cols.indptr.tolist() == [0, 2]
     assert cols.indices.tolist() == [0, 1]
@@ -64,53 +59,70 @@ def test_ingest_toy_example(tmp_path):
 def test_ingest_empty_errors(tmp_path):
     path = _write(tmp_path, "u1,m1,1\nu2,m2,2\n")
     with pytest.raises(ValueError, match="no items survive"):
-        ingest_ratings(RatingsSpec(path=path, threshold=4))
+        binarize_ratings(read_triples(path), threshold=4)
 
 
 def test_ingest_threshold_zero_keeps_everything(tmp_path):
     path = _write(tmp_path, "u1,m1,1\nu2,m2,0\nu3,m1,3\n")
-    cols, idmap = ingest_ratings(RatingsSpec(path=path, threshold=0))
+    cols, idmap = binarize_ratings(read_triples(path), threshold=0)
     assert cols.ncols == 2 and cols.dim == 3
     assert all(np.all(v == 1.0) for v in cols.values)
 
 
 def test_ingest_header_autodetected(tmp_path):
     path = _write(tmp_path, "userId,movieId,rating,timestamp\n3,9,5,111\n4,9,4,222\n")
-    cols, idmap = ingest_ratings(RatingsSpec(path=path, threshold=4))
+    cols, idmap = binarize_ratings(read_triples(path), threshold=4)
     assert cols.ncols == 1 and cols.dim == 2
     assert idmap["items"] == {"9": 0}
 
 
 def test_a_header_after_blank_lines_is_still_the_header(tmp_path):
     path = _write(tmp_path, "\nuser,item,rating\nu1,m1,5\n")
-    cols, idmap = ingest_ratings(RatingsSpec(path=path, threshold=4))
+    cols, idmap = binarize_ratings(read_triples(path), threshold=4)
     assert idmap["items"] == {"m1": 0} and idmap["users"] == {"u1": 0}
     path = _write(tmp_path, "\n \nuser,item,rating\nuser,item,rating\n")  # only the first row may be one
     with pytest.raises(ValueError, match=r"r\.csv:4: bad rating 'rating'"):
-        ingest_ratings(RatingsSpec(path=path))
+        binarize_ratings(read_triples(path))
 
 
 def test_ingest_malformed_line_reports_number(tmp_path):
     path = _write(tmp_path, "1,2,5\n1,2\n")
     with pytest.raises(ValueError, match=":2"):
-        ingest_ratings(RatingsSpec(path=path))
+        binarize_ratings(read_triples(path))
     path = _write(tmp_path, "1,2,5\n3,4,bogus\n")
     with pytest.raises(ValueError, match="bad rating"):
-        ingest_ratings(RatingsSpec(path=path))
+        binarize_ratings(read_triples(path))
 
 
 def test_ingest_out_of_range_warns(tmp_path):
     path = _write(tmp_path, "1,2,5\n1,3,42\n")
     with pytest.warns(UserWarning, match="r.csv:2: rating 42.0 outside"):
-        ingest_ratings(RatingsSpec(path=path))
+        binarize_ratings(read_triples(path))
     path = _write(tmp_path, "2:\n1,5,2005-01-01\n3:\n1,42,2005-01-02\n", name="mv.txt")
     with pytest.warns(UserWarning, match="mv.txt:4: rating 42.0 outside"):
-        convert_netflix(path)
+        list(convert_netflix(path))
+
+
+@pytest.mark.parametrize("name, text, where, raw", [
+    ("r.csv", "u1,m1,5\nu2,m1,inf\n", "r.csv:2", "inf"),        # once a qualifying 1.0 entry
+    ("r.csv", "u1,m1,5\nu1,m2,nan\n", "r.csv:2", "nan"),        # once silently dropped
+    ("r.csv", "\nu1,m1,nan\nu2,m1,5\n", "r.csv:2", "nan"),      # a first row rated nan is data, not a header
+    ("r.csv", "user,item,rating\nu1,m1,-1e999\n", "r.csv:2", "-1e999"),
+    ("mv.txt", "12:\n101,5,2005-01-01\n102,NaN,2005-01-02\n", "mv.txt:3", "NaN"),
+    ("mv.txt", "12:\n101,Infinity\n", "mv.txt:2", "Infinity"),
+], ids=["triples-inf", "triples-nan", "triples-nan-first-row", "triples-overflow", "netflix-nan", "netflix-inf"])
+def test_non_finite_ratings_are_refused_naming_the_line(tmp_path, recwarn, name, text, where, raw):
+    path = _write(tmp_path, text, name=name)
+    read = convert_netflix if name == "mv.txt" else read_triples
+    with pytest.raises(NonFiniteInputError) as err:
+        binarize_ratings(read(path))
+    assert str(err.value) == f"{tmp_path / where}: non-finite rating {raw!r}"
+    assert not recwarn.list  # refused, not warned about as out of range
 
 
 def test_ingest_first_appearance_order(tmp_path):
     path = _write(tmp_path, "u9,mB,5\nu2,mA,5\nu9,mA,4\n")
-    cols, idmap = ingest_ratings(RatingsSpec(path=path, threshold=4))
+    cols, idmap = binarize_ratings(read_triples(path), threshold=4)
     assert idmap["items"] == {"mB": 0, "mA": 1}
     assert idmap["users"] == {"u9": 0, "u2": 1}
     assert cols.indices[cols.indptr[1]:].tolist() == [0, 1]  # sorted user indices within a column
@@ -118,16 +130,16 @@ def test_ingest_first_appearance_order(tmp_path):
 
 def test_ingest_duplicate_triples_deduped(tmp_path):
     path = _write(tmp_path, "u1,m1,5\nu1,m1,4\n")
-    cols, _ = ingest_ratings(RatingsSpec(path=path, threshold=4))
+    cols, _ = binarize_ratings(read_triples(path), threshold=4)
     assert cols.indptr.tolist() == [0, 1] and cols.indices.tolist() == [0]
 
 
 def test_ingest_idempotent(tmp_path):
     path = _write(tmp_path, "u1,m1,5\nu2,m1,4\nu2,m2,5\nu3,m3,2\n")
-    cols, _ = ingest_ratings(RatingsSpec(path=path, threshold=4))
+    cols, _ = binarize_ratings(read_triples(path), threshold=4)
     rendered = "".join(f"{u},{m},{r}\n" for u, m, r in columns_to_triples(cols))
     path2 = _write(tmp_path, rendered, name="r2.csv")
-    cols2, _ = ingest_ratings(RatingsSpec(path=path2, threshold=1))
+    cols2, _ = binarize_ratings(read_triples(path2), threshold=1)
     assert cols2.ncols == cols.ncols and cols2.dim == cols.dim
     assert cols2.indptr.tolist() == cols.indptr.tolist()
     assert cols2.indices.tolist() == cols.indices.tolist()
@@ -135,7 +147,7 @@ def test_ingest_idempotent(tmp_path):
 
 def test_every_surviving_column_and_row_nonempty(tmp_path):
     path = _write(tmp_path, "u1,m1,5\nu1,m2,3\nu2,m1,4\nu3,m2,5\n")
-    cols, _ = ingest_ratings(RatingsSpec(path=path, threshold=4))
+    cols, _ = binarize_ratings(read_triples(path), threshold=4)
     assert (np.diff(cols.indptr) >= 1).all()
     assert set(cols.indices.tolist()) == set(range(cols.dim))
 
@@ -143,19 +155,19 @@ def test_every_surviving_column_and_row_nonempty(tmp_path):
 def test_netflix_adapter(tmp_path):
     path = tmp_path / "mv.txt"
     path.write_text("12:\n101,5,2005-01-01\n102,3,2005-01-02\n34:\n101,4,2005-02-01\n")
-    triples = convert_netflix(path)
+    triples = list(convert_netflix(path))
     assert triples == [("101", "12", 5.0), ("102", "12", 3.0), ("101", "34", 4.0)]
     bad = tmp_path / "bad.txt"
     bad.write_text("101,5,2005-01-01\n")
     with pytest.raises(ValueError, match="before any movie"):
-        convert_netflix(bad)
+        list(convert_netflix(bad))
 
 
 def test_netflix_bad_rating_names_file_and_line(tmp_path):
     path = tmp_path / "mv.txt"
     path.write_text("12:\n101,5,2005-01-01\n102, five ,2005-01-02\n")
     with pytest.raises(ValueError, match=r"mv\.txt:3: bad rating 'five'"):
-        convert_netflix(path)
+        list(convert_netflix(path))
 
 
 def one_shot_features(n, d, seed):

@@ -88,3 +88,55 @@ def test_timing_stripped_reports_match_the_pinned_digest():
     cores = (f"numpy's OpenBLAS core {openblas_core('numpy', 'scipy_openblas_get_corename64_')}, "
              f"scipy's {openblas_core('scipy', 'scipy_openblas_get_corename')}")
     assert golden_digest() == GOLDEN, f"digest pinned on the SkylakeX core; this run has {cores}"
+
+
+def integer_det(matrix) -> int:
+    """The determinant of a square integer matrix, by fraction-free (Bareiss) elimination in Python ints."""
+    m = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def test_interlace_twins_part_only_on_exact_ties():
+    """``interlace`` and ``interlace-naive`` may part only where two picks have exactly equal gains.
+
+    A pick's gain is ``det K[S + i] / det K[S]`` with ``S`` the run's shared
+    prefix, so two picks tie exactly when their integer numerators are equal.
+    The 0/1 golden inputs have integer kernels, where such ties occur: on
+    ``sparse01 2`` run A parts at its second pick, 18 against 0, and with
+    ``S = {22}`` both numerators are 104.  The float gains of a tie may round
+    apart (Cholesky pivots against LAPACK log-determinants), so the
+    smaller-index tie-break need not decide it.  The check is exact integer
+    arithmetic; it also holds once the twins agree on every tie.
+    """
+    assert resolve_adjustment("interlace", None, None) == (1.0, 0.0)  # the kernel is the Gram matrix itself
+    for seed in SEEDS:
+        binary = gen_synthetic(SyntheticSpec(n=N, d=N, seed=seed)) > 0.5
+        items = [[int(v) for v in binary[:, i]] for i in range(N)]
+        gram = [[sum(x * y for x, y in zip(a, b)) for b in items] for a in items]
+        oracle = _oracle("sparse01", seed, 1.0, 0.0)
+        fast, naive = (run_algorithm(algo, oracle, K).extras["sequences"] for algo in ("interlace", "interlace-naive"))
+        # each phase's two runs pick alternately and exclude each other's picks, so compare them in pick order
+        phases = [("A", "B")] + ([("C", "D")] if fast["A"][:1] == naive["A"][:1] else [])
+        for phase in phases:
+            picks = [(label, t) for t in range(K) for label in phase]
+            parting = next(((label, t) for label, t in picks if fast[label][t:t + 1] != naive[label][t:t + 1]), None)
+            if parting is None:
+                continue
+            label, t = parting
+            assert t < min(len(fast[label]), len(naive[label])), (seed, label, fast[label], naive[label])
+            prefix = fast[label][:t]
+            dets = [integer_det([[gram[r][c] for c in prefix + [pick]] for r in prefix + [pick]])
+                    for pick in (fast[label][t], naive[label][t])]
+            assert dets[0] == dets[1], (seed, label, t, fast[label], naive[label], dets)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import struct
@@ -20,6 +21,13 @@ from dppmap.kernel import SparseColumns
 # needs, far below the gigabytes a trusted oversized header would ask for.
 ADDRESS_CAP = 1 << 30
 FUZZ_EXAMPLES = 300
+
+# Binary files that fall through to the CSV reader.  Neither is UTF-8 text: the
+# f64 value 1.0 holds the byte 0xf0, which no ASCII byte may follow in UTF-8.
+NON_TEXT = {
+    "unknown-magic": b"NOPE!" + struct.pack("<IId", 1, 1, 1.0),
+    "dpps1-fifth-byte-changed": b"DPPS2" + struct.pack("<IIIId", 2, 1, 1, 0, 1.0),
+}
 
 
 def write_dense_csv(path, matrix):
@@ -98,6 +106,37 @@ def test_load_matrix_sniffs(tmp_path):
     write_dense_csv(csv_path, mat)
     kind, payload = matrixio.load_matrix(csv_path)
     assert kind == "dense" and np.array_equal(payload, mat)
+
+
+def test_the_package_reads_text_only_in_text_lines():
+    """Every ``open`` that reads text sits in ``matrixio.text_lines``; binary reads and all writes are exempt."""
+    readers = set()
+
+    def reads_text(call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Attribute) and func.attr == "read_text":
+            return True
+        if not (isinstance(func, ast.Name) and func.id == "open"):
+            return False
+        mode = call.args[1] if len(call.args) > 1 else next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+        if mode is None:
+            return True  # the default mode reads text
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return True  # a mode the guard cannot read counts as a text read
+        return "b" not in mode.value and not set(mode.value) & set("wax")
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and reads_text(child):
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in Path(dppmap.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
+    assert readers == {"matrixio.text_lines"}
 
 
 def traced_peak(fn, *args):
@@ -269,7 +308,9 @@ def load_capped(path) -> dict:
     (b"DPPS1" + struct.pack("<III", 4, 1, 0xFFFFFFFF) + bytes(12), "truncated column"),
     # 2**32 - 1 columns (an int64 pointer each: 32 GiB) over a 4-byte body
     (b"DPPS1" + struct.pack("<III", 4, 0xFFFFFFFF, 0), "truncated column"),
-], ids=["dense-overflow", "dense-32GiB", "sparse-column-48GiB", "sparse-4G-columns"])
+    # binary files the magic sniff hands to the CSV reader
+    *((raw, "not a UTF-8 text file") for raw in NON_TEXT.values()),
+], ids=["dense-overflow", "dense-32GiB", "sparse-column-48GiB", "sparse-4G-columns", *NON_TEXT])
 def test_hostile_headers_raise_before_any_oversized_read(tmp_path, raw, message):
     path = tmp_path / "hostile.bin"
     path.write_bytes(raw)

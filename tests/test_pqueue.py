@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from dppmap.pqueue import LazyMaxQueue
@@ -27,9 +25,8 @@ def test_exclusion_skips_the_max():
     assert q.pop_max() == (2, 2.0)
 
 
-def test_peek_on_empty_is_minus_inf():
+def test_peek_on_empty_is_none():
     q = LazyMaxQueue(2)
-    assert q.peek_max() == -math.inf
     assert q.peek_entry() is None
 
 
