@@ -10,7 +10,7 @@ from .cholesky import CholeskyState
 from .datagen import SyntheticSpec, gen_synthetic
 from .doublegreedy import fast_double_greedy, jacobi_gain_check, naive_double_greedy
 from .greedy import GreedyConfig, fast_greedy, lazy_fast_greedy, lazy_greedy, naive_greedy
-from .kernel import KernelOracle, SparseColumns, seq_dot, sparse_dot
+from .kernel import KernelOracle, SparseColumns, seq_dot
 from .naive_variants import naive_interlace_greedy, naive_random_greedy, naive_stochastic_greedy
 from .pqueue import LazyMaxQueue
 from .reference import exhaustive_map, inverse, log_det
@@ -52,6 +52,5 @@ __all__ = [
     "naive_stochastic_greedy",
     "random_greedy_lf",
     "seq_dot",
-    "sparse_dot",
     "stochastic_greedy_lf",
 ]

@@ -104,24 +104,29 @@ def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=EPSILON,
                 input_kind="B", scale=None, shift=None, timeout_s=None) -> Iterator[RunReport]:
     """Sweep a (n x k x seed x algo) grid of synthetic instances, serially, yielding one report per cell.
 
-    Each report is yielded as its cell finishes.  Instances are generated per
-    (n, seed); each algorithm gets its own oracle so evaluation counters stay
-    honest.  A cell that hits the per-cell timeout is its solver's report
-    with ``timed_out`` set.  A cell that raises, building its instance
-    included, is a report of the cell's own fields with ``extras["error"]``
-    naming the exception; its counters stay zero and its ``timings`` empty.
-    Its ``d`` is the oracle's, or the requested one when no oracle was built,
+    Each report is yielded as its cell finishes.  One instance is built per
+    (n, seed, adjustment) and shared by every algorithm that takes that
+    adjustment: at most two, the default one and the double greedies'.  A
+    report's ``kernel_evals`` counts from the oracle's count as its run
+    starts, so sharing an oracle leaves the counters as they are.  A cell
+    that hits the per-cell timeout is its solver's report with
+    ``timed_out`` set.  A cell that raises, building its instance included,
+    is a report of the cell's own fields with ``extras["error"]`` naming the
+    exception; its counters stay zero and its ``timings`` empty.  A build
+    that raises is retried, and fails, for each cell that needs it.  Its
+    ``d`` is the oracle's, or the requested one when no oracle was built,
     and it records ``epsilon`` only for the stochastic solvers, as they do.
     """
     for n in n_values:
         for seed in seeds:
+            oracles = {}  # adjustment -> the instance built with it
             for algo in algos:
-                cell_scale, cell_shift = resolve_adjustment(algo, scale, shift)
-                oracle = None
+                adjustment = resolve_adjustment(algo, scale, shift)
                 for k in k_values:
+                    oracle = oracles.get(adjustment)
                     try:
                         if oracle is None:
-                            oracle = build_synthetic_oracle(n, d, seed, input_kind, cell_scale, cell_shift)
+                            oracle = oracles[adjustment] = build_synthetic_oracle(n, d, seed, input_kind, *adjustment)
                         deadline = None if timeout_s is None else time.perf_counter() + timeout_s
                         report = run_algorithm(algo, oracle, k, seed=seed, epsilon=epsilon, deadline=deadline)
                     except Exception as exc:  # noqa: BLE001 - recorded per cell

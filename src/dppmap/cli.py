@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -32,6 +33,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):  # a deadline of now + NaN is never reached
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}")
     return value
 
 
@@ -61,7 +69,8 @@ def load_oracle(path: str, input_kind: str, scale: float, shift: float) -> Kerne
         return KernelOracle.from_dense_kernel(payload, scale, shift)
     if kind == "dense":
         return KernelOracle.from_dense_features(payload, scale, shift)
-    # read_sparse has validated the columns; from_sparse_features would check them again.
+    # read_sparse has validated the columns, which from_sparse_features would check again;
+    # the constructor still judges the adjusted diagonal, which needs the scale and shift.
     return KernelOracle(scale, shift, sparse=payload)
 
 
@@ -161,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel scale (default 1.0; 0.9 for double greedy)")
     p.add_argument("--shift", type=float, default=None,
                    help="diagonal shift (default 0.0; 0.1 for double greedy)")
-    p.add_argument("--timeout-s", type=float, default=None)
+    p.add_argument("--timeout-s", type=_seconds, default=None)
     p.add_argument("--check", action="store_true",
                    help="cross-check the objective against brute force")
     p.add_argument("--out", default=None)
@@ -178,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-kind", choices=("B", "L"), default="B")
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--shift", type=float, default=None)
-    p.add_argument("--timeout-s", type=float, default=None)
+    p.add_argument("--timeout-s", type=_seconds, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bench)
 

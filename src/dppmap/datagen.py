@@ -101,8 +101,11 @@ def binarize_ratings(triples, threshold: float = 4.0, drop_empty: bool = True) -
     dropped (unless ``drop_empty`` is off, in which case every id seen keeps
     an index).  Surviving ids are reindexed densely in first-appearance
     order.  Returns the columns plus an id map ``{"users": {...}, "items":
-    {...}, "threshold": threshold}``.
+    {...}, "threshold": threshold}``.  A NaN or infinite ``threshold``
+    raises ``NonFiniteInputError`` before any triple is read.
     """
+    if not math.isfinite(threshold):
+        raise NonFiniteInputError(f"rating threshold {threshold!r} is not finite")
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     entries: dict[int, set[int]] = {}

@@ -92,8 +92,9 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
     setup_ms = run.ms()
     report.timings.update(product_ms=product_ms, inverse_ms=setup_ms - product_ms)
 
-    # Trusted constructor: both come from an already checked oracle, and
-    # from_dense_kernel would refuse the inverse, which is not bitwise symmetric.
+    # Bare constructor, which judges only the diagonal: both come from an already
+    # checked oracle, and from_dense_kernel would refuse the inverse, which is not
+    # bitwise symmetric.
     grow = CholeskyState(KernelOracle(matrix=matrix), n)
     shrink = CholeskyState(KernelOracle(matrix=np.ascontiguousarray(inv)), n)
     ab_gains: list[tuple[float, float]] = []

@@ -179,33 +179,14 @@ def _bitsets(columns: SparseColumns) -> list[int] | None:
     return [int.from_bytes(packed[c * step:(c + 1) * step], "little") for c in range(n)]
 
 
-def sparse_dot(a_idx: np.ndarray, a_val: np.ndarray, b_idx: np.ndarray, b_val: np.ndarray) -> float:
-    """Inner product of two sparse columns over their common indices.
-
-    ``b`` is scattered into a zeroed scratch vector up to the largest index,
-    gathered back at ``a``'s indices, and the products are summed by
-    :func:`seq_dot` in ascending index order.  The products at indices ``b``
-    lacks are zeros, which that sum ignores, so the result equals
-    :func:`seq_dot` on the dense equivalents exactly.  :class:`KernelOracle`
-    reuses one scratch vector per thread instead.
-    """
-    if a_idx.size == 0 or b_idx.size == 0:
-        return 0.0
-    a_idx = a_idx.astype(np.intp)
-    b_idx = b_idx.astype(np.intp)
-    scratch = np.zeros(int(max(a_idx[-1], b_idx[-1])) + 1)
-    scratch[b_idx] = b_val
-    return seq_dot(scratch[a_idx], a_val)
-
-
 def require_finite(array: np.ndarray, what: str) -> None:
     """Raise :class:`NonFiniteInputError` unless every value of ``array`` is finite."""
     if not np.isfinite(array).all():
         raise NonFiniteInputError(f"{what} contains NaN or infinite values")
 
 
-def _require_finite_diagonal(diag: np.ndarray) -> None:
-    """Refuse an adjusted kernel diagonal with a non-finite entry, naming the first.
+def _judge_diagonal(diag: np.ndarray) -> None:
+    """Refuse a non-finite, then a negative adjusted kernel diagonal entry, naming the first.
 
     By Cauchy-Schwarz, ``|K[i, j]| <= sqrt(K[i, i] * K[j, j])``, so a finite
     diagonal bounds every entry of the kernel.
@@ -214,6 +195,10 @@ def _require_finite_diagonal(diag: np.ndarray) -> None:
     if bad.size:
         i = int(bad[0])
         raise NonFiniteInputError(f"kernel diagonal at {i} is not finite: {float(diag[i])}")
+    bad = np.flatnonzero(diag < 0)
+    if bad.size:
+        i = int(bad[0])
+        raise NegativeDiagonalError(f"negative kernel diagonal at {i}: {float(diag[i])}")
 
 
 class _Scratch(threading.local):
@@ -241,24 +226,25 @@ class KernelOracle:
     default ``scale=1, shift=0`` leaves the kernel untouched; a positive
     ``shift`` regularizes a singular kernel without materializing a new one.
 
-    The ``from_*`` classmethods are the checked way in and the only place a
-    kernel is judged valid; solvers check nothing.  Past the checks every
-    constructor makes (a finite, nonnegative ``scale`` and ``shift``, at
-    least one item), they refuse non-finite input, an adjusted diagonal
-    ``scale * K[i, i] + shift`` that overflows (which bounds every entry),
-    and ``from_dense_kernel`` an asymmetric matrix or a negative adjusted
-    diagonal.  A feature kernel's adjusted diagonal ``scale * sum(f**2) +
-    shift`` cannot be negative.  The bare constructor,
+    Every constructor, the bare one included, judges the kernel in
+    ``__init__`` by one rule, and solvers check nothing: ``scale`` and
+    ``shift`` must be finite and nonnegative, there must be at least one
+    item, and each adjusted diagonal entry ``scale * K[i, i] + shift``, the
+    value ``entry(i, i)`` returns, must be finite
+    (:class:`NonFiniteInputError`, which bounds every entry) and then
+    nonnegative (:class:`NegativeDiagonalError`), each naming the first.
+    The ``from_*`` classmethods also check the payload: non-finite features
+    or matrix entries, a sparse layout :meth:`SparseColumns.validate`
+    refuses, and for ``from_dense_kernel`` a matrix that is not bitwise
+    symmetric.  The bare constructor,
     ``KernelOracle(scale, shift, feats= | sparse= | matrix=)``, takes one
     payload (item-major n-by-d features, :class:`SparseColumns`' flat
     ``indptr``/``indices``/``values`` arrays, or an n-by-n matrix) and reads
-    the kind, ``n`` and ``d`` off it.  It trusts its caller with the rest: it
-    is for data already checked, such as a DPPS1 file ``read_sparse``
-    validated, or the kernel and inverse fast double greedy derives from a
-    checked oracle.  It does check a sparse kernel's diagonal, which
-    ``read_sparse`` cannot, knowing no ``scale``; a bitset kernel's diagonal,
-    each item's stored count, is checked only when its bound
-    ``scale * d + shift`` overflows.
+    the kind, ``n`` and ``d`` off it.  It trusts its caller with the payload
+    past the diagonal (off-diagonal finiteness, symmetry, the sparse
+    layout): it is for data already checked, such as a DPPS1 file
+    ``read_sparse`` validated, or the kernel and inverse fast double greedy
+    derives from a checked oracle.
 
     Sparse features are summed one of three ways, chosen at construction
     (see the module docstring): 0/1 features dense enough for bitsets take
@@ -308,16 +294,18 @@ class KernelOracle:
             self._bits = _bitsets(sparse)
             if self._bits is not None:
                 self.kind = B_BITS
-                if not np.isfinite(self.scale * self.d + self.shift):  # a popcount is at most d
-                    raw = np.diff(sparse.indptr).astype(np.float64)  # each item's popcount
-                    _require_finite_diagonal(self.scale * raw + self.shift)
+                raw = np.diff(sparse.indptr)  # each item's popcount
             else:
                 self._sparse_idx = np.split(sparse.indices.astype(np.intp), sparse.indptr[1:-1])
                 self._sparse_val = np.split(sparse.values, sparse.indptr[1:-1])
                 self._scratch = _Scratch(sparse.width)
                 self._dot = _int_dot if _sums_exactly(sparse) else seq_dot
                 raw = np.fromiter((self._dot(v, v) for v in self._sparse_val), np.float64, self.n)
-                _require_finite_diagonal(self.scale * raw + self.shift)
+        elif feats is not None:
+            raw = np.einsum("ij,ij->i", feats, feats)
+        else:
+            raw = np.diagonal(matrix)
+        _judge_diagonal(self.scale * raw + self.shift)
         self.eval_count = 0
 
     # -- constructors ------------------------------------------------------
@@ -335,10 +323,7 @@ class KernelOracle:
         if features.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
         require_finite(features, "feature matrix")
-        feats = np.ascontiguousarray(features.T)
-        oracle = cls(scale, shift, feats=feats)
-        _require_finite_diagonal(oracle.scale * np.einsum("ij,ij->i", feats, feats) + oracle.shift)
-        return oracle
+        return cls(scale, shift, feats=np.ascontiguousarray(features.T))
 
     @classmethod
     def from_sparse_features(cls, columns: SparseColumns, scale: float = 1.0, shift: float = 0.0) -> "KernelOracle":
@@ -349,30 +334,22 @@ class KernelOracle:
     def from_dense_kernel(cls, matrix: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> "KernelOracle":
         """Wrap a precomputed n-by-n kernel matrix (O(1) entry access).
 
-        Past the checks every constructor makes, the matrix must be bitwise
-        equal to its transpose (:class:`AsymmetricKernelError`), and every
-        adjusted diagonal entry ``scale * K[i, i] + shift``, the value
-        ``entry(i, i)`` returns, must be finite (:class:`NonFiniteInputError`)
-        and nonnegative (:class:`NegativeDiagonalError`), each naming the first.
+        The matrix must be square, finite and bitwise equal to its transpose
+        (:class:`AsymmetricKernelError`); these payload checks run before the
+        constructor judges ``scale``, ``shift``, the item count and the
+        adjusted diagonal.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("kernel matrix must be square")
         require_finite(matrix, "kernel matrix")
         matrix = np.ascontiguousarray(matrix)
-        oracle = cls(scale, shift, matrix=matrix)
         bits = matrix.view(np.uint64)
         asymmetric = bits != bits.T
         if asymmetric.any():
             i, j = np.argwhere(asymmetric)[0]
             raise AsymmetricKernelError(f"kernel (L) input is not bitwise symmetric at K[{i}, {j}]")
-        diag = oracle.scale * np.diagonal(matrix) + oracle.shift
-        _require_finite_diagonal(diag)
-        negative = np.flatnonzero(diag < 0)
-        if negative.size:
-            i = int(negative[0])
-            raise NegativeDiagonalError(f"negative kernel diagonal at {i}: {float(diag[i])}")
-        return oracle
+        return cls(scale, shift, matrix=matrix)
 
     # -- access ------------------------------------------------------------
 

@@ -3,6 +3,8 @@ import time
 import pytest
 
 from dppmap.bench import (
+    ALGORITHMS,
+    EPSILON,
     SOLVERS,
     bench_cells,
     build_synthetic_oracle,
@@ -68,6 +70,31 @@ def test_bench_cells_records_a_failed_cell():
         assert (report.offdiag_count, report.kernel_evals, report.pq_ops, report.timings) == (0, 0, 0, {})
         assert RunReport.from_json(report.to_json_line()) == report
     assert (random.algo, stochastic.algo) == ("random", "stochastic")
+
+
+@pytest.mark.parametrize("input_kind", ["B", "L"])
+def test_bench_cells_share_an_instance_without_changing_a_report(input_kind):
+    """Every algorithm on a shared instance reports what it reports on a fresh one, timings aside."""
+    grid = dict(n_values=[12, 14], k_values=[2, 3], seeds=(1, 2))
+    shared = bench_cells(ALGORITHMS, **grid, input_kind=input_kind)
+
+    def fresh_oracle(n, seed, algo):
+        return build_synthetic_oracle(n, None, seed, input_kind, *resolve_adjustment(algo, None, None))
+
+    fresh = (run_algorithm(algo, fresh_oracle(n, seed, algo), k, seed=seed, epsilon=EPSILON)
+             for n in grid["n_values"] for seed in grid["seeds"] for algo in ALGORITHMS for k in grid["k_values"])
+    pairs = list(zip(shared, fresh, strict=True))
+    assert len(pairs) == 2 * 2 * len(ALGORITHMS) * 2
+    for got, want in pairs:
+        assert "error" not in got.extras, got.algo
+        assert got.to_json(include_timings=False) == want.to_json(include_timings=False), (got.algo, got.n, got.k)
+
+
+def test_a_failed_build_gives_one_error_report_per_cell():
+    algos = ["fast", "lazyfast", "double-fast"]
+    reports = list(bench_cells(algos, [-3], [2, 3], seeds=(1, 2)))
+    assert [(r.algo, r.seed, r.k, r.d, r.extras) for r in reports] == [
+        (algo, seed, k, -3, {"error": "ValueError"}) for seed in (1, 2) for algo in algos for k in (2, 3)]
 
 
 def test_bench_cells_grid_shape():

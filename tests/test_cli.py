@@ -11,7 +11,7 @@ import pytest
 import dppmap
 from dppmap import matrixio
 from dppmap.cli import load_oracle, main
-from dppmap.errors import AsymmetricKernelError
+from dppmap.errors import AsymmetricKernelError, NonFiniteInputError
 from dppmap.kernel import B_BITS, SparseColumns, _int_dot, seq_dot
 from dppmap.report import RunReport
 from dppmap.stream import DecisionStream
@@ -190,6 +190,38 @@ def test_ingest_cli_writes_sidecar(tmp_path):
     assert cols.ncols == 1 and cols.dim == 2
     sidecar = json.loads((tmp_path / "r.dpps1.idmap.json").read_text())
     assert sidecar["items"] == {"m1": 0}
+
+
+@pytest.mark.parametrize("keep", [[], ["--keep-empty"]], ids=["drop-empty", "keep-empty"])
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_ingest_refuses_a_non_finite_threshold_and_writes_nothing(tmp_path, threshold, keep):
+    """Before, ``--keep-empty`` wrote a DPPS1 file with no entries and an id map that was not
+    JSON; without it the error was "no items survive ingestion"."""
+    src = tmp_path / "r.csv"
+    src.write_text("u1,m1,5\nu2,m1,4\n")
+    with pytest.raises(NonFiniteInputError, match=f"^rating threshold {threshold} is not finite$"):
+        main(["ingest", "--input", str(src), "--threshold", threshold, *keep, "--out", str(tmp_path / "r.dpps1")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_a_nan_timeout_is_refused_and_inf_and_zero_keep_their_meaning(tmp_path, capsys, command):
+    """Before, ``perf_counter() >= nan`` never held, so ``--timeout-s nan`` ran with no deadline."""
+    b, out = tmp_path / "b.dppm1", tmp_path / "out.json"
+    main(["gen", "--n", "12", "--seed", "1", "--out", str(b)])
+    argv = {"run": ["run", "--algo", "lazyfast", "--input", str(b)],
+            "bench": ["bench", "--algos", "lazyfast", "--n", "12"]}[command]
+    argv += ["--k", "5", "--out", str(out)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--timeout-s", "nan"])
+    assert exit_info.value.code == 2
+    assert "argument --timeout-s: expected a number of seconds, got 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+    for seconds, timed_out in (("inf", False), ("0", True)):
+        assert main([*argv, "--timeout-s", seconds]) == 0
+        report = RunReport.from_json(out.read_text()) if command == "run" else _bench_lines(out)[-1]
+        assert report.timed_out is timed_out, seconds
 
 
 def test_netflix_ingest_writes_no_side_file(tmp_path):

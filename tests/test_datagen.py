@@ -120,6 +120,19 @@ def test_non_finite_ratings_are_refused_naming_the_line(tmp_path, recwarn, name,
     assert not recwarn.list  # refused, not warned about as out of range
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_threshold_is_refused_before_any_triple(threshold):
+    """Before, with ``drop_empty`` off, a NaN threshold kept every id, stored no entry and
+    put a bare ``NaN`` in the id map."""
+    def triples():
+        raise AssertionError("a triple was read")
+        yield
+
+    with pytest.raises(NonFiniteInputError) as err:
+        binarize_ratings(triples(), threshold, drop_empty=False)
+    assert str(err.value) == f"rating threshold {threshold!r} is not finite"
+
+
 def test_ingest_first_appearance_order(tmp_path):
     path = _write(tmp_path, "u9,mB,5\nu2,mA,5\nu9,mA,4\n")
     cols, idmap = binarize_ratings(read_triples(path), threshold=4)

@@ -1,8 +1,10 @@
 """Invalid kernels and k < 1 fail fast with one typed error, whatever the solver or storage.
 
-A kernel is judged valid only by :class:`KernelOracle`'s checked constructors
-(and by ``dppmap run`` as it reads a file), so every solver refuses the same
-inputs with the same error.
+A kernel is judged valid only as a :class:`KernelOracle` is built: every
+constructor, the bare one included, judges ``scale``, ``shift``, the item
+count and the adjusted diagonal by one rule in ``__init__``, and the checked
+``from_*`` constructors (and ``dppmap run`` as it reads a file) also judge
+the payload.  So every solver refuses the same inputs with the same error.
 """
 
 import ast
@@ -267,10 +269,34 @@ def test_the_valid_table_input_passes_every_entry_point(tmp_path, capsys):
 
 
 def test_bitsets_under_an_overflowing_bound_pass_every_entry_point(tmp_path, capsys):
-    """The bitset bound ``scale * d + shift`` overflows here, but no popcount times the scale does."""
+    """A bitset diagonal is judged item by item: ``scale * d + shift`` overflows here, but no
+    popcount times the scale does."""
     for label, call in _entry_points({"S": _ONE_HOT}, {"scale": 1e308}, tmp_path):
         call()
     assert capsys.readouterr().out.count('"selection"') == len(ALGORITHMS)
+
+
+# fault -> (error, message, payload of the bare constructor)
+BARE_FAULTS = {
+    "nan-diagonal": (NonFiniteInputError, "kernel diagonal at 3 is not finite: nan",
+                     {"matrix": _with(_KERNEL, (3, 3), np.nan)}),
+    "inf-diagonal": (NonFiniteInputError, "kernel diagonal at 3 is not finite: inf",
+                     {"matrix": _with(_KERNEL, (3, 3), np.inf)}),
+    "negative-diagonal": (NegativeDiagonalError, "negative kernel diagonal at 3: -1.0",
+                          {"matrix": _with(_KERNEL, (3, 3), -1.0)}),
+    "nan-features": (NonFiniteInputError, "kernel diagonal at 4 is not finite: nan",
+                     {"feats": np.ascontiguousarray(_with(_FEATURES, (0, 4), np.nan).T)}),
+}
+
+
+@pytest.mark.parametrize("fault", BARE_FAULTS)
+def test_the_bare_constructor_judges_the_adjusted_diagonal(fault):
+    """Unjudged, ``lazyfast`` selected [1, 0] with NaN gains on a bare ``diag(2, nan)`` and
+    [6, 2] at k = 2 on the NaN features here, and a negative diagonal failed in ``math.sqrt``."""
+    error, message, payload = BARE_FAULTS[fault]
+    with pytest.raises(ValueError) as err:
+        KernelOracle(**payload)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_the_binary_table_inputs_are_bitsets():
@@ -322,6 +348,31 @@ def test_only_the_kernel_module_raises_kernel_validity_errors():
                 if name in names:
                     raisers.add(path.name)
     assert raisers == {"kernel.py"}
+
+
+def test_one_helper_judges_the_diagonal_and_only_init_calls_it():
+    """The diagonal rule is written once, and every constructor reaches it through ``__init__``."""
+    raisers, users = set(), set()
+
+    def name_of(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                if name_of(child.exc.func if isinstance(child.exc, ast.Call) else child.exc) == "NegativeDiagonalError":
+                    raisers.add(".".join(scope))
+            if "_judge_diagonal" in (name_of(child), getattr(child, "name", None)):  # a use, or an import
+                users.add(".".join(scope))
+            visit(child, scope)
+
+    for path in Path(dppmap.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
+    assert raisers == {"kernel._judge_diagonal"}
+    assert users == {"kernel.KernelOracle.__init__"}
 
 
 def test_a_nan_inverse_gate_is_refused_as_singular(tmp_path):

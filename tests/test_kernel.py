@@ -10,7 +10,7 @@ from dppmap import reference
 from dppmap.bench import build_synthetic_oracle
 from dppmap.datagen import SyntheticSpec, gen_synthetic
 from dppmap.errors import NonFiniteInputError
-from dppmap.kernel import B_BITS, KernelOracle, SparseColumns, _int_dot, seq_dot, sparse_dot
+from dppmap.kernel import B_BITS, KernelOracle, SparseColumns, _int_dot, seq_dot
 
 from test_matrixio import columns_of, traced_peak
 
@@ -66,6 +66,25 @@ def _col(pairs, dim=8):
     idx = np.array(sorted(pairs), dtype=np.uint32)
     val = np.array([pairs[i] for i in sorted(pairs)], dtype=float)
     return idx, val
+
+
+def sparse_dot(a_idx: np.ndarray, a_val: np.ndarray, b_idx: np.ndarray, b_val: np.ndarray) -> float:
+    """Inner product of two sparse columns over their common indices.
+
+    ``b`` is scattered into a zeroed scratch vector up to the largest index,
+    gathered back at ``a``'s indices, and the products are summed by
+    :func:`seq_dot` in ascending index order.  The products at indices ``b``
+    lacks are zeros, which that sum ignores, so the result equals
+    :func:`seq_dot` on the dense equivalents exactly.  :class:`KernelOracle`
+    reuses one scratch vector per thread instead.
+    """
+    if a_idx.size == 0 or b_idx.size == 0:
+        return 0.0
+    a_idx = a_idx.astype(np.intp)
+    b_idx = b_idx.astype(np.intp)
+    scratch = np.zeros(int(max(a_idx[-1], b_idx[-1])) + 1)
+    scratch[b_idx] = b_val
+    return seq_dot(scratch[a_idx], a_val)
 
 
 def test_sparse_dot_disjoint():
