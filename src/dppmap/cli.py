@@ -36,6 +36,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _seconds(text: str) -> float:
     value = float(text)
     if math.isnan(value):  # a deadline of now + NaN is never reached
@@ -49,6 +56,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_k_list(text: str) -> list[int]:
     return _parse_list(text, _positive_int, "integers")
+
+
+def _parse_seed_list(text: str) -> list[int]:
+    return _parse_list(text, _non_negative_int, "integers")
 
 
 def _algorithm(name: str) -> str:
@@ -143,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic feature matrix")
     p.add_argument("--n", type=int, required=True, help="number of items")
     p.add_argument("--d", type=int, default=None, help="feature dimension (default: n)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
 
@@ -163,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-kind", choices=("B", "L"), default="B")
     p.add_argument("--k", type=_positive_int, default=None,
                    help="cardinality bound (default: n); the double greedies take none")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--epsilon", type=float, default=EPSILON,
                    help=f"stochastic greedy's epsilon (default {EPSILON}); no other algorithm reads it")
     p.add_argument("--scale", type=float, default=None,
@@ -181,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_parse_int_list, required=True, help="comma-separated item counts")
     p.add_argument("--d", type=int, default=None, help="feature dimension (default: n)")
     p.add_argument("--k", type=_parse_k_list, required=True, help="comma-separated cardinality bounds")
-    p.add_argument("--seed", type=_parse_int_list, default=[1], help="comma-separated seeds (default: 1)")
+    p.add_argument("--seed", type=_parse_seed_list, default=[1], help="comma-separated seeds (default: 1)")
     p.add_argument("--epsilon", type=float, default=EPSILON,
                    help=f"stochastic greedy's epsilon (default {EPSILON})")
     p.add_argument("--input-kind", choices=("B", "L"), default="B")

@@ -39,7 +39,7 @@ def jacobi_gain_check(matrix: np.ndarray, subset, i: int) -> tuple[float, float]
     if i in subset:
         raise ValueError(f"item {i} is already in the subset")
     inv = reference.inverse(matrix)
-    lhs = reference.log_det(inv, subset + [i]) - reference.log_det(inv, subset)
+    [(lhs, _, _)] = reference.gains(inv, subset, reference.log_det(inv, subset), [i])
     comp = [j for j in range(n) if j not in subset]
     comp_minus = [j for j in comp if j != i]
     rhs = reference.log_det(matrix, comp_minus) - reference.log_det(matrix, comp)
@@ -132,7 +132,9 @@ def naive_double_greedy(kernel: KernelOracle | np.ndarray, stream: DecisionStrea
     Takes an oracle, whose adjusted kernel it materializes (timed as
     ``product_ms``), or that adjusted kernel as a matrix, which it wraps
     with :meth:`KernelOracle.from_dense_kernel` and reads as it is, counting
-    no kernel lookups.
+    no kernel lookups.  The add gain is a :func:`dppmap.reference.gains`
+    row; the remove gain subtracts the survivors' ln det, carried from the
+    step before, so ``T`` steps take ``2T + 1`` log-determinants.
     """
     if isinstance(kernel, KernelOracle):
         oracle, matrix = kernel, None
@@ -147,16 +149,18 @@ def naive_double_greedy(kernel: KernelOracle | np.ndarray, stream: DecisionStrea
     product_ms = run.ms()
     report.timings["product_ms"] = product_ms
     ab_gains: list[tuple[float, float]] = []
+    kept = reference.log_det(matrix, range(n))  # ln det of the survivors going into the step
     for step in run.steps(n, deadline):
         i = step - 1
-        add_gain = reference.log_det(matrix, report.selection + [i]) - report.final_objective
-        keep = report.selection + list(range(i, n))  # survivor set going into step i
-        keep_minus = report.selection + list(range(i + 1, n))
-        remove_gain = reference.log_det(matrix, keep_minus) - reference.log_det(matrix, keep)
+        [(add_gain, _, added)] = reference.gains(matrix, report.selection, report.final_objective, [i])
+        dropped = reference.log_det(matrix, report.selection + list(range(i + 1, n)))
+        remove_gain = dropped - kept
         if not (math.isfinite(add_gain) and math.isfinite(remove_gain)):
             raise SingularKernelError("kernel numerically singular under brute-force gains")
         ab_gains.append((add_gain, remove_gain))
         if _decide(add_gain, remove_gain, stream.uniform()):
-            run.take(i, add_gain, reference.log_det(matrix, report.selection + [i]))
+            run.take(i, add_gain, added)
+        else:
+            kept = dropped
     report.extras["ab_gains"] = [[a, b] for a, b in ab_gains]
     return run.finish(setup_ms=product_ms)

@@ -4,7 +4,7 @@ Four implementations of the same greedy rule, from slow-and-obvious to
 lazy-and-incremental:
 
 * :func:`naive_greedy`     - recomputes every marginal gain from brute-force
-  log-determinants each step.
+  log-determinants each step (:func:`dppmap.reference.gains`).
 * :func:`lazy_greedy`      - same gains, but stale upper bounds in a priority
   queue defer recomputation of unpromising items.
 * :func:`fast_greedy`      - incremental Cholesky pivots give every item's
@@ -80,19 +80,6 @@ def pop_fresh_argmax(queue: LazyMaxQueue, state: CholeskyState, stop_threshold: 
         queue.push(i, state.pivots[i])
 
 
-def gain_argmax(matrix, selected, base, candidates):
-    """(index, gain) maximizing the brute-force marginal gain, ties to the smaller index.
-
-    ``(-1, -inf)`` when no candidate has a gain above ``-inf``.
-    """
-    best_i, best_gain = -1, -math.inf
-    for i in candidates:
-        gain = reference.log_det(matrix, list(selected) + [i]) - base
-        if gain > best_gain or (gain == best_gain and i < best_i):
-            best_i, best_gain = int(i), gain
-    return best_i, best_gain
-
-
 def naive_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None = None) -> RunReport:
     """Greedy with per-step brute-force gains over the materialized kernel."""
     run = SolverRun("naive", oracle, cfg.k)
@@ -101,12 +88,13 @@ def naive_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None
     setup_ms = run.ms()
 
     for step in run.steps(cfg.k, deadline):
-        best_i, best_gain = gain_argmax(matrix, report.selection, report.final_objective,
-                                        (i for i in range(oracle.n) if i not in report.selection))
-        if best_gain <= 0.0:  # also no candidate left, or every candidate dependent (-inf)
-            run.stop(step, best_gain, 0.0)
+        rows = reference.gains(matrix, report.selection, report.final_objective,
+                               (i for i in range(oracle.n) if i not in report.selection))
+        gain, item, objective = min(rows, key=reference.pick_order, default=(-math.inf, -1, -math.inf))
+        if gain <= 0.0:  # also no candidate left, or every candidate dependent (-inf)
+            run.stop(step, gain, 0.0)
             break
-        run.take(best_i, best_gain, reference.log_det(matrix, report.selection + [best_i]))
+        run.take(item, gain, objective)
     return run.finish(setup_ms=setup_ms)
 
 
@@ -118,33 +106,26 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
     setup_ms = run.ms()
 
     n = oracle.n
-    stamps = np.zeros(n, dtype=np.int64)
-    queue = LazyMaxQueue.build([reference.log_det(matrix, [i]) for i in range(n)])
+    stamps = np.zeros(n, dtype=np.int64)  # selection size each key was computed at
+    rows = reference.gains(matrix, [], 0.0, range(n))
+    objectives = [objective for _, _, objective in rows]  # ln det behind each item's key
+    queue = LazyMaxQueue.build([gain for gain, _, _ in rows])
     gain_evals = n
     for step in run.steps(cfg.k, deadline):
-        winner = None
-        winner_gain = -math.inf
-        while True:
-            top = queue.peek_entry()
-            if top is None:
-                break
-            i, key = top
-            if key <= 0.0:
-                winner_gain = key
-                break
-            if stamps[i] == len(report.selection):
-                queue.pop_max()
-                winner, winner_gain = i, key
-                break
+        # refresh stale positive keys until the top is fresh or nonpositive
+        while (top := queue.peek_entry()) and top[1] > 0.0 and stamps[top[0]] < len(report.selection):
+            i = top[0]
             queue.pop_max()
-            gain = reference.log_det(matrix, report.selection + [i]) - report.final_objective
+            [(gain, _, objectives[i])] = reference.gains(matrix, report.selection, report.final_objective, [i])
             gain_evals += 1
             stamps[i] = len(report.selection)
             queue.push(i, gain)
-        if winner is None:
-            run.stop(step, winner_gain, 0.0)
+        winner, key = top or (-1, -math.inf)
+        if key <= 0.0:
+            run.stop(step, key, 0.0)
             break
-        run.take(winner, winner_gain, reference.log_det(matrix, report.selection + [winner]))
+        queue.pop_max()
+        run.take(winner, key, objectives[winner])
     report.extras["gain_evals"] = gain_evals
     return run.finish(pq_ops=queue.op_count, setup_ms=setup_ms)
 

@@ -1,9 +1,11 @@
 """Brute-force twins of the variant algorithms.
 
-These recompute every marginal gain from reference log-determinants with no
-factor state and no laziness, while consuming the exact same randomness
-protocol as their accelerated counterparts in :mod:`dppmap.variants`.  They
-exist to ground differential tests, not to be fast.
+These take every marginal gain, and the ln det it came from, from
+:func:`dppmap.reference.gains` and order picks by
+:func:`~dppmap.reference.pick_order`, with no factor state and no laziness,
+while consuming the exact same randomness protocol as their accelerated
+counterparts in :mod:`dppmap.variants`.  They exist to ground differential
+tests, not to be fast.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import reference
-from .greedy import gain_argmax
 from .kernel import KernelOracle
 from .report import RunReport, SolverRun
 from .stream import DecisionStream
@@ -30,14 +31,11 @@ def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: Decisi
     for step in run.steps(cfg.k, deadline):
         rank = stream.rank(cfg.k)
         rank_draws.append(rank)
-        gains = sorted(
-            ((reference.log_det(matrix, report.selection + [i]) - report.final_objective, i)
-             for i in range(n) if i not in report.selection),
-            key=lambda gv: (-gv[0], gv[1]),
-        )
-        gain, cand = gains[rank - 1]
+        rows = reference.gains(matrix, report.selection, report.final_objective,
+                               (i for i in range(n) if i not in report.selection))
+        gain, item, objective = sorted(rows, key=reference.pick_order)[rank - 1]
         if gain > 0.0:
-            run.take(cand, gain, reference.log_det(matrix, report.selection + [cand]))
+            run.take(item, gain, objective)
         else:
             if gain == 0.0:
                 report.boundary_gain_steps.append(step)
@@ -58,9 +56,10 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
     for step in run.steps(cfg.k, deadline):
         pool = np.array([i for i in range(n) if i not in report.selection], dtype=np.int64)
         sample = stream.sample_sorted(pool, s)
-        winner, gain = gain_argmax(matrix, report.selection, report.final_objective, sample)
+        rows = reference.gains(matrix, report.selection, report.final_objective, sample)
+        gain, winner, objective = min(rows, key=reference.pick_order)
         if gain > 0.0:
-            run.take(winner, gain, reference.log_det(matrix, report.selection + [winner]))
+            run.take(winner, gain, objective)
         else:
             if gain == 0.0:
                 report.boundary_gain_steps.append(step)
@@ -78,18 +77,20 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
     n = oracle.n
 
     def interlaced_pair(seed):
-        """Two alternating exclusive runs as lists of (item, gain) picks, both opened by the pick ``seed``."""
+        """Two alternating exclusive runs as lists of ``(gain, item, objective)`` picks, both
+        opened by the pick ``seed``; a pick's objective is the ln det of its run's prefix."""
         first = [] if seed is None else [seed]
         second = [] if seed is None else [seed]
         for _ in run.steps(cfg.k if seed is None else cfg.k - 1, deadline):
             for picks in (first, second):
-                taken = {i for i, _ in first} | {i for i, _ in second}
+                taken = {i for _, i, _ in first} | {i for _, i, _ in second}
                 cands = [i for i in range(n) if i not in taken]
                 if cands:
-                    chosen = [i for i, _ in picks]
-                    i, gain = gain_argmax(matrix, chosen, reference.log_det(matrix, chosen), cands)
-                    if gain >= 0.0:
-                        picks.append((i, gain))
+                    base = picks[-1][2] if picks else 0.0
+                    rows = reference.gains(matrix, [i for _, i, _ in picks], base, cands)
+                    pick = min(rows, key=reference.pick_order)
+                    if pick[0] >= 0.0:
+                        picks.append(pick)
         return first, second
 
     seq_a, seq_b = interlaced_pair(None)
@@ -100,13 +101,12 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
 
     best_label, best_len, best_obj = "A", 0, 0.0
     for label, seq in runs:
-        for t in range(1, len(seq) + 1):
-            obj = reference.log_det(matrix, [i for i, _ in seq[:t]])
+        for t, (_, _, obj) in enumerate(seq, 1):
             if obj > best_obj:
                 best_label, best_len, best_obj = label, t, obj
-    for item, gain in dict(runs)[best_label][:best_len]:
-        run.take(item, gain, reference.log_det(matrix, report.selection + [item]))
+    for gain, item, obj in dict(runs)[best_label][:best_len]:
+        run.take(item, gain, obj)
     report.steps_attempted = cfg.k
-    report.extras["sequences"] = {label: [i for i, _ in seq] for label, seq in runs}
+    report.extras["sequences"] = {label: [i for _, i, _ in seq] for label, seq in runs}
     report.extras["best_prefix"] = {"run": best_label, "length": best_len}
     return run.finish()

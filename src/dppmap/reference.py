@@ -4,6 +4,7 @@ Everything here recomputes from scratch: log-determinants via a full LAPACK
 Cholesky of the extracted principal submatrix, optima via exhaustive subset
 enumeration, inverses via factor-and-solve.  The point is independence — this
 path shares no code with the incremental factor updates it is used to check.
+:func:`gains` forms every brute-force marginal gain; :func:`pick_order` orders the picks.
 
 The inverse calls LAPACK's ``dpotrf``/``dpotrs`` through scipy's compiled
 ``_flapack`` wrappers, the calls ``scipy.linalg.cho_factor(lower=True)`` and
@@ -59,6 +60,19 @@ def log_det(matrix: np.ndarray, subset) -> float:
     if np.any(diag * diag <= PIVOT_FLOOR):
         return -math.inf
     return float(2.0 * np.sum(np.log(diag)))
+
+
+def gains(matrix: np.ndarray, selection, base: float, candidates) -> list[tuple[float, int, float]]:
+    """``(gain, item, objective)`` per candidate, in candidate order: ``objective`` is
+    ``log_det(matrix, selection + [item])``, ``gain`` is ``objective - base`` for the
+    caller's ``base = log_det(matrix, selection)``.  A commit records its row's objective."""
+    objectives = [(int(i), log_det(matrix, [*selection, i])) for i in candidates]
+    return [(objective - base, i, objective) for i, objective in objectives]
+
+
+def pick_order(row: tuple[float, int, float]) -> tuple[float, int]:
+    """Sort key of a :func:`gains` row: gain descending, ties to the smaller index."""
+    return -row[0], row[1]
 
 
 def exhaustive_map(matrix: np.ndarray, k: int | None = None) -> tuple[tuple[int, ...], float]:

@@ -87,7 +87,7 @@ class SolverRun:
     Solvers do not write the per-step fields themselves.  A factor-based
     solver commits to a :class:`~dppmap.cholesky.CholeskyState` and
     :meth:`finish` copies the commits out; a brute-force solver hands each
-    commit to :meth:`take`.  A greedy run that no gain can continue ends
+    commit to :meth:`take`, with the objective its gain came from.  A greedy run that no gain can continue ends
     through :meth:`stop`.
     """
 

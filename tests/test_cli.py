@@ -339,6 +339,24 @@ def test_run_rejects_a_non_positive_k(tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "4", "--d", "3", "--seed", "-1"],
+    ["run", "--algo", "fast", "--k", "2", "--seed", "-1"],
+    ["bench", "--algos", "fast,random", "--n", "8", "--k", "2", "--seed", "-1"],
+    ["bench", "--algos", "fast,random", "--n", "8", "--k", "2", "--seed", "1,-2"],
+], ids=["gen", "run", "bench", "bench-list"])
+def test_a_negative_seed_is_refused_at_parse_time(tmp_path, capsys, argv):
+    b, out = tmp_path / "b.dppm1", tmp_path / "out"
+    main(["gen", "--n", "6", "--out", str(b)])
+    capsys.readouterr()
+    inputs = ["--input", str(b)] if argv[0] == "run" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, *inputs, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("algo", ["double-fast", "double-naive"])
 def test_run_refuses_k_for_the_double_greedies(tmp_path, capsys, algo):
     b, out = tmp_path / "b.dppm1", tmp_path / "r.json"

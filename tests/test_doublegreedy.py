@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,9 @@ def test_timing_split_fields():
 def test_double_battery():
     result = check_double(instances=12)
     assert result.ok, result.detail
+    # the 1.5/d family compares both moves: at least 30% of its decisions commit on the shrink side
+    shrinks, decisions = map(int, re.search(r"scale 1.5/d: (\d+) of (\d+) decisions", result.detail).groups())
+    assert shrinks >= 0.3 * decisions, result.detail
 
 
 def test_jacobi_battery():

@@ -11,6 +11,7 @@ import pytest
 
 import dppmap
 from dppmap import reference
+from dppmap.bench import build_synthetic_oracle, run_algorithm
 from dppmap.errors import EnumerationLimitError, NonFiniteInputError, SingularKernelError
 
 L22 = np.array([[4.0, 2.0], [2.0, 4.0]])
@@ -219,3 +220,41 @@ def test_exhaustive_dominates_greedy():
         rep = lazy_fast_greedy(KernelOracle.from_dense_kernel(mat), GreedyConfig(k=k))
         _, best = reference.exhaustive_map(mat, k)
         assert best >= rep.final_objective - 1e-9
+
+
+def _expected_ln_dets(report, n: int) -> int:
+    """ln det calls for a brute-force run that takes each one once, read off its report."""
+    if report.algo == "lazy":
+        return report.extras["gain_evals"]
+    if report.algo == "double-naive":  # add and drop objectives per step, plus the full set once
+        return 2 * report.steps_attempted + 1
+    if report.algo == "interlace-naive":  # every candidate left, at each of the four runs' picks
+        assert [len(seq) for seq in report.extras["sequences"].values()] == [report.k] * 4
+        total = 0
+        for steps, taken in ((report.k, 0), (report.k - 1, 1)):
+            for _ in range(2 * steps):
+                total += n - taken
+                taken += 1
+        return total
+    # one per remaining item (stochastic: per sampled item) at each attempted step
+    idle = set(report.extras.get("dummy_steps", report.extras.get("skipped_steps", [])))
+    total = commits = 0
+    for step in range(1, report.steps_attempted + 1):
+        total += min(n - commits, report.extras.get("sample_size", n))
+        commits += step not in idle
+    return total
+
+
+@pytest.mark.parametrize("algo", ["naive", "lazy", "random-naive", "stochastic-naive",
+                                  "interlace-naive", "double-naive"])
+def test_brute_force_solvers_take_each_ln_det_once(monkeypatch, algo):
+    """A commit records the ln det its gain came from, and double greedy carries the survivors' one."""
+    n = 24
+    mixed = {"scale": 1.5 / n, "shift": 0.1} if algo == "double-naive" else {}  # both moves win now and then
+    oracle = build_synthetic_oracle(n, n, 1, "B", **mixed)
+    calls = []
+    real = reference.log_det
+    monkeypatch.setattr(reference, "log_det", lambda matrix, subset: calls.append(1) or real(matrix, subset))
+    report = run_algorithm(algo, oracle, 4, seed=3, epsilon=0.5)
+    assert report.selection
+    assert len(calls) == _expected_ln_dets(report, n)

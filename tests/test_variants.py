@@ -64,6 +64,20 @@ def test_random_rank_trace_on_orthogonal_items():
     assert rep.offdiag_count == 1
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_twins_break_exact_ties_by_rank_among_the_smallest_indices(seed):
+    """On ``2 I`` every gain is ``ln 2`` exactly, so each step's rank draw picks the
+    rank-th smallest item left, in the queue order and in the brute-force pick order alike."""
+    oracle = _oracle(2.0 * np.eye(12))
+    reports = [run_algorithm(algo, oracle, 5, seed=seed) for algo in ("random", "random-naive")]
+    for rep in reports:
+        expected = []
+        for rank in rep.extras["rank_draws"]:
+            expected.append([i for i in range(12) if i not in expected][rank - 1])
+        assert rep.selection == expected
+        assert rep.extras["rank_draws"] == reports[0].extras["rank_draws"]
+
+
 def test_random_k1_matches_lazyfast():
     for t in range(10):
         oracle = build_synthetic_oracle(8, 8, 900 + t, "B")
