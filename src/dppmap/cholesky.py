@@ -56,12 +56,25 @@ holds, for every row ``r`` after the newest commit, the left fold from
 ``+0.0`` of ``F[r, s] * F[a + c, s]`` over the first ``_dots_cols`` columns
 in ascending order, which is the sum :func:`seq_dot` returns, bit for bit.
 A commit of item ``j`` reads its column's dots from the cache, then folds
-the new column into the cache rows of the candidates after ``j``, over the
-rows after ``j``, with one outer-product add.  Entries of rows up to ``j``
-go stale, and no later prefetch reads them.  The cache is rebuilt from the
-factor, one add per committed column in ascending order, when the committed
-item leaves the window or the cache has folded fewer columns than the factor
-holds.  Every other schedule takes the generic column sweep.
+the new column into the whole cache rows of the candidates after ``j`` with
+one contiguous outer-product add, ``dots[c:] += outer(full[c:W], full)``,
+where ``full`` is the new column over rows ``a..n-1`` with ``+0.0`` on the
+rows ``a..j`` the sweep has passed.  Entries of those rows go stale, and no
+later prefetch reads them; folding them too keeps every add contiguous,
+which numpy does several times faster than the same add over the strided
+block of live rows.  The cache is rebuilt from the factor, one add per
+committed column in ascending order, when the committed item leaves the
+window or the cache has folded fewer columns than the factor holds.  Every
+other schedule takes the generic column sweep.
+
+Each outer product comes from ``np.einsum`` into a kept buffer: one
+``"i,j->ij"`` call per commit, and one ``"si,sj->sij"`` call per
+``REBUILD_BLOCK`` columns in a rebuild, whose products are then added one
+column at a time.  einsum rounds every product once, as ``x[:, None] * y``
+does, with less per-row and per-call overhead.  It can return ``+0.0`` where
+the multiply gives ``-0.0``.  That cannot change a sum: each cache entry is
+a left fold from ``+0.0``, so it is never ``-0.0`` (see above), and adding a
+zero of either sign to a value that is not ``-0.0`` leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -75,6 +88,7 @@ from .kernel import KernelOracle, seq_dot
 
 PIVOT_FLOOR = 1e-12
 WINDOW = 64  # candidate items the in-order dot cache covers
+REBUILD_BLOCK = 8  # committed columns whose outer products one einsum call forms in a cache rebuild
 SHORT_FOLD = 32  # the scalar loop folds dot products of fewer terms in Python floats
 
 
@@ -110,14 +124,17 @@ class CholeskyState:
         self._diag_ready = np.zeros(n, dtype=bool)
         self._lazy_diag = lazy_diag
         self._dots = np.zeros((0, 0))  # the in-order dot cache, see the module docstring
+        self._products = np.empty(0)  # outer products of REBUILD_BLOCK columns, kept across rebuilds
+        self._outer = self._full = None  # the fold's buffers: one outer product, one zero-padded column
         self._dots_at = 0    # first item of its window
         self._dots_cols = 0  # committed columns folded in
         self._dots_lo = 0    # first row and candidate the last fold reached
         self._mark_lo = 0    # rows _mark_lo..n-1 held _mark_cols columns, uncommitted, at the last prefetch
         self._mark_cols = 0
         if not lazy_diag:
-            for i in range(n):
-                self._init_pivot(i)
+            entry = oracle.entry
+            self.pivots[:] = np.sqrt([entry(i, i) for i in range(n)])
+            self._diag_ready[:] = True
 
     @property
     def n(self) -> int:
@@ -248,28 +265,46 @@ class CholeskyState:
         j = lo - 1
         if not (self._dots_cols == t and self._dots_lo <= j < self._dots_at + len(self._dots)):
             self._rebuild_dots(j, t)
-        a, dots = self._dots_at, self._dots
+        a, dots, full = self._dots_at, self._dots, self._full
         c = lo - a  # the candidates after j, and the rows from lo on
-        col = self._write_column(t, slice(lo, self.n), dots[j - a, c:])
+        full[:c] = 0.0  # the dead rows a..j
+        self._write_column(t, slice(lo, self.n), dots[j - a, c:], out=full[c:])
         self._ready[lo:] = t + 1
-        dots[c:, c:] += col[:len(dots) - c, None] * col
+        dots[c:] += np.einsum("i,j->ij", full[c:len(dots)], full, out=self._outer[c:])
         self._dots_cols, self._dots_lo = t + 1, lo
         self._mark_lo, self._mark_cols = lo, t + 1
 
     def _rebuild_dots(self, a: int, t: int) -> None:
         """Fold the first ``t`` columns afresh for the window starting at item ``a``."""
         cols = self.factor[a:, :t].T.copy()  # one contiguous row per committed column
-        dots = np.zeros((min(WINDOW, self.n - a), self.n - a))
-        for s in range(t):
-            dots += cols[s, :len(dots), None] * cols[s]
-        self._dots, self._dots_at, self._dots_cols, self._dots_lo = dots, a, t, a
+        shape = (REBUILD_BLOCK, min(WINDOW, self.n - a), self.n - a)
+        size = math.prod(shape)
+        if self._products.size < size:  # windows only move forward, so only the first rebuild allocates
+            self._products = np.empty(size)
+        products = self._products[:size].reshape(shape)
+        dots = np.zeros(shape[1:])
+        for s in range(0, t, REBUILD_BLOCK):
+            block = cols[s:s + REBUILD_BLOCK]
+            for outer in np.einsum("si,sj->sij", block[:, :len(dots)], block, out=products[:len(block)]):
+                dots += outer
+        self._dots, self._outer, self._full = dots, products[0], np.zeros(self.n - a)
+        self._dots_at, self._dots_cols, self._dots_lo = a, t, a
 
-    def _write_column(self, t: int, rows, dots: np.ndarray) -> np.ndarray:
-        """Set column ``t`` of ``rows`` (an index array or a range) and shrink their pivots."""
-        vals = (self.oracle.column(self.selection[t], rows) - dots) / self.selected_pivots[t]
+    def _write_column(self, t: int, rows, dots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Set column ``t`` of ``rows`` (an index array or a range), shrink their pivots, return the column.
+
+        The column is computed into ``out`` when one is given, and a range's
+        pivots shrink in place.
+        """
+        vals = np.subtract(self.oracle.column(self.selection[t], rows), dots, out=out)
+        vals /= self.selected_pivots[t]
         self.factor[rows, t] = vals
-        piv = self.pivots[rows]
-        self.pivots[rows] = np.sqrt(np.maximum(piv * piv - vals * vals, 0.0))
+        piv = self.pivots[rows]  # a view of a range, a copy of an index array
+        piv *= piv
+        piv -= vals * vals
+        np.sqrt(np.maximum(piv, 0.0, out=piv), out=piv)
+        if not isinstance(rows, slice):
+            self.pivots[rows] = piv
         return vals
 
     def marginal_gain(self, i: int) -> float:

@@ -50,11 +50,7 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return _parse_list(text, int, "integers")
-
-
-def _parse_k_list(text: str) -> list[int]:
+def _parse_positive_list(text: str) -> list[int]:
     return _parse_list(text, _positive_int, "integers")
 
 
@@ -152,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic feature matrix")
-    p.add_argument("--n", type=int, required=True, help="number of items")
-    p.add_argument("--d", type=int, default=None, help="feature dimension (default: n)")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of items")
+    p.add_argument("--d", type=_positive_int, default=None, help="feature dimension (default: n)")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
@@ -189,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sweep a grid, append one JSON report line per cell")
     p.add_argument("--algos", type=_parse_algos, required=True, help="comma-separated algorithm names")
-    p.add_argument("--n", type=_parse_int_list, required=True, help="comma-separated item counts")
-    p.add_argument("--d", type=int, default=None, help="feature dimension (default: n)")
-    p.add_argument("--k", type=_parse_k_list, required=True, help="comma-separated cardinality bounds")
+    p.add_argument("--n", type=_parse_positive_list, required=True, help="comma-separated item counts")
+    p.add_argument("--d", type=_positive_int, default=None, help="feature dimension (default: n)")
+    p.add_argument("--k", type=_parse_positive_list, required=True, help="comma-separated cardinality bounds")
     p.add_argument("--seed", type=_parse_seed_list, default=[1], help="comma-separated seeds (default: 1)")
     p.add_argument("--epsilon", type=float, default=EPSILON,
                    help=f"stochastic greedy's epsilon (default {EPSILON})")

@@ -118,19 +118,21 @@ class SparseColumns:
     def from_dense(cls, dense: np.ndarray) -> "SparseColumns":
         """Drop zeros from a dense d-by-n matrix, one sparse column per item.
 
-        Each item is read as a row of ``dense.T``: one contiguous read when
-        ``dense`` is item-major (as ``gen_synthetic`` makes it), a strided
-        one otherwise.  The columns are the same for either layout.
+        One ``nonzero`` pass over a mask of ``dense.T`` lists the stored
+        entries item by item, each item's indices ascending (``nonzero``
+        reads in row-major order whatever the layout): a contiguous read
+        when ``dense`` is item-major (as ``gen_synthetic`` makes it), a
+        strided one otherwise.  The columns are the same for either layout.
+        The boolean mask is there for speed: numpy finds the nonzeros of a
+        float64 array several times slower.
         """
         dense = np.asarray(dense, dtype=np.float64)
-        d, _ = dense.shape
+        d, n = dense.shape
         items = dense.T
-        nonzeros = [item.nonzero()[0] for item in items]
-        indptr = np.zeros(len(nonzeros) + 1, dtype=np.int64)
-        np.cumsum([nz.size for nz in nonzeros], out=indptr[1:])
-        flat = np.concatenate(nonzeros) if nonzeros else np.zeros(0, np.intp)
-        values = items[np.repeat(np.arange(len(nonzeros)), np.diff(indptr)), flat]
-        return cls(d, indptr, flat.astype(np.uint32), values)
+        item, flat = np.divmod(np.flatnonzero(items != 0.0), d)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(item, minlength=n), out=indptr[1:])
+        return cls(d, indptr, flat.astype(np.uint32), items[item, flat])
 
     @property
     def width(self) -> int:

@@ -220,8 +220,12 @@ def check_row_independence() -> CheckResult:
     cache's window rolls over at least twice: commits in index order that
     skip some items, each followed by ``prefetch(i + 1)``, once
     uninterrupted and once broken by a scalar catch-up and by a generic
-    prefetch, each of which forces a cache rebuild.  Factor and pivots must
-    match the ascending scalar schedule byte for byte, sign of zero included.
+    prefetch, each of which forces a cache rebuild.  A sixth alternates the
+    same commits between a factor over the kernel and one over its inverse,
+    which takes the other items, each commit followed by ``prefetch(i + 1)``
+    on the factor that received it, as fast double greedy does.  Factor and
+    pivots must match the ascending scalar schedule byte for byte, sign of
+    zero included.
     """
     def run(oracle, commits, order, prefetch_from=None):
         state = CholeskyState(oracle, len(commits))
@@ -255,6 +259,21 @@ def check_row_independence() -> CheckResult:
                 state.update_row(i)
         return state
 
+    def alternating(oracle, inverse, commits):
+        n = oracle.n
+        grow, shrink = CholeskyState(oracle, len(commits)), CholeskyState(inverse, n - len(commits))
+        for i in range(n):
+            grow.update_row(i)
+            shrink.update_row(i)
+            side = grow if i in commits else shrink
+            side.commit(i)
+            side.prefetch(i + 1)
+        for state in (grow, shrink):
+            for i in range(n):
+                if not state.in_selection[i]:
+                    state.update_row(i)
+        return grow, shrink
+
     def differ(want, got, label):
         if want.factor.tobytes() != got.factor.tobytes():
             return f"factor entries differ: ascending vs {label}"
@@ -283,8 +302,22 @@ def check_row_independence() -> CheckResult:
         fault = differ(ascending, other, label)
         if fault:
             return CheckResult("row-independence", False, fault)
+
+    # like fast_double_greedy, which wraps the inverse with the bare constructor
+    inverse = KernelOracle(matrix=np.ascontiguousarray(reference.inverse(oracle.materialize())))
+    taken = set(commits)
+    rest = [i for i in range(n) if i not in taken]
+    grow, shrink = alternating(oracle, inverse, taken)
+    for label, state, want, side in (("alternating, kernel", grow, ascending, commits),
+                                     ("alternating, inverse", shrink, run(inverse, rest, range(n)), rest)):
+        if state._dots_cols != sum(i < n - 1 for i in side):
+            return CheckResult("row-independence", False, f"{label}: the in-order path did not reach the end")
+        fault = differ(want, state, label)
+        if fault:
+            return CheckResult("row-independence", False, fault)
     return CheckResult("row-independence", True,
-                       "refresh order, prefetch and the in-order dot cache are bitwise irrelevant")
+                       "refresh order, prefetch and the in-order dot cache, on one factor or"
+                       " alternating between a kernel's and its inverse's, are bitwise irrelevant")
 
 
 def check_objective_reconstruction(instances: int = 10) -> CheckResult:

@@ -327,6 +327,28 @@ def test_in_order_prefetch_rebuilds_after_an_interruption():
     assert state.pivots.tobytes() == scalar.pivots.tobytes()
 
 
+def test_every_cache_entry_a_prefetch_reads_is_seq_dot_and_none_is_negative_zero(monkeypatch):
+    """The einsum outer products may give +0.0 where a multiply gives -0.0.  The cache is a left fold
+    from +0.0, so it never holds -0.0, and the sign of a zero product cannot reach a sum it is read for."""
+    reads = []
+    write = CholeskyState._write_column
+
+    def checked(self, t, rows, dots, out=None):
+        if out is not None:  # the in-order path, reading one cache row for rows lo..n-1
+            jt = self.selection[t]
+            want = [seq_dot(self.factor[r, :t], self.factor[jt, :t]) for r in range(rows.start, rows.stop)]
+            assert np.array(want).tobytes() == dots.tobytes(), t
+            assert not np.signbit(self._dots[self._dots == 0.0]).any(), t
+            reads.append((self._dots_at, self._dots_lo))
+        return write(self, t, rows, dots, out)
+
+    monkeypatch.setattr(CholeskyState, "_write_column", checked)
+    state = _in_order_run(_in_order_oracle("L-signed-zero", 2 * WINDOW + 5), prefetch=True)
+    assert np.signbit(state.factor[state.factor == 0.0]).any()  # so some products are -0.0
+    assert any(at > 0 and lo > at for at, lo in reads)  # reads after a rebuild at a > 0 and further folds
+    assert not np.signbit(state._dots[state._dots == 0.0]).any()
+
+
 def _scanned_in_order(state, lo):
     """The in-order test by two O(n) scans, the reference the O(1) mark must answer like."""
     m = len(state.selection)

@@ -357,6 +357,22 @@ def test_a_negative_seed_is_refused_at_parse_time(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--n", "0"], "--n"),
+    (["gen", "--n", "4", "--d", "-2"], "--d"),
+    (["bench", "--algos", "fast", "--k", "2", "--n", "0"], "--n"),
+    (["bench", "--algos", "fast", "--k", "2", "--n", "20,-3"], "--n"),
+    (["bench", "--algos", "fast", "--k", "2", "--n", "8", "--d", "0"], "--d"),
+], ids=["gen-n", "gen-d", "bench-n", "bench-n-list", "bench-d"])
+def test_a_non_positive_size_is_refused_at_parse_time(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("algo", ["double-fast", "double-naive"])
 def test_run_refuses_k_for_the_double_greedies(tmp_path, capsys, algo):
     b, out = tmp_path / "b.dppm1", tmp_path / "r.json"
@@ -396,11 +412,12 @@ def test_bench_rejects_a_bad_k_or_algorithm_list(tmp_path, capsys, flag, value, 
 
 
 def test_bench_records_a_grid_value_that_cannot_build_an_instance(tmp_path):
-    out = tmp_path / "bench.jsonl"
-    assert main(["bench", "--algos", "fast", "--n", "20,-3", "--k", "3,4", "--out", str(out)]) == 0
+    """n = 2**32 passes the parser, but its n-by-n features exceed numpy's largest array."""
+    out, huge = tmp_path / "bench.jsonl", 2 ** 32
+    assert main(["bench", "--algos", "fast", "--n", f"20,{huge}", "--k", "3,4", "--out", str(out)]) == 0
     reports = _bench_lines(out)
     assert [(r.n, r.k, r.extras) for r in reports] == [
-        (20, 3, {}), (20, 4, {}), (-3, 3, {"error": "ValueError"}), (-3, 4, {"error": "ValueError"})]
+        (20, 3, {}), (20, 4, {}), (huge, 3, {"error": "ValueError"}), (huge, 4, {"error": "ValueError"})]
     assert [len(r.selection) for r in reports] == [3, 4, 0, 0]
 
 

@@ -230,6 +230,38 @@ def test_sparse_lookup_bitwise_matches_dense_and_searchsorted(seed):
             assert _bits(sparse_dot(*columns[i], *columns[j])) == _bits(want), (i, j)
 
 
+def _per_item_columns(dense):
+    """``SparseColumns.from_dense`` item by item: one ``nonzero`` call per item, the reference."""
+    items = np.asarray(dense, dtype=np.float64).T
+    nonzeros = [item.nonzero()[0] for item in items]
+    indptr = np.zeros(len(nonzeros) + 1, dtype=np.int64)
+    np.cumsum([nz.size for nz in nonzeros], out=indptr[1:])
+    flat = np.concatenate(nonzeros) if nonzeros else np.zeros(0, np.intp)
+    values = items[np.repeat(np.arange(len(nonzeros)), np.diff(indptr)), flat]
+    return indptr, flat.astype(np.uint32), values
+
+
+@pytest.mark.parametrize("d, n", [(40, 12), (1, 9), (5, 0), (0, 4)])
+@pytest.mark.parametrize("item_major", [True, False], ids=["item-major", "c-ordered"])
+def test_from_dense_equals_the_per_item_construction(d, n, item_major):
+    rng = np.random.default_rng(d * 100 + n)
+    dense = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.3)  # item-major source
+    dense[rng.random((n, d)) < 0.05] = -0.0                              # dropped, like +0.0
+    dense[rng.random((n, d)) < 0.03] = np.nan                            # kept, as nonzero keeps it
+    dense[n // 3:n // 2] = 0.0                                           # all-zero items
+    dense = dense.T if item_major else np.ascontiguousarray(dense.T)
+    assert (dense.T if item_major else dense).flags.c_contiguous
+    cols = SparseColumns.from_dense(dense)
+    indptr, indices, values = _per_item_columns(dense)
+    assert (cols.dim, cols.ncols) == (d, n)
+    assert cols.indptr.tobytes() == indptr.tobytes()
+    assert cols.indices.tobytes() == indices.tobytes()
+    assert cols.values.tobytes() == values.tobytes()
+    assert cols.indptr.dtype == np.int64 and cols.indices.dtype == np.uint32 and cols.values.dtype == np.float64
+    if n > 2:
+        assert (np.diff(indptr) == 0).any()
+
+
 def test_zero_entries_are_positive_zero_in_both_storages():
     # every product is -0.0: a bare cumsum over the dense products would return -0.0
     dense = np.array([[-1.0, 0.0], [0.0, -1.0]])
