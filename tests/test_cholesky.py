@@ -1,9 +1,12 @@
 import ast
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dppmap
 from dppmap import reference
@@ -401,19 +404,21 @@ def test_in_order_mark_is_cleared_by_a_skipping_sweep_and_a_scalar_catch_up(in_o
     n = 20
     oracle = _in_order_oracle("B", n)
     state = CholeskyState(oracle, n)
-    for i, catch_up, lo in ((0, (), 1), (1, (), 2),
-                            (10, (), 3),    # a generic sweep of rows 3..19 that skips committed row 10
-                            (5, (), 6),     # item 5 is the newest commit, but row 10 is committed
-                            (12, (), 13),
-                            (13, (15,), 14),  # row 15 catches up alone, so rows 14..19 are not level
-                            (14, (), 15)):
+    for i, catch_up, starts in ((0, (), (1,)), (1, (), (2,)),
+                                (10, (), (3,)),    # a generic sweep of rows 3..19 that skips committed row 10
+                                (5, (), (6,)),     # item 5 is the newest commit, but row 10 is committed
+                                (12, (), (13,)),
+                                (13, (15,), (14,)),  # row 15 catches up alone, so rows 14..19 are not level
+                                (14, (), (15,)),
+                                (15, (), (0, 16))):  # a generic sweep writes item 15's column before rows 16..19 ask
         state.update_row(i)
         state.commit(i)
         for r in catch_up:
             state.update_row(r)
-        state.prefetch(lo)
+        for lo in starts:
+            state.prefetch(lo)
     assert in_order_answers == [(True, True), (True, True), (False, False), (False, False),
-                                (True, True), (False, False), (True, True)]
+                                (True, True), (False, False), (True, True), (False, False), (False, False)]
     scalar = CholeskyState(oracle, n)
     for i in state.selection:
         scalar.update_row(i)
@@ -424,6 +429,59 @@ def test_in_order_mark_is_cleared_by_a_skipping_sweep_and_a_scalar_catch_up(in_o
                 s.update_row(i)
     assert state.factor.tobytes() == scalar.factor.tobytes()
     assert state.pivots.tobytes() == scalar.pivots.tobytes()
+
+
+SCHEDULE_EXAMPLES = 100  # about 5 s of tier-1; every example ends with a byte comparison against the scalar schedule
+
+
+@functools.cache
+def _schedule_oracle(kind, n):
+    return _in_order_oracle(kind, n)
+
+
+# three in four commits take a successor of the newest commit, skipping `pick % 8`; the rest any live item
+_COMMIT = st.tuples(st.sampled_from(["next", "next", "next", "any"]), st.integers(0, 2 * WINDOW + 5))
+_AFTER = st.lists(st.one_of(st.tuples(st.just("in-order"), st.just(0)),  # prefetch from the newest commit + 1
+                            st.tuples(st.just("prefetch"), st.integers(0, 2 * WINDOW + 5)),
+                            st.tuples(st.just("catch-up"), st.integers(0, 2 * WINDOW + 5))), max_size=3)
+
+
+@settings(max_examples=SCHEDULE_EXAMPLES, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["B", "L", "sparse"]), st.integers(1, 2 * WINDOW + 5),
+       st.lists(st.tuples(_COMMIT, _AFTER, st.booleans()), max_size=48))
+def test_in_order_answers_like_the_scans_on_random_schedules(kind, n, steps):
+    """Random interleavings of commits, prefetches from any start (several per commit) and scalar
+    catch-ups: each prefetch's in-order answer equals the scans', and the values the scalar schedule's.
+    A step may end as double greedy's does, with a prefetch from the newest commit + 1."""
+    oracle = _schedule_oracle(kind, n)
+    state, scalar = CholeskyState(oracle, n), CholeskyState(oracle, n)
+    for (how, pick), after, in_order in steps:
+        live = np.flatnonzero(~state.in_selection)
+        if not live.size:
+            break
+        if how == "next":
+            ahead = live[live > (state.selection[-1] if state.selection else -1)]
+            c = int(ahead[min(pick % 8, ahead.size - 1)] if ahead.size else live[0])
+        else:
+            c = int(live[pick % live.size])
+        for s in (state, scalar):
+            s.update_row(c)
+            s.commit(c)
+        for op, value in after + [("in-order", 0)] * in_order:
+            if op == "catch-up":
+                live = np.flatnonzero(~state.in_selection)
+                if live.size:
+                    state.update_row(int(live[value % live.size]))
+                continue
+            lo = state.selection[-1] + 1 if op == "in-order" else min(value, n)
+            assert state._in_order(lo) == _scanned_in_order(state, lo), (op, lo)
+            state.prefetch(lo)
+    for s in (state, scalar):
+        for i in np.flatnonzero(~s.in_selection):
+            s.update_row(int(i))
+    assert state.factor.tobytes() == scalar.factor.tobytes()
+    assert state.pivots.tobytes() == scalar.pivots.tobytes()
+    assert state.stamps.tobytes() == scalar.stamps.tobytes()
 
 
 def _seq_dot_row(state, i):
