@@ -5,9 +5,12 @@ variant twins) through ``run_algorithm`` and a direct ``naive_double_greedy``
 run on an adjusted matrix, on B, L and 0/1-sparse input (n = 24, k = 5,
 seeds 1-3), plus three inputs that make the stop paths run: rank-4 B
 features (the greedy stops after four commits), ``I`` (every gain is exactly
-zero, the boundary stop) and ``I / 2`` (every gain is negative).  A run that raises contributes its exception's type name.  A
-refactor of how solvers record their steps must leave this digest as it is;
-a change that means to alter reports must say why it moves it.
+zero, the boundary stop) and ``I / 2`` (every gain is negative), and the
+three double greedy records on B and L input under ``MIXED``, where both
+moves win and the shrink factor commits too.  A run that raises contributes
+its exception's type name.  A refactor of how solvers record their steps
+must leave this digest as it is; a change that means to alter reports must
+say why it moves it.
 """
 
 import ctypes
@@ -24,7 +27,8 @@ from dppmap.kernel import KernelOracle, SparseColumns
 from dppmap.stream import DecisionStream
 
 N, K, SEEDS, EPSILON = 24, 5, (1, 2, 3), 0.5
-GOLDEN = "7a28d9393d28dab0d1bad424fa86eb81e342c0b78c72637845df81074b77b4a2"
+MIXED = (1.5 / N, 0.1)  # a double greedy adjustment whose kernel eigenvalues straddle 1
+GOLDEN = "deb82ee301a58cd6e07c05923c0409fcc42c6bb3953b543536037f45ffd44e6d"
 
 
 def _oracle(kind: str, seed: int, scale: float, shift: float) -> KernelOracle:
@@ -61,6 +65,14 @@ def golden_reports():
             matrix = _oracle(kind, seed, *resolve_adjustment("double", None, None)).materialize()
             yield f"{kind} {seed} naive_double_greedy", _text(
                 lambda: naive_double_greedy(matrix, DecisionStream(seed)))
+    for kind in ("B", "L"):  # double greedy with both moves winning: 12 to 15 of the 24 items go to the shrink side
+        for seed in SEEDS:
+            for algo in ("double-fast", "double-naive"):
+                oracle = _oracle(kind, seed, *MIXED)
+                yield f"{kind} {seed} {algo} mixed", _text(lambda: run_algorithm(algo, oracle, K, seed=seed))
+            matrix = _oracle(kind, seed, *MIXED).materialize()
+            yield f"{kind} {seed} naive_double_greedy mixed", _text(
+                lambda: naive_double_greedy(matrix, DecisionStream(seed)))
 
 
 def golden_digest() -> str:
@@ -84,7 +96,7 @@ def openblas_core(package: str, symbol: str) -> str:
 
 
 def test_timing_stripped_reports_match_the_pinned_digest():
-    """37 of the 234 reports take bits from LAPACK/BLAS, which differ between OpenBLAS cores."""
+    """55 of the 252 reports take bits from LAPACK/BLAS, which differ between OpenBLAS cores."""
     cores = (f"numpy's OpenBLAS core {openblas_core('numpy', 'scipy_openblas_get_corename64_')}, "
              f"scipy's {openblas_core('scipy', 'scipy_openblas_get_corename')}")
     assert golden_digest() == GOLDEN, f"digest pinned on the SkylakeX core; this run has {cores}"
