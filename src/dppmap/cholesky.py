@@ -40,32 +40,36 @@ Python fold alone made about 10% slower.
 
 A prefetch usually follows the schedule fast double greedy produces: the
 newest commit is item ``lo - 1``, and every row ``lo..n-1`` is uncommitted and
-lacks only that commit's column.  The state tells that schedule apart in
-O(1) by a mark ``(_mark_lo, _mark_cols)``: each prefetch records that it left
-rows ``_mark_lo..n-1`` uncommitted and holding exactly ``_mark_cols`` columns
-(a fresh state starts at ``(0, 0)``).  Two events clear the mark, by setting
-``_mark_lo`` to ``n``: :meth:`CholeskyState.update_row`'s scalar loop
-computing columns for a row at or after ``_mark_lo``, and a generic prefetch
-that skips a committed row.  Commits leave it in place: exactly one commit
-since the mark, item ``lo - 1``, is the in-order case.  Only rows
-``lo.._mark_lo-1`` are scanned, and on that schedule there are none.
+lacks only that commit's column.  That schedule takes a cheaper path through
+a per-state dot cache over a window of ``WINDOW`` candidate items
+``a..a+WINDOW-1``: ``_dots[c, r - a]`` holds, for every row ``r`` after the
+newest commit, the left fold from ``+0.0`` of ``F[r, s] * F[a + c, s]`` over
+the first ``_dots_cols`` columns in ascending order, which is the sum
+:func:`seq_dot` returns, bit for bit.  A commit of item ``j`` reads its
+column's dots from the cache, then folds the new column into the whole cache
+rows of the candidates after ``j`` with one contiguous outer-product add,
+``dots[c:] += outer(full[c:W], full)``, where ``full`` is the new column over
+rows ``a..n-1`` with ``+0.0`` on the rows ``a..j`` the sweep has passed.
+Entries of those rows go stale, and no later prefetch reads them; folding
+them too keeps every add contiguous, which numpy does several times faster
+than the same add over the strided block of live rows.  The cache is rebuilt
+from the factor, one add per committed column in ascending order, when the
+committed item is not among the candidates ``_dots_lo..a+WINDOW-1`` the last
+fold reached, or the cache has folded fewer columns than the factor holds.
+Every other schedule takes the generic column sweep.
 
-That schedule takes a cheaper path through a per-state dot cache over a
-window of ``WINDOW`` candidate items ``a..a+WINDOW-1``: ``_dots[c, r - a]``
-holds, for every row ``r`` after the newest commit, the left fold from
-``+0.0`` of ``F[r, s] * F[a + c, s]`` over the first ``_dots_cols`` columns
-in ascending order, which is the sum :func:`seq_dot` returns, bit for bit.
-A commit of item ``j`` reads its column's dots from the cache, then folds
-the new column into the whole cache rows of the candidates after ``j`` with
-one contiguous outer-product add, ``dots[c:] += outer(full[c:W], full)``,
-where ``full`` is the new column over rows ``a..n-1`` with ``+0.0`` on the
-rows ``a..j`` the sweep has passed.  Entries of those rows go stale, and no
-later prefetch reads them; folding them too keeps every add contiguous,
-which numpy does several times faster than the same add over the strided
-block of live rows.  The cache is rebuilt from the factor, one add per
-committed column in ascending order, when the committed item leaves the
-window or the cache has folded fewer columns than the factor holds.  Every
-other schedule takes the generic column sweep.
+The cache's record ``(_dots_lo, _dots_cols)`` also tells the schedule apart
+in O(1).  The in-order prefetch that made it left rows ``_dots_lo..n-1``
+uncommitted and holding exactly ``_dots_cols`` columns (a fresh state's
+``(0, 0)`` holds for every row).  So when the newest commit is item
+``lo - 1``, ``_dots_cols`` is one less than the selection length (that
+commit is the only one since) and ``_dots_lo < lo``, rows ``lo..n-1`` are
+in order.  Two events void the record, by setting ``_dots_lo`` to ``n``:
+:meth:`CholeskyState.update_row`'s scalar loop computing columns for a row
+at or after ``_dots_lo``, and every generic prefetch, which may have written
+the newest column already.  A record that does not vouch for the rows
+leaves the answer to two O(n) scans, of ``in_selection[lo:]`` and
+``_ready[lo:]``; on fast double greedy's schedule they never run.
 
 Each outer product comes from ``np.einsum`` into a kept buffer: one
 ``"i,j->ij"`` call per commit, and one ``"si,sj->sij"`` call per
@@ -128,9 +132,7 @@ class CholeskyState:
         self._outer = self._full = None  # the fold's buffers: one outer product, one zero-padded column
         self._dots_at = 0    # first item of its window
         self._dots_cols = 0  # committed columns folded in
-        self._dots_lo = 0    # first row and candidate the last fold reached
-        self._mark_lo = 0    # rows _mark_lo..n-1 held _mark_cols columns, uncommitted, at the last prefetch
-        self._mark_cols = 0
+        self._dots_lo = 0    # first row and candidate the last fold reached; n once voided
         if not lazy_diag:
             entry = oracle.entry
             self.pivots[:] = np.sqrt([entry(i, i) for i in range(n)])
@@ -177,8 +179,8 @@ class CholeskyState:
         piv = float(self.pivots[i])
         ready = int(self._ready[i])
         if ready < m:
-            if i >= self._mark_lo:
-                self._mark_lo = self.n  # the loop below moves a row the mark vouches for
+            if i >= self._dots_lo:
+                self._dots_lo = self.n  # the loop below moves a row the record vouches for
             row = self.factor[i]
             vals = row[:ready].tolist() if ready < SHORT_FOLD else None
             entry, prefixes, frozen = self.oracle.entry, self._prefixes, self.selected_pivots
@@ -240,24 +242,20 @@ class CholeskyState:
             self._write_column(t, rows, dots)
             ready[lacking] = t + 1
         self._ready[live] = m
-        self._mark_lo = lo if whole else n
-        self._mark_cols = m
+        self._dots_lo = n  # the sweep may have written the column an in-order prefetch would
 
     def _in_order(self, lo: int) -> bool:
         """Is item ``lo - 1`` the newest commit, with rows ``lo..n-1`` uncommitted and one column behind?
 
-        Rows from ``_mark_lo`` on are answered by the mark (see the module
-        docstring); only rows ``lo.._mark_lo-1`` are scanned.
+        Answered in O(1) when the dot cache's record vouches for the rows,
+        and by scanning them otherwise (see the module docstring).
         """
         m = len(self.selection)
-        n = self.n
-        if not (lo < n and m > 0 and self.selection[-1] == lo - 1):
+        if not (lo < self.n and m > 0 and self.selection[-1] == lo - 1):
             return False
-        top = self._mark_lo
-        if top < n and self._mark_cols != m - 1:
-            return False
-        return lo >= top or (not self.in_selection[lo:top].any()
-                             and bool((self._ready[lo:top] == m - 1).all()))
+        if self._dots_cols == m - 1 and self._dots_lo < lo:
+            return True
+        return not self.in_selection[lo:].any() and bool((self._ready[lo:] == m - 1).all())
 
     def _prefetch_in_order(self, lo: int) -> None:
         """Write the newest column of rows ``lo..n-1`` from the dot cache, then fold it in."""
@@ -272,7 +270,6 @@ class CholeskyState:
         self._ready[lo:] = t + 1
         dots[c:] += np.einsum("i,j->ij", full[c:len(dots)], full, out=self._outer[c:])
         self._dots_cols, self._dots_lo = t + 1, lo
-        self._mark_lo, self._mark_cols = lo, t + 1
 
     def _rebuild_dots(self, a: int, t: int) -> None:
         """Fold the first ``t`` columns afresh for the window starting at item ``a``."""

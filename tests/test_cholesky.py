@@ -353,7 +353,7 @@ def test_every_cache_entry_a_prefetch_reads_is_seq_dot_and_none_is_negative_zero
 
 
 def _scanned_in_order(state, lo):
-    """The in-order test by two O(n) scans, the reference the O(1) mark must answer like."""
+    """The in-order test by two O(n) scans, the reference the O(1) record must answer like."""
     m = len(state.selection)
     return (lo < state.n and m > 0 and state.selection[-1] == lo - 1
             and not state.in_selection[lo:].any() and bool((state._ready[lo:] == m - 1).all()))
@@ -382,6 +382,26 @@ def test_in_order_mark_answers_like_the_scans_in_double_greedy(kind, shift, grow
     assert len(in_order_answers) == oracle.n
     assert all(got == want for got, want in in_order_answers)
     assert sum(got for got, _ in in_order_answers) == oracle.n - 1  # all but the prefetch past item n - 1
+
+
+@pytest.mark.parametrize("kind", ["B", "L", "sparse"])
+@pytest.mark.parametrize("shift", [2.0, 0.5], ids=["grow-only", "both-sides"])
+def test_double_greedy_never_scans_for_the_in_order_answer(kind, shift, monkeypatch):
+    """Each prefetch of fast double greedy is answered by the dot cache's record, never by the scans."""
+    scans = []
+    prefetch = CholeskyState.prefetch
+
+    def counted(self, lo):
+        m = len(self.selection)
+        newest = lo < self.n and m > 0 and self.selection[-1] == lo - 1
+        scans.append(newest and not (self._dots_cols == m - 1 and self._dots_lo < lo))
+        return prefetch(self, lo)
+
+    monkeypatch.setattr(CholeskyState, "prefetch", counted)
+    oracle = _in_order_oracle(kind, 2 * WINDOW + 12, shift)
+    rep = fast_double_greedy(oracle, DecisionStream(1))
+    assert (len(rep.selection) == oracle.n) == (shift == 2.0)
+    assert len(scans) == oracle.n and not any(scans)
 
 
 def test_in_order_mark_answers_like_the_scans_on_the_verify_schedules(in_order_answers):
