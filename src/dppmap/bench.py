@@ -28,7 +28,7 @@ def resolve_adjustment(algo: str, scale: float | None, shift: float | None) -> t
 def _greedy(solver):
     def run(oracle, k, seed, epsilon, deadline):
         report = solver(oracle, GreedyConfig(k=k), deadline=deadline)
-        report.seed = seed  # recorded, not read: the four greedies draw nothing
+        report.seed = seed  # recorded, not read: these solvers draw nothing
         return report
     return run
 
@@ -36,11 +36,6 @@ def _greedy(solver):
 def _drawn(solver):
     return lambda oracle, k, seed, epsilon, deadline: solver(
         oracle, VariantConfig(k=k, epsilon=epsilon), DecisionStream(seed), deadline=deadline)
-
-
-def _undrawn(solver):
-    return lambda oracle, k, seed, epsilon, deadline: solver(
-        oracle, VariantConfig(k=k, epsilon=epsilon), deadline=deadline)
 
 
 def _double(solver):
@@ -56,12 +51,12 @@ SOLVERS = {
     "lazyfast": _greedy(lazy_fast_greedy),
     "random": _drawn(variants.random_greedy_lf),
     "stochastic": _drawn(variants.stochastic_greedy_lf),
-    "interlace": _undrawn(variants.interlace_greedy_lf),
+    "interlace": _greedy(variants.interlace_greedy_lf),
     "double-naive": _double(doublegreedy.naive_double_greedy),
     "double-fast": _double(doublegreedy.fast_double_greedy),
     "random-naive": _drawn(naive_variants.naive_random_greedy),
     "stochastic-naive": _drawn(naive_variants.naive_stochastic_greedy),
-    "interlace-naive": _undrawn(naive_variants.naive_interlace_greedy),
+    "interlace-naive": _greedy(naive_variants.naive_interlace_greedy),
 }
 TWINS = ("random-naive", "stochastic-naive", "interlace-naive")  # differential references, not run choices
 ALGORITHMS = tuple(name for name in SOLVERS if name not in TWINS)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import reference
+from .greedy import GreedyConfig
 from .kernel import KernelOracle
 from .report import RunReport, SolverRun
 from .stream import DecisionStream
@@ -68,7 +69,7 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
     return run.finish()
 
 
-def naive_interlace_greedy(oracle: KernelOracle, cfg: VariantConfig,
+def naive_interlace_greedy(oracle: KernelOracle, cfg: GreedyConfig,
                            deadline: float | None = None) -> RunReport:
     require_size("interlace", oracle.n, cfg.k, 4)
     run = SolverRun("interlace-naive", oracle, cfg.k)

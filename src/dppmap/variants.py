@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cholesky import CholeskyState
-from .greedy import ZERO_GAIN_PIVOT, pop_fresh_argmax, require_positive_k
+from .greedy import ZERO_GAIN_PIVOT, GreedyConfig, pop_fresh_argmax, require_positive_k
 from .kernel import KernelOracle
 from .pqueue import LazyMaxQueue
 from .report import RunReport, SolverRun
@@ -154,7 +154,7 @@ def _interlaced_pair(run: SolverRun, k: int, seed_item: int | None, deadline):
 
     def argmax_at_least_unit(state, queue):
         top = queue.peek_entry()
-        if top is None or top[1] < 1.0:
+        if top is None or top[1] < ZERO_GAIN_PIVOT:
             return None  # even the stale bound rules everything out
         i, _ = pop_fresh_argmax(queue, state, None)
         return i
@@ -166,17 +166,17 @@ def _interlaced_pair(run: SolverRun, k: int, seed_item: int | None, deadline):
             queue.exclude(seed_item)
     for _ in run.steps(k if seed_item is None else k - 1, deadline):
         i = argmax_at_least_unit(state_a, queue_a)
-        if i is not None and state_a.pivots[i] >= 1.0:
+        if i is not None and state_a.pivots[i] >= ZERO_GAIN_PIVOT:
             state_a.commit(i)
             queue_b.exclude(i)
         j = argmax_at_least_unit(state_b, queue_b)
-        if j is not None and state_b.pivots[j] >= 1.0:
+        if j is not None and state_b.pivots[j] >= ZERO_GAIN_PIVOT:
             state_b.commit(j)
             queue_a.exclude(j)
     return state_a, state_b, queue_a.op_count + queue_b.op_count
 
 
-def interlace_greedy_lf(oracle: KernelOracle, cfg: VariantConfig,
+def interlace_greedy_lf(oracle: KernelOracle, cfg: GreedyConfig,
                         deadline: float | None = None) -> RunReport:
     """Interlace greedy: two alternating runs, twice, best prefix wins.
 

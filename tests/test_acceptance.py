@@ -106,7 +106,7 @@ def test_criterion_04_work_count_bands():
             lo = triangle(len(s_rep.selection))
             if not (lo <= s_rep.offdiag_count <= hi):
                 failures.append(f"t={t}: stochastic {s_rep.offdiag_count} outside [{lo},{hi}]")
-            i_rep = interlace_greedy_lf(oracle, VariantConfig(k=k))
+            i_rep = interlace_greedy_lf(oracle, GreedyConfig(k=k))
             commits = [len(seq) for seq in i_rep.extras["sequences"].values()]
             while len(commits) < 4:
                 commits.append(0)
@@ -165,7 +165,7 @@ def test_criterion_08_approximation_sanity():
         k = 1 + t % 3
         n = 4 * k + 5
         oracle = build_synthetic_oracle(n, n, 8800 + t, "B")
-        rep = interlace_greedy_lf(oracle, VariantConfig(k=k))
+        rep = interlace_greedy_lf(oracle, GreedyConfig(k=k))
         matrix = oracle.materialize()
         for seq in rep.extras["sequences"].values():
             for m in range(len(seq) + 1):

@@ -43,7 +43,7 @@ def test_preconditions():
     with pytest.raises(ValueError, match="3k"):
         stochastic_greedy_lf(oracle, VariantConfig(k=4, epsilon=0.5), DecisionStream(0))
     with pytest.raises(ValueError, match="4k"):
-        interlace_greedy_lf(oracle, VariantConfig(k=3))
+        interlace_greedy_lf(oracle, GreedyConfig(k=3))
     with pytest.raises(ValueError, match="epsilon"):
         stochastic_greedy_lf(oracle, VariantConfig(k=3), DecisionStream(0))
 
@@ -146,7 +146,7 @@ def test_stochastic_upper_bound_regimes():
 
 
 def test_interlace_disjointness_and_seeding():
-    rep = interlace_greedy_lf(_oracle(2.0 * np.eye(8)), VariantConfig(k=2))
+    rep = interlace_greedy_lf(_oracle(2.0 * np.eye(8)), GreedyConfig(k=2))
     seqs = rep.extras["sequences"]
     assert set(seqs["A"]) & set(seqs["B"]) == set()
     assert set(seqs["C"]) & set(seqs["D"]) == {seqs["A"][0]}
@@ -158,13 +158,13 @@ def test_interlace_padded_singleton():
     mat[:2, :2] = [[4.0, 2.0], [2.0, 4.0]]
     for i in range(2, 6):
         mat[i, i] = 3.0
-    rep = interlace_greedy_lf(_oracle(mat), VariantConfig(k=1))
+    rep = interlace_greedy_lf(_oracle(mat), GreedyConfig(k=1))
     assert rep.selection == [0]
     assert rep.final_objective == pytest.approx(math.log(4.0), rel=1e-12)
 
 
 def test_interlace_identity_returns_empty():
-    rep = interlace_greedy_lf(_oracle(np.eye(8)), VariantConfig(k=2))
+    rep = interlace_greedy_lf(_oracle(np.eye(8)), GreedyConfig(k=2))
     assert rep.selection == []
     assert rep.final_objective == 0.0
 
@@ -174,7 +174,7 @@ def test_interlace_best_prefix_dominates():
         k = 1 + t % 3
         n = 4 * k + 4
         oracle = build_synthetic_oracle(n, n, 300 + t, "B")
-        rep = interlace_greedy_lf(oracle, VariantConfig(k=k))
+        rep = interlace_greedy_lf(oracle, GreedyConfig(k=k))
         matrix = oracle.materialize()
         best = -math.inf
         for seq in rep.extras["sequences"].values():
@@ -188,7 +188,7 @@ def test_interlace_coupling():
         k = 1 + t % 3
         n = 4 * k + 2 + t % 5
         oracle = build_synthetic_oracle(n, n, 200 + t, "B")
-        rep = interlace_greedy_lf(oracle, VariantConfig(k=k))
+        rep = interlace_greedy_lf(oracle, GreedyConfig(k=k))
         twin = run_algorithm("interlace-naive", oracle, k)
         assert rep.selection == twin.selection, f"t={t}"
         assert rep.extras["sequences"] == twin.extras["sequences"], f"t={t}"
