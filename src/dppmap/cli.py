@@ -18,7 +18,8 @@ import time
 from . import bench as benchmod
 from . import matrixio, verify
 from .bench import ALGORITHMS, EPSILON, resolve_adjustment, run_algorithm
-from .datagen import SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic, read_triples, write_idmap
+from .datagen import (SyntheticSpec, binarize_ratings, check_feature_size, convert_netflix, gen_synthetic,
+                      read_triples, write_idmap)
 from .kernel import KernelOracle
 
 
@@ -209,6 +210,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run" and args.k is not None and args.algo.startswith("double"):
         parser.error(f"argument --k: {args.algo} takes no k; a double greedy decides on all n items")
+    if args.command == "gen":
+        try:
+            check_feature_size(args.n, args.n if args.d is None else args.d)
+        except ValueError as exc:
+            parser.error(f"argument --n/--d: {exc}")
     return args.fn(args)
 
 

@@ -16,7 +16,7 @@ from dppmap.kernel import B_BITS, SparseColumns, _int_dot, seq_dot
 from dppmap.report import RunReport
 from dppmap.stream import DecisionStream
 
-from test_matrixio import NON_TEXT
+from test_matrixio import NON_TEXT, run_capped
 from test_stream import one_shot_normals
 
 
@@ -370,6 +370,25 @@ def test_a_non_positive_size_is_refused_at_parse_time(tmp_path, capsys, argv, fl
         main([*argv, "--out", str(out)])
     assert exit_info.value.code == 2
     assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", [["--n", "4294967296"], ["--n", "2147483648", "--d", "2147483648"]],
+                         ids=["n", "n-and-d"])
+def test_gen_refuses_a_matrix_past_numpys_largest_array(tmp_path, capsys, sizes):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", *sizes, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "argument --n/--d: n = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_past_memory_but_within_numpys_bound_is_a_memory_error(tmp_path):
+    """2**20 items of 2**20 features (8 TiB) fit numpy's index range, not the address-space cap."""
+    out = tmp_path / "out"
+    proc = run_capped(f"from dppmap import cli; cli.main(['gen', '--n', '1048576', '--out', {str(out)!r}])")
+    assert proc.returncode == 1 and "MemoryError: Unable to allocate 8.00 TiB" in proc.stderr, proc.stderr
     assert not out.exists()
 
 

@@ -29,6 +29,13 @@ def test_gen_shape_and_default_d():
     assert gen_synthetic(SyntheticSpec(n=4, seed=0)).shape == (4, 4)
 
 
+@pytest.mark.parametrize("n, d", [(2 ** 32, None), (2 ** 31, 2 ** 31)])
+def test_gen_refuses_a_matrix_past_numpys_largest_array(n, d):
+    """Refused before any draw, so nothing is allocated."""
+    with pytest.raises(ValueError, match=f"n = {n} items of d = {n if d is None else d} float64 features"):
+        gen_synthetic(SyntheticSpec(n=n, d=d))
+
+
 def test_gen_mean_within_clt_bound():
     mat = gen_synthetic(SyntheticSpec(n=1000, d=1000, seed=1))
     assert abs(float(np.mean(mat))) <= 0.003  # 3 sigma of 1e6 standard normals
