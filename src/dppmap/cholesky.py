@@ -40,36 +40,32 @@ Python fold alone made about 10% slower.
 
 A prefetch usually follows the schedule fast double greedy produces: the
 newest commit is item ``lo - 1``, and every row ``lo..n-1`` is uncommitted and
-lacks only that commit's column.  That schedule takes a cheaper path through
-a per-state dot cache over a window of ``WINDOW`` candidate items
-``a..a+WINDOW-1``: ``_dots[c, r - a]`` holds, for every row ``r`` after the
-newest commit, the left fold from ``+0.0`` of ``F[r, s] * F[a + c, s]`` over
-the first ``_dots_cols`` columns in ascending order, which is the sum
-:func:`seq_dot` returns, bit for bit.  A commit of item ``j`` reads its
-column's dots from the cache, then folds the new column into the whole cache
-rows of the candidates after ``j`` with one contiguous outer-product add,
-``dots[c:] += outer(full[c:W], full)``, where ``full`` is the new column over
-rows ``a..n-1`` with ``+0.0`` on the rows ``a..j`` the sweep has passed.
-Entries of those rows go stale, and no later prefetch reads them; folding
-them too keeps every add contiguous, which numpy does several times faster
-than the same add over the strided block of live rows.  The cache is rebuilt
-from the factor, one add per committed column in ascending order, when the
-committed item is not among the candidates ``_dots_lo..a+WINDOW-1`` the last
-fold reached, or the cache has folded fewer columns than the factor holds.
-Every other schedule takes the generic column sweep.
+lacks only that commit's column.  The state tells that schedule apart in
+O(1) by the record ``(_dots_lo, _dots_cols)`` of the dot cache below: the
+fold that made it left rows ``_dots_lo..n-1`` uncommitted and holding
+exactly ``_dots_cols`` columns (as a fresh state's ``(0, 0)`` does), so with
+item ``lo - 1`` the one commit since and ``_dots_lo < lo``, rows ``lo..n-1``
+are in order.  :meth:`CholeskyState.update_row`'s scalar loop on a row at or
+after ``_dots_lo``, and every generic prefetch, void the record by setting
+``_dots_lo`` to ``n``.  Where the record does not vouch for the rows, two
+O(n) scans answer; on fast double greedy's schedule they never run.
 
-The cache's record ``(_dots_lo, _dots_cols)`` also tells the schedule apart
-in O(1).  The in-order prefetch that made it left rows ``_dots_lo..n-1``
-uncommitted and holding exactly ``_dots_cols`` columns (a fresh state's
-``(0, 0)`` holds for every row).  So when the newest commit is item
-``lo - 1``, ``_dots_cols`` is one less than the selection length (that
-commit is the only one since) and ``_dots_lo < lo``, rows ``lo..n-1`` are
-in order.  Two events void the record, by setting ``_dots_lo`` to ``n``:
-:meth:`CholeskyState.update_row`'s scalar loop computing columns for a row
-at or after ``_dots_lo``, and every generic prefetch, which may have written
-the newest column already.  A record that does not vouch for the rows
-leaves the answer to two O(n) scans, of ``in_selection[lo:]`` and
-``_ready[lo:]``; on fast double greedy's schedule they never run.
+That schedule takes a cheaper path through a per-state dot cache over a
+window of ``WINDOW`` candidate items ``a..a+WINDOW-1``: ``_dots[c, r - a]``
+holds, for every row ``r`` after the newest commit, the left fold from
+``+0.0`` of ``F[r, s] * F[a + c, s]`` over the first ``_dots_cols`` columns
+in ascending order, which is the sum :func:`seq_dot` returns, bit for bit.
+A commit of item ``j`` reads its column's dots from the cache, then folds
+the new column into the whole cache rows of the candidates after ``j`` with
+one contiguous outer-product add, ``dots[c:] += outer(full[c:W], full)``,
+where ``full`` is the new column over rows ``a..n-1`` with ``+0.0`` on the
+rows ``a..j`` the sweep has passed.  Entries of those rows go stale, and no
+later prefetch reads them; folding them too keeps every add contiguous,
+which numpy does several times faster than the same add over the strided
+block of live rows.  The cache is rebuilt from the factor, one add per
+committed column in ascending order, when its record does not vouch for
+the rows or the committed item leaves the window.  Every other schedule
+takes the generic column sweep.
 
 Each outer product comes from ``np.einsum`` into a kept buffer: one
 ``"i,j->ij"`` call per commit, and one ``"si,sj->sij"`` call per
@@ -230,8 +226,7 @@ class CholeskyState:
             return
         live = np.flatnonzero(~self.in_selection[lo:]) + lo
         ready = self._ready[live]
-        whole = live.size == n - lo  # no row lo..n-1 is committed
-        block = slice(lo, n) if whole else live
+        block = slice(lo, n) if live.size == n - lo else live  # a range when no row lo..n-1 is committed
         for t in range(int(ready.min()) if live.size else m, m):
             lacking = ready == t  # rows lacking column t hold exactly t columns
             rows = block if lacking.all() else live[lacking]
@@ -253,9 +248,8 @@ class CholeskyState:
         m = len(self.selection)
         if not (lo < self.n and m > 0 and self.selection[-1] == lo - 1):
             return False
-        if self._dots_cols == m - 1 and self._dots_lo < lo:
-            return True
-        return not self.in_selection[lo:].any() and bool((self._ready[lo:] == m - 1).all())
+        return ((self._dots_cols == m - 1 and self._dots_lo < lo)  # the record vouches for the rows
+                or (not self.in_selection[lo:].any() and bool((self._ready[lo:] == m - 1).all())))
 
     def _prefetch_in_order(self, lo: int) -> None:
         """Write the newest column of rows ``lo..n-1`` from the dot cache, then fold it in."""
