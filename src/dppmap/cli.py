@@ -18,8 +18,7 @@ import time
 from . import bench as benchmod
 from . import matrixio, verify
 from .bench import ALGORITHMS, EPSILON, resolve_adjustment, run_algorithm
-from .datagen import (SyntheticSpec, binarize_ratings, check_feature_size, convert_netflix, gen_synthetic,
-                      read_triples, write_idmap)
+from .datagen import SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic, read_triples, write_idmap
 from .kernel import KernelOracle
 
 
@@ -83,7 +82,11 @@ def load_oracle(path: str, input_kind: str, scale: float, shift: float) -> Kerne
 
 
 def cmd_gen(args) -> int:
-    matrix = gen_synthetic(SyntheticSpec(n=args.n, d=args.d, seed=args.seed))
+    try:
+        matrix = gen_synthetic(SyntheticSpec(n=args.n, d=args.d, seed=args.seed))
+    except ValueError as exc:  # the parser has refused sizes below 1, so the sizes are too large
+        print(f"dppmap gen: error: argument --n/--d: {exc}", file=sys.stderr)
+        return 2
     matrixio.write_dense(args.out, matrix)
     print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} feature matrix to {args.out}")
     return 0
@@ -210,11 +213,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run" and args.k is not None and args.algo.startswith("double"):
         parser.error(f"argument --k: {args.algo} takes no k; a double greedy decides on all n items")
-    if args.command == "gen":
-        try:
-            check_feature_size(args.n, args.n if args.d is None else args.d)
-        except ValueError as exc:
-            parser.error(f"argument --n/--d: {exc}")
     return args.fn(args)
 
 

@@ -46,24 +46,17 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     its buffer (the result's ``.T`` is C-contiguous), and generation holds
     one copy of the matrix plus one block of Box-Muller temporaries.
     ``KernelOracle.from_dense_features`` and ``SparseColumns.from_dense``
-    read it item by item without a transpose copy.  Sizes whose matrix
-    cannot be one numpy array are refused by :func:`check_feature_size`
-    before anything is drawn; a size numpy accepts but memory cannot hold
-    raises ``MemoryError``.
+    read it item by item without a transpose copy.  Sizes past numpy's
+    largest array raise ``ValueError`` before any draw.
     """
     if spec.n < 1:
         raise ValueError("n must be positive")
     d = spec.n if spec.d is None else spec.d
     if d < 1:
         raise ValueError("d must be positive")
-    check_feature_size(spec.n, d)
+    if 8 * spec.n * d > np.iinfo(np.intp).max:  # below it, a matrix memory cannot hold raises MemoryError
+        raise ValueError(f"n = {spec.n} items of d = {d} float64 features exceed numpy's largest array")
     return DecisionStream(spec.seed).normals(spec.n * d).reshape(spec.n, d).T
-
-
-def check_feature_size(n: int, d: int) -> None:
-    """Raise ``ValueError`` naming ``n`` and ``d`` when n * d float64 values exceed numpy's largest array."""
-    if 8 * n * d > np.iinfo(np.intp).max:
-        raise ValueError(f"n = {n} items of d = {d} float64 features exceed numpy's largest array")
 
 
 def _parse_rating(raw: str, where: str) -> float:
