@@ -451,7 +451,7 @@ def test_in_order_mark_is_cleared_by_a_skipping_sweep_and_a_scalar_catch_up(in_o
     assert state.pivots.tobytes() == scalar.pivots.tobytes()
 
 
-SCHEDULE_EXAMPLES = 100  # about 5 s of tier-1; every example ends with a byte comparison against the scalar schedule
+SCHEDULE_EXAMPLES = 100  # about 2 s of tier-1; every example ends with a byte comparison against the scalar schedule
 
 
 @functools.cache
