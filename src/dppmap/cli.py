@@ -146,6 +146,13 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _add_adjustment(p) -> None:
+    p.add_argument("--scale", type=float, default=None,
+                   help="kernel scale (default 1.0; 0.9 for double greedy)")
+    p.add_argument("--shift", type=float, default=None,
+                   help="diagonal shift (default 0.0; 0.1 for double greedy)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dppmap", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -177,10 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--epsilon", type=float, default=EPSILON,
                    help=f"stochastic greedy's epsilon (default {EPSILON}); no other algorithm reads it")
-    p.add_argument("--scale", type=float, default=None,
-                   help="kernel scale (default 1.0; 0.9 for double greedy)")
-    p.add_argument("--shift", type=float, default=None,
-                   help="diagonal shift (default 0.0; 0.1 for double greedy)")
+    _add_adjustment(p)
     p.add_argument("--timeout-s", type=_seconds, default=None)
     p.add_argument("--check", action="store_true",
                    help="cross-check the objective against brute force")
@@ -196,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=EPSILON,
                    help=f"stochastic greedy's epsilon (default {EPSILON})")
     p.add_argument("--input-kind", choices=("B", "L"), default="B")
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--shift", type=float, default=None)
+    _add_adjustment(p)
     p.add_argument("--timeout-s", type=_seconds, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bench)

@@ -4,8 +4,9 @@ These take every marginal gain, and the ln det it came from, from
 :func:`dppmap.reference.gains` and order picks by
 :func:`~dppmap.reference.pick_order`, with no factor state and no laziness,
 while consuming the exact same randomness protocol as their accelerated
-counterparts in :mod:`dppmap.variants`.  They exist to ground differential
-tests, not to be fast.
+counterparts in :mod:`dppmap.variants`.  The interlace twin supplies only its
+pair builder to :func:`dppmap.variants.interlace`, the driver the accelerated
+solver uses too.  They exist to ground differential tests, not to be fast.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .greedy import GreedyConfig
 from .kernel import KernelOracle
 from .report import RunReport, SolverRun
 from .stream import DecisionStream
-from .variants import VariantConfig, require_size, stochastic_sample_size
+from .variants import VariantConfig, interlace, require_size, stochastic_sample_size
 
 
 def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
@@ -73,18 +74,15 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: GreedyConfig,
                            deadline: float | None = None) -> RunReport:
     require_size("interlace", oracle.n, cfg.k, 4)
     run = SolverRun("interlace-naive", oracle, cfg.k)
-    report = run.report
     matrix = oracle.materialize()
     n = oracle.n
 
-    def interlaced_pair(seed):
-        """Two alternating exclusive runs as lists of ``(gain, item, objective)`` picks, both
-        opened by the pick ``seed``; a pick's objective is the ln det of its run's prefix."""
-        first = [] if seed is None else [seed]
-        second = [] if seed is None else [seed]
-        for _ in run.steps(cfg.k if seed is None else cfg.k - 1, deadline):
-            for picks in (first, second):
-                taken = {i for _, i, _ in first} | {i for _, i, _ in second}
+    def pair(first, steps):
+        """Each run's best pick from :func:`reference.gains` over the items neither run holds."""
+        runs = [[] if first is None else [first] for _ in range(2)]
+        for _ in steps:
+            for picks in runs:
+                taken = {i for run_picks in runs for _, i, _ in run_picks}
                 cands = [i for i in range(n) if i not in taken]
                 if cands:
                     base = picks[-1][2] if picks else 0.0
@@ -92,22 +90,7 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: GreedyConfig,
                     pick = min(rows, key=reference.pick_order)
                     if pick[0] >= 0.0:
                         picks.append(pick)
-        return first, second
+        return runs
 
-    seq_a, seq_b = interlaced_pair(None)
-    runs = [("A", seq_a), ("B", seq_b)]
-    if seq_a:
-        seq_c, seq_d = interlaced_pair(seq_a[0])
-        runs += [("C", seq_c), ("D", seq_d)]
-
-    best_label, best_len, best_obj = "A", 0, 0.0
-    for label, seq in runs:
-        for t, (_, _, obj) in enumerate(seq, 1):
-            if obj > best_obj:
-                best_label, best_len, best_obj = label, t, obj
-    for gain, item, obj in dict(runs)[best_label][:best_len]:
-        run.take(item, gain, obj)
-    report.steps_attempted = cfg.k
-    report.extras["sequences"] = {label: [i for _, i, _ in seq] for label, seq in runs}
-    report.extras["best_prefix"] = {"run": best_label, "length": best_len}
+    interlace(run, cfg.k, pair, deadline)
     return run.finish()

@@ -2,7 +2,10 @@
 
 Each algorithm here has a brute-force twin in :mod:`dppmap.naive_variants`
 that consumes the identical :class:`~dppmap.stream.DecisionStream` draws, so
-the pairs can be differential-tested for exact selection equality.
+the pairs can be differential-tested for exact selection equality.  Both
+interlace greedies run through one driver, :func:`interlace`, which owns the
+phases, the best prefix and the report; they differ only in the pair builder
+they hand it.
 
 Randomness protocol (must match the naive twins draw for draw):
 
@@ -138,83 +141,79 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
     return run.finish(state, pq_ops=pq_ops)
 
 
-def _interlaced_pair(run: SolverRun, k: int, seed_item: int | None, deadline):
-    """Build two interlaced selections with mutual exclusion.
+def interlace(run: SolverRun, k: int, pair, deadline: float | None = None) -> dict:
+    """Interlace greedy's phases and best prefix, shared by both implementations.
 
-    Returns ``(state_a, state_b, pq_ops)``: the two factor states and the
-    priority-queue operations spent; a deadline that cuts the pair short
-    marks ``run``'s report timed out.  The caller reads prefix objectives off
-    the states' commit traces, never recomputing them.
+    ``pair(first, steps)`` grows two mutually exclusive runs over ``steps``,
+    both opened by the pick ``first``, and returns them as lists of ``(gain,
+    item, objective)`` picks.  Phase one (runs A, B) opens with no pick and
+    has k steps; phase two (C, D) opens with A's first pick and has k - 1.
+    The best of all four runs' prefixes, the empty one winning all-zero ties,
+    is committed through :meth:`SolverRun.take`.  Reports ``steps_attempted
+    = k`` however the runs end, and returns the picks by run.
     """
-    oracle = run.oracle
-    state_a = CholeskyState(oracle, k)
-    state_b = CholeskyState(oracle, k)
-    queue_a = LazyMaxQueue.build(state_a.pivots)
-    queue_b = LazyMaxQueue.build(state_b.pivots)
+    runs = dict(zip("AB", pair(None, run.steps(k, deadline))))
+    if runs["A"]:
+        runs.update(zip("CD", pair(runs["A"][0], run.steps(k - 1, deadline))))
+    # max keeps the first of equal objectives: the empty prefix wins all-zero ties
+    prefixes = [(0.0, "A", 0)] + [(obj, label, t) for label, picks in runs.items()
+                                  for t, (_, _, obj) in enumerate(picks, 1)]
+    _, best_label, best_len = max(prefixes, key=lambda prefix: prefix[0])
+    for gain, item, obj in runs[best_label][:best_len]:
+        run.take(item, gain, obj)
+    run.report.steps_attempted = k
+    run.report.extras.update(sequences={label: [i for _, i, _ in picks] for label, picks in runs.items()},
+                             best_prefix={"run": best_label, "length": best_len})
+    return runs
 
-    def argmax_at_least_unit(state, queue):
-        top = queue.peek_entry()
-        if top is None or top[1] < ZERO_GAIN_PIVOT:
-            return None  # even the stale bound rules everything out
-        i, _ = pop_fresh_argmax(queue, state, None)
-        return i
 
-    if seed_item is not None:
-        for state, queue in ((state_a, queue_a), (state_b, queue_b)):
-            state.commit(seed_item)
-        for queue in (queue_a, queue_b):
-            queue.exclude(seed_item)
-    for _ in run.steps(k if seed_item is None else k - 1, deadline):
-        i = argmax_at_least_unit(state_a, queue_a)
-        if i is not None and state_a.pivots[i] >= ZERO_GAIN_PIVOT:
-            state_a.commit(i)
-            queue_b.exclude(i)
-        j = argmax_at_least_unit(state_b, queue_b)
-        if j is not None and state_b.pivots[j] >= ZERO_GAIN_PIVOT:
-            state_b.commit(j)
-            queue_a.exclude(j)
-    return state_a, state_b, queue_a.op_count + queue_b.op_count
+def _interlaced_pair(oracle: KernelOracle, k: int, first, steps, spent: list) -> list[list]:
+    """:func:`interlace`'s pair builder on two factor states, each with its lazy queue.
+
+    A pick's gain is ``2 ln p`` of its frozen pivot and its objective the
+    state's trace; each run's ``(offdiag_count, pq_ops)`` goes to ``spent``.
+    """
+    states = [CholeskyState(oracle, k) for _ in range(2)]
+    queues = [LazyMaxQueue.build(state.pivots) for state in states]
+    picks = [[], []]
+    sides = list(zip(states, queues, queues[::-1], picks))
+
+    def commit(state, other, run_picks, i):
+        state.commit(i)
+        other.exclude(i)
+        run_picks.append((2.0 * math.log(state.selected_pivots[-1]), i, state.objective_trace[-1]))
+
+    if first is not None:
+        for state, _, other, run_picks in sides:
+            commit(state, other, run_picks, first[1])
+    for _ in steps:
+        for state, queue, other, run_picks in sides:
+            top = queue.peek_entry()
+            if top is None or top[1] < ZERO_GAIN_PIVOT:
+                continue  # even the stale bound rules everything out
+            i, _ = pop_fresh_argmax(queue, state, None)
+            if i is not None and state.pivots[i] >= ZERO_GAIN_PIVOT:
+                commit(state, other, run_picks, i)
+    spent += [(state.offdiag_count, queue.op_count) for state, queue in zip(states, queues)]
+    return picks
 
 
 def interlace_greedy_lf(oracle: KernelOracle, cfg: GreedyConfig,
                         deadline: float | None = None) -> RunReport:
-    """Interlace greedy: two alternating runs, twice, best prefix wins.
+    """:func:`interlace` on lazy, incrementally factored runs; consumes no randomness.
 
-    Phase one grows two mutually exclusive selections from scratch; phase two
-    repeats with both selections seeded by phase one's first pick.  The
-    result is the prefix with the largest accumulated objective among all
-    prefixes of the four selections (the empty prefix included, which wins
-    all-zero ties).  Deterministic: no randomness is consumed.  Reports
-    ``steps_attempted = k`` whether or not a deadline cut the runs short.
+    Adds each run's prefix objectives, and the four runs' total
+    ``offdiag_count`` and ``pq_ops``.
     """
     require_size("interlace", oracle.n, cfg.k, 4)
     run = SolverRun("interlace", oracle, cfg.k)
-    report = run.report
-    state_a, state_b, ops = _interlaced_pair(run, cfg.k, None, deadline)
-    runs = [("A", state_a), ("B", state_b)]
-    if state_a.selection:
-        state_c, state_d, ops2 = _interlaced_pair(run, cfg.k, state_a.selection[0], deadline)
-        runs += [("C", state_c), ("D", state_d)]
-        ops += ops2
-
-    best_label, best_len, best_obj = "A", 0, 0.0
-    for label, state in runs:
-        for t in range(1, len(state.selection) + 1):
-            obj = state.objective_trace[t - 1]
-            if obj > best_obj:
-                best_label, best_len, best_obj = label, t, obj
-    best_state = dict(runs)[best_label]
-    for t in range(best_len):
-        run.take(best_state.selection[t], 2.0 * math.log(best_state.selected_pivots[t]),
-                 best_state.objective_trace[t])
-    report.offdiag_count = sum(state.offdiag_count for _, state in runs)
-    report.steps_attempted = cfg.k
-    report.extras["sequences"] = {label: list(state.selection) for label, state in runs}
-    report.extras["prefix_objectives"] = {
-        label: [0.0] + list(state.objective_trace) for label, state in runs
-    }
-    report.extras["best_prefix"] = {"run": best_label, "length": best_len}
-    return run.finish(pq_ops=ops)
+    spent: list[tuple[int, int]] = []
+    runs = interlace(run, cfg.k, lambda first, steps: _interlaced_pair(oracle, cfg.k, first, steps, spent),
+                     deadline)
+    run.report.offdiag_count = sum(count for count, _ in spent)
+    run.report.extras["prefix_objectives"] = {label: [0.0] + [obj for *_, obj in picks]
+                                              for label, picks in runs.items()}
+    return run.finish(pq_ops=sum(ops for _, ops in spent))
 
 
 # -- off-diagonal-count bands -----------------------------------------------

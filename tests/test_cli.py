@@ -412,6 +412,15 @@ def test_run_help_says_the_double_greedies_take_no_k(capsys):
     assert "the double greedies take none" in " ".join(capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_help_states_the_adjustment_defaults(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "kernel scale (default 1.0; 0.9 for double greedy)" in text
+    assert "diagonal shift (default 0.0; 0.1 for double greedy)" in text
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--k", "0,-2", "expected a positive integer"),
     ("--k", "3,0", "expected a positive integer"),

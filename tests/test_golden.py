@@ -152,3 +152,8 @@ def test_interlace_twins_part_only_on_exact_ties():
             dets = [integer_det([[gram[r][c] for c in prefix + [pick]] for r in prefix + [pick]])
                     for pick in (fast[label][t], naive[label][t])]
             assert dets[0] == dets[1], (seed, label, t, fast[label], naive[label], dets)
+
+
+if __name__ == "__main__":  # one "label sha256" line per pinned report, to diff two checkouts label by label
+    for label, text in golden_reports():
+        print(label, hashlib.sha256(text.encode()).hexdigest())

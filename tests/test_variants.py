@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dppmap import reference
+from dppmap import reference, report as report_module
 from dppmap.bench import build_synthetic_oracle, run_algorithm
 from dppmap.greedy import GreedyConfig, lazy_fast_greedy
 from dppmap.kernel import KernelOracle
@@ -193,6 +194,27 @@ def test_interlace_coupling():
         assert rep.selection == twin.selection, f"t={t}"
         assert rep.extras["sequences"] == twin.extras["sequences"], f"t={t}"
         assert len(twin.gains) == len(twin.selection) and twin.gains == pytest.approx(rep.gains, rel=1e-8), f"t={t}"
+
+
+@pytest.mark.parametrize("cut", range(1, 7))
+def test_interlace_twins_agree_when_a_deadline_cuts_them(monkeypatch, cut):
+    """With k = 4 the deadline is checked before phase one's steps 1-4 and phase two's 1-3;
+    it passes after ``cut`` checks, so cuts 1-3 stop phase one and 4-6 phase two."""
+    k = 4
+    oracle = build_synthetic_oracle(20, 20, 7, "B")
+    reports = []
+    for algo in ("interlace", "interlace-naive"):
+        calls = itertools.count()
+        monkeypatch.setattr(report_module, "_deadline_hit", lambda deadline: next(calls) >= cut)
+        reports.append(run_algorithm(algo, oracle, k, deadline=0.0))
+    fast, naive = reports
+    phase_one, phase_two = min(cut, k), max(0, cut - k)
+    assert [len(seq) for seq in fast.extras["sequences"].values()] == [phase_one] * 2 + [1 + phase_two] * 2
+    for rep in (fast, naive):
+        assert rep.timed_out and rep.steps_attempted == k
+    assert fast.selection == naive.selection
+    assert fast.extras["sequences"] == naive.extras["sequences"]
+    assert fast.extras["best_prefix"] == naive.extras["best_prefix"]
 
 
 def test_stochastic_degenerate_matches_naive_greedy():
