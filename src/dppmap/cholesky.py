@@ -118,7 +118,7 @@ class CholeskyState:
         self.selection: list[int] = []
         self.selected_pivots: list[float] = []
         self._prefixes: list[list[float] | None] = []  # per column t < SHORT_FOLD: row j_t's frozen entries as floats
-        self.objective_trace: list[float] = []
+        self.picks: list[tuple[float, int, float]] = []  # one (gain, item, objective) per commit, see commit()
         self.in_selection = np.zeros(n, dtype=bool)
         self.offdiag_count = 0
         self._diag_ready = np.zeros(n, dtype=bool)
@@ -308,9 +308,11 @@ class CholeskyState:
         return 2.0 * math.log(p)
 
     def commit(self, i: int) -> int:
-        """Append a fresh row to the selection, freezing its pivot.
+        """Append a fresh row to the selection, freezing its pivot ``p``.
 
-        Returns the selection position of ``i``.
+        Records the pick ``(2 ln p, i, ln det reached)`` in ``picks``, in the
+        row shape of :func:`~dppmap.reference.gains`, and returns the
+        selection position of ``i``.
         """
         if not self.is_fresh(i):
             raise StaleRowError(f"cannot commit stale row {i}")
@@ -324,10 +326,10 @@ class CholeskyState:
         self.selected_pivots.append(p)
         self._prefixes.append(None)
         gain = 2.0 * math.log(p)
-        prev = self.objective_trace[-1] if self.objective_trace else 0.0
-        self.objective_trace.append(prev + gain)
+        self.picks.append((gain, i, self.objective() + gain))
         self.in_selection[i] = True
         return t
 
     def objective(self) -> float:
-        return self.objective_trace[-1] if self.objective_trace else 0.0
+        """ln det of the selected items' kernel: the objective of the last pick, 0.0 before any."""
+        return self.picks[-1][2] if self.picks else 0.0

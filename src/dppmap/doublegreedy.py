@@ -73,9 +73,9 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
     column 0; the cache sums in the same order, so factors, pivots and the
     report do not change.  The off-diagonal count is ``T*(T-1)/2`` for ``T``
     attempted steps; prefetched columns of rows a deadline leaves unvisited
-    are not counted.  The grow factor's commits are the report's, copied out
-    by :meth:`SolverRun.finish` (gains from its frozen pivots).  The per-step
-    series (``gains`` and ``objective_trace`` over the G grown items, and
+    are not counted.  The grow factor's picks are the report's commits,
+    handed over by :meth:`SolverRun.finish`.  The per-step series
+    (``gains`` and ``objective_trace`` over the G grown items, and
     ``extras["ab_gains"]``) are float64 arrays of shapes (G,), (G,) and
     (T, 2); their JSON is the same as that of the equivalent lists.
     """
@@ -121,7 +121,7 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
 
     run.finish(grow, setup_ms=setup_ms)
     report.gains = np.array(report.gains, dtype=np.float64)
-    report.objective_trace = np.array(grow.objective_trace, dtype=np.float64)
+    report.objective_trace = np.array(report.objective_trace, dtype=np.float64)
     report.offdiag_count += shrink.offdiag_count
     report.extras["ab_gains"] = np.array(ab_gains, dtype=np.float64).reshape(-1, 2)
     return report

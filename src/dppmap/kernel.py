@@ -296,18 +296,21 @@ class KernelOracle:
             self._bits = _bitsets(sparse)
             if self._bits is not None:
                 self.kind = B_BITS
-                raw = np.diff(sparse.indptr)  # each item's popcount
             else:
                 self._sparse_idx = np.split(sparse.indices.astype(np.intp), sparse.indptr[1:-1])
                 self._sparse_val = np.split(sparse.values, sparse.indptr[1:-1])
                 self._scratch = _Scratch(sparse.width)
                 self._dot = _int_dot if _sums_exactly(sparse) else seq_dot
+        with np.errstate(over="ignore"):  # an overflowing diagonal is inf, which _judge_diagonal refuses
+            if self.kind == B_BITS:
+                raw = np.diff(sparse.indptr)  # each item's popcount
+            elif self.kind == B_SPARSE:
                 raw = np.fromiter((self._dot(v, v) for v in self._sparse_val), np.float64, self.n)
-        elif feats is not None:
-            raw = np.einsum("ij,ij->i", feats, feats)
-        else:
-            raw = np.diagonal(matrix)
-        _judge_diagonal(self.scale * raw + self.shift)
+            elif feats is not None:
+                raw = np.einsum("ij,ij->i", feats, feats)
+            else:
+                raw = np.diagonal(matrix)
+            _judge_diagonal(self.scale * raw + self.shift)
         self.eval_count = 0
 
     # -- constructors ------------------------------------------------------

@@ -27,6 +27,7 @@ def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: Decisi
     run = SolverRun("random-naive", oracle, cfg.k, seed=stream.seed)
     report = run.report
     matrix = oracle.materialize()
+    setup_ms = run.ms()
     n = oracle.n
     rank_draws: list[int] = []
     dummy_steps: list[int] = []
@@ -39,11 +40,10 @@ def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: Decisi
         if gain > 0.0:
             run.take(item, gain, objective)
         else:
-            if gain == 0.0:
-                report.boundary_gain_steps.append(step)
+            run.decline(step, gain, 0.0)
             dummy_steps.append(step)
     report.extras.update(rank_draws=rank_draws, dummy_steps=dummy_steps)
-    return run.finish()
+    return run.finish(setup_ms=setup_ms)
 
 
 def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
@@ -54,6 +54,7 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
     run = SolverRun("stochastic-naive", oracle, cfg.k, seed=stream.seed, epsilon=cfg.epsilon)
     report = run.report
     matrix = oracle.materialize()
+    setup_ms = run.ms()
     skipped_steps: list[int] = []
     for step in run.steps(cfg.k, deadline):
         pool = np.array([i for i in range(n) if i not in report.selection], dtype=np.int64)
@@ -63,11 +64,10 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
         if gain > 0.0:
             run.take(winner, gain, objective)
         else:
-            if gain == 0.0:
-                report.boundary_gain_steps.append(step)
+            run.decline(step, gain, 0.0)
             skipped_steps.append(step)
     report.extras.update(sample_size=s, skipped_steps=skipped_steps)
-    return run.finish()
+    return run.finish(setup_ms=setup_ms)
 
 
 def naive_interlace_greedy(oracle: KernelOracle, cfg: GreedyConfig,
@@ -75,6 +75,7 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: GreedyConfig,
     require_size("interlace", oracle.n, cfg.k, 4)
     run = SolverRun("interlace-naive", oracle, cfg.k)
     matrix = oracle.materialize()
+    setup_ms = run.ms()
     n = oracle.n
 
     def pair(first, steps):
@@ -93,4 +94,4 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: GreedyConfig,
         return runs
 
     interlace(run, cfg.k, pair, deadline)
-    return run.finish()
+    return run.finish(setup_ms=setup_ms)

@@ -2,13 +2,14 @@
 
 :class:`RunReport` is everything a solver run produces besides its side
 effects.  Every solver keeps its run bookkeeping in a :class:`SolverRun`,
-the one writer of the report's per-step results.
+the one writer of the report's per-step results: :meth:`SolverRun.take`
+records each commit, whichever solver family made it, and
+:meth:`SolverRun.decline` each step that commits nothing.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -84,11 +85,13 @@ class SolverRun:
     everything the run asks of ``oracle`` (a ``materialize`` included).
     ``fields`` are further :class:`RunReport` fields, such as ``seed``.
 
-    Solvers do not write the per-step fields themselves.  A factor-based
-    solver commits to a :class:`~dppmap.cholesky.CholeskyState` and
-    :meth:`finish` copies the commits out; a brute-force solver hands each
-    commit to :meth:`take`, with the objective its gain came from.  A greedy run that no gain can continue ends
-    through :meth:`stop`.
+    Solvers do not write the per-step fields themselves.  Every commit
+    reaches the report through :meth:`take` as a ``(gain, item, objective)``
+    pick: a brute-force solver hands each pick over as it commits, with the
+    objective its gain came from, and a factor-based solver commits to a
+    :class:`~dppmap.cholesky.CholeskyState`, whose ``picks`` :meth:`finish`
+    hands over.  A step that commits nothing is recorded by :meth:`decline`,
+    and a greedy run that no gain can continue ends through :meth:`stop`.
     """
 
     def __init__(self, algo: str, oracle, k: int, **fields):
@@ -124,31 +127,31 @@ class SolverRun:
         report.objective_trace.append(objective)
         report.final_objective = objective
 
-    def stop(self, step: int, key: float, boundary: float) -> None:
-        """End the run at ``step``, whose best ``key`` did not clear ``boundary``, the zero-gain key.
+    def decline(self, step: int, key: float, boundary: float) -> None:
+        """Record that ``step`` commits nothing: its ``key`` did not clear ``boundary``, the zero-gain key.
 
         A key exactly on the boundary is recorded in ``boundary_gain_steps``.
         """
         if key == boundary:
             self.report.boundary_gain_steps.append(step)
+
+    def stop(self, step: int, key: float, boundary: float) -> None:
+        """:meth:`decline` ``step``, and end the run there."""
+        self.decline(step, key, boundary)
         self.report.terminated_early = True
 
     def finish(self, state=None, pq_ops: int = 0, setup_ms: float = 0.0) -> RunReport:
-        """Copy out the final state and counters and return the report.
+        """Record the final state and counters and return the report.
 
-        A :class:`~dppmap.cholesky.CholeskyState` gives the selection, the
-        gains (``2 ln p`` of each frozen pivot ``p``, the float
-        ``marginal_gain`` read before the commit), the objective trace and
-        final objective, and ``offdiag_count``; without one, the solver has
-        recorded its commits through :meth:`take`.  ``greedy_ms`` is the time
-        after the first ``setup_ms``.
+        A :class:`~dppmap.cholesky.CholeskyState` hands its ``picks`` to
+        :meth:`take` and gives ``offdiag_count``; without one, the solver has
+        taken its commits itself.  ``greedy_ms`` is the time after the first
+        ``setup_ms``.
         """
         report = self.report
         if state is not None:
-            report.selection = list(state.selection)
-            report.gains = [2.0 * math.log(p) for p in state.selected_pivots]
-            report.objective_trace = list(state.objective_trace)
-            report.final_objective = state.objective()
+            for gain, item, objective in state.picks:
+                self.take(item, gain, objective)
             report.offdiag_count = state.offdiag_count
         report.kernel_evals = self.oracle.eval_count - self._evals0
         report.pq_ops = pq_ops

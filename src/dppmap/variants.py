@@ -63,11 +63,11 @@ def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionS
     located by lazy pops and the last of them is committed if its gain is
     strictly positive.  A popped winner whose gain is nonpositive ends the
     step with no commit (the dummy branch) and is discarded for good - it can
-    never win later because gains only shrink.
+    never win later because gains only shrink.  Each step commits or drops
+    at most one item, so with n >= 2k the queue always holds rank live items.
     """
     require_size("random", oracle.n, cfg.k, 2)
     run = SolverRun("random", oracle, cfg.k, seed=stream.seed)
-    report = run.report
     state = CholeskyState(oracle, cfg.k)
     queue = LazyMaxQueue.build(state.pivots)
     rank_draws: list[int] = []
@@ -80,11 +80,8 @@ def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionS
         committed = None
         while len(pool) < rank:
             i, _ = pop_fresh_argmax(queue, state, None)
-            if i is None:
-                break  # queue exhausted: fewer live items than rank
             if state.pivots[i] <= ZERO_GAIN_PIVOT:
-                if state.pivots[i] == ZERO_GAIN_PIVOT:
-                    report.boundary_gain_steps.append(step)
+                run.decline(step, state.pivots[i], ZERO_GAIN_PIVOT)
                 dropped.append(i)
                 break  # rank-th best gain is nonpositive: dummy step
             pool.append(i)
@@ -96,7 +93,7 @@ def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionS
                 queue.push(i, state.pivots[i])
         if committed is None:
             dummy_steps.append(step)
-    report.extras.update(rank_draws=rank_draws, dropped=dropped, dummy_steps=dummy_steps)
+    run.report.extras.update(rank_draws=rank_draws, dropped=dropped, dummy_steps=dummy_steps)
     return run.finish(state, pq_ops=queue.op_count)
 
 
@@ -108,12 +105,12 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
     throwaway queue over the sampled ids seeded with their current (stale)
     pivots, then refreshes lazily within the sample.  Row pivots are
     initialized from the kernel diagonal only when a row is first sampled.
+    With n >= 3k, no sample is empty.
     """
     require_size("stochastic", oracle.n, cfg.k, 3)
     n = oracle.n
     s = stochastic_sample_size(n, cfg.k, cfg.epsilon)
     run = SolverRun("stochastic", oracle, cfg.k, seed=stream.seed, epsilon=cfg.epsilon)
-    report = run.report
     state = CholeskyState(oracle, cfg.k, lazy_diag=True)
     sample_sizes: list[int] = []
     skipped_steps: list[int] = []
@@ -127,17 +124,13 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
             queue.push(int(i), state.touch(int(i)))
         winner, _ = pop_fresh_argmax(queue, state, None)
         pq_ops += queue.op_count
-        if winner is None:
-            skipped_steps.append(step)
-            continue
         piv = float(state.pivots[winner])
         if piv > ZERO_GAIN_PIVOT:
             state.commit(winner)
         else:
-            if piv == ZERO_GAIN_PIVOT:
-                report.boundary_gain_steps.append(step)
+            run.decline(step, piv, ZERO_GAIN_PIVOT)
             skipped_steps.append(step)
-    report.extras.update(sample_size=s, sample_sizes=sample_sizes, skipped_steps=skipped_steps)
+    run.report.extras.update(sample_size=s, sample_sizes=sample_sizes, skipped_steps=skipped_steps)
     return run.finish(state, pq_ops=pq_ops)
 
 
@@ -170,32 +163,27 @@ def interlace(run: SolverRun, k: int, pair, deadline: float | None = None) -> di
 def _interlaced_pair(oracle: KernelOracle, k: int, first, steps, spent: list) -> list[list]:
     """:func:`interlace`'s pair builder on two factor states, each with its lazy queue.
 
-    A pick's gain is ``2 ln p`` of its frozen pivot and its objective the
-    state's trace; each run's ``(offdiag_count, pq_ops)`` goes to ``spent``.
+    Each run's picks are its state's ``picks``; each run's
+    ``(offdiag_count, pq_ops)`` goes to ``spent``.
     """
     states = [CholeskyState(oracle, k) for _ in range(2)]
     queues = [LazyMaxQueue.build(state.pivots) for state in states]
-    picks = [[], []]
-    sides = list(zip(states, queues, queues[::-1], picks))
-
-    def commit(state, other, run_picks, i):
-        state.commit(i)
-        other.exclude(i)
-        run_picks.append((2.0 * math.log(state.selected_pivots[-1]), i, state.objective_trace[-1]))
-
+    sides = list(zip(states, queues, queues[::-1]))
     if first is not None:
-        for state, _, other, run_picks in sides:
-            commit(state, other, run_picks, first[1])
+        for state, _, other in sides:
+            state.commit(first[1])
+            other.exclude(first[1])
     for _ in steps:
-        for state, queue, other, run_picks in sides:
+        for state, queue, other in sides:
             top = queue.peek_entry()
             if top is None or top[1] < ZERO_GAIN_PIVOT:
                 continue  # even the stale bound rules everything out
             i, _ = pop_fresh_argmax(queue, state, None)
             if i is not None and state.pivots[i] >= ZERO_GAIN_PIVOT:
-                commit(state, other, run_picks, i)
+                state.commit(i)
+                other.exclude(i)
     spent += [(state.offdiag_count, queue.op_count) for state, queue in zip(states, queues)]
-    return picks
+    return [state.picks for state in states]
 
 
 def interlace_greedy_lf(oracle: KernelOracle, cfg: GreedyConfig,

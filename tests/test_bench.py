@@ -34,6 +34,15 @@ def test_run_algorithm_dispatch_smoke():
         run_algorithm("bogus", oracle, 2)
 
 
+@pytest.mark.parametrize("algo", ["naive", "lazy", "random-naive", "stochastic-naive", "interlace-naive",
+                                  "double-naive"])
+def test_brute_force_solvers_time_their_materialize_as_setup(algo):
+    """Every solver that materializes the kernel reports that time as ``setup_ms``."""
+    scale, shift = resolve_adjustment(algo, None, None)
+    report = run_algorithm(algo, build_synthetic_oracle(40, 40, 1, "B", scale, shift), 5, seed=1, epsilon=0.5)
+    assert report.timings["setup_ms"] > 0.0
+
+
 @pytest.mark.parametrize("algo", SOLVERS)
 def test_deadline_already_passed_times_out(algo):
     scale, shift = resolve_adjustment(algo, None, None)

@@ -76,13 +76,16 @@ def test_marginal_gain_boundaries():
 
 
 def test_commit_trace_matches_determinants():
+    """Each commit records its (gain, item, objective) pick; the objective is the ln det reached."""
     state = _state(L22, 2)
+    assert state.objective() == 0.0
     t = state.commit(0)
     assert t == 0
-    assert state.objective_trace[-1] == pytest.approx(math.log(4.0), rel=1e-12)
+    assert state.picks[-1] == (pytest.approx(math.log(4.0), rel=1e-12), 0, pytest.approx(math.log(4.0), rel=1e-12))
     state.update_row(1)
     state.commit(1)
-    assert state.objective_trace[-1] == pytest.approx(math.log(12.0), rel=1e-12)
+    assert state.picks[-1] == (pytest.approx(math.log(3.0), rel=1e-12), 1, pytest.approx(math.log(12.0), rel=1e-12))
+    assert state.objective() == state.picks[-1][2]
     assert state.selected_pivots[0] == 2.0
 
 

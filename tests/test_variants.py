@@ -107,6 +107,19 @@ def test_random_coupling_and_drop_safety():
         assert not set(rep.extras["dropped"]) & set(twin.selection)
 
 
+def test_twins_agree_on_the_steps_that_commit_nothing():
+    """Item 1 sits on the zero-gain boundary and items 2-5 below it.  Random greedy's
+    ``boundary_gain_steps`` are left out, as in ``verify.check_variant_coupling``."""
+    oracle = _oracle(np.diag([4.0, 1.0, 0.25, 0.25, 0.25, 0.25]))
+    for seed in range(8):
+        fast, naive = (run_algorithm(algo, oracle, 3, seed=seed) for algo in ("random", "random-naive"))
+        assert (fast.selection, fast.extras["dummy_steps"]) == (naive.selection, naive.extras["dummy_steps"])
+        fast, naive = (run_algorithm(algo, oracle, 2, seed=seed, epsilon=0.5)
+                       for algo in ("stochastic", "stochastic-naive"))
+        assert ((fast.selection, fast.extras["skipped_steps"], fast.boundary_gain_steps)
+                == (naive.selection, naive.extras["skipped_steps"], naive.boundary_gain_steps))
+
+
 def test_stochastic_full_sampling_degenerates_to_greedy():
     # epsilon small enough that s >= n: every step scans the whole complement
     for t in range(8):
