@@ -99,9 +99,11 @@ def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=EPSILON,
                 input_kind="B", scale=None, shift=None, timeout_s=None) -> Iterator[RunReport]:
     """Sweep a (n x k x seed x algo) grid of synthetic instances, serially, yielding one report per cell.
 
-    Each report is yielded as its cell finishes.  One instance is built per
-    (n, seed, adjustment) and shared by every algorithm that takes that
-    adjustment: at most two, the default one and the double greedies'.  A
+    Each report is yielded as its cell finishes.  A double greedy decides
+    on all n items whatever k, so it has one cell per (n, seed), with
+    k = n as its report records.  One instance is built per (n, seed,
+    adjustment) and shared by every algorithm that takes that adjustment:
+    at most two, the default one and the double greedies'.  A
     report's ``kernel_evals`` counts from the oracle's count as its run
     starts, so sharing an oracle leaves the counters as they are.  A cell
     that hits the per-cell timeout is its solver's report with
@@ -117,7 +119,7 @@ def bench_cells(algos, n_values, k_values, d=None, seeds=(1,), epsilon=EPSILON,
             oracles = {}  # adjustment -> the instance built with it
             for algo in algos:
                 adjustment = resolve_adjustment(algo, scale, shift)
-                for k in k_values:
+                for k in (n,) if algo.startswith("double") else k_values:
                     oracle = oracles.get(adjustment)
                     try:
                         if oracle is None:

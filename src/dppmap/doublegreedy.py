@@ -91,14 +91,13 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
     gate = float(np.abs(residual, out=residual).sum(axis=1).max())  # induced inf-norm
     if not gate <= INVERSE_GATE:  # a NaN gate (0 * inf in K Kinv) fails too
         raise SingularKernelError(f"kernel numerically singular: |K Kinv - I|_inf = {gate:.3e}")
-    setup_ms = run.ms()
-    report.timings.update(product_ms=product_ms, inverse_ms=setup_ms - product_ms)
+    report.timings.update(product_ms=product_ms, inverse_ms=run.ms() - product_ms)
 
     # Bare constructor, which judges only the diagonal: both come from an already
     # checked oracle, and from_dense_kernel would refuse the inverse, which is not
     # bitwise symmetric.
-    grow = CholeskyState(KernelOracle(matrix=matrix), n)
-    shrink = CholeskyState(KernelOracle(matrix=np.ascontiguousarray(inv)), n)
+    grow = run.count(CholeskyState(KernelOracle(matrix=matrix), n))
+    shrink = run.count(CholeskyState(KernelOracle(matrix=np.ascontiguousarray(inv)), n))
     ab_gains: list[tuple[float, float]] = []
     try:
         for step in run.steps(n, deadline):
@@ -119,10 +118,9 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
     if shrink.selection != rejected:
         raise SelectionDriftError("shrink-side selection drifted from the rejected items")
 
-    run.finish(grow, setup_ms=setup_ms)
+    run.finish(grow)
     report.gains = np.array(report.gains, dtype=np.float64)
     report.objective_trace = np.array(report.objective_trace, dtype=np.float64)
-    report.offdiag_count += shrink.offdiag_count
     report.extras["ab_gains"] = np.array(ab_gains, dtype=np.float64).reshape(-1, 2)
     return report
 
@@ -165,4 +163,4 @@ def naive_double_greedy(kernel: KernelOracle | np.ndarray, stream: DecisionStrea
         else:
             kept = dropped
     report.extras["ab_gains"] = [[a, b] for a, b in ab_gains]
-    return run.finish(setup_ms=product_ms)
+    return run.finish()

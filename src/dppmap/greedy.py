@@ -85,7 +85,6 @@ def naive_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None
     run = SolverRun("naive", oracle, cfg.k)
     report = run.report
     matrix = oracle.materialize()
-    setup_ms = run.ms()
 
     for step in run.steps(cfg.k, deadline):
         rows = reference.gains(matrix, report.selection, report.final_objective,
@@ -95,7 +94,7 @@ def naive_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None
             run.stop(step, gain, 0.0)
             break
         run.take(item, gain, objective)
-    return run.finish(setup_ms=setup_ms)
+    return run.finish()
 
 
 def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None = None) -> RunReport:
@@ -103,13 +102,12 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
     run = SolverRun("lazy", oracle, cfg.k)
     report = run.report
     matrix = oracle.materialize()
-    setup_ms = run.ms()
 
     n = oracle.n
     stamps = np.zeros(n, dtype=np.int64)  # selection size each key was computed at
     rows = reference.gains(matrix, [], 0.0, range(n))
     objectives = [objective for _, _, objective in rows]  # ln det behind each item's key
-    queue = LazyMaxQueue.build([gain for gain, _, _ in rows])
+    queue = run.count(LazyMaxQueue.build([gain for gain, _, _ in rows]))
     gain_evals = n
     for step in run.steps(cfg.k, deadline):
         # refresh stale positive keys until the top is fresh or nonpositive
@@ -127,7 +125,7 @@ def lazy_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
         queue.pop_max()
         run.take(winner, key, objectives[winner])
     report.extras["gain_evals"] = gain_evals
-    return run.finish(pq_ops=queue.op_count, setup_ms=setup_ms)
+    return run.finish()
 
 
 def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None = None) -> RunReport:
@@ -139,7 +137,7 @@ def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
     ``(T-1) * (n - T/2)`` for a run of ``T`` attempted steps.
     """
     run = SolverRun("fast", oracle, cfg.k)
-    state = CholeskyState(oracle, cfg.k)
+    state = run.count(CholeskyState(oracle, cfg.k))
     n = oracle.n
     for step in run.steps(cfg.k, deadline):
         masked = np.where(state.in_selection, -math.inf, state.pivots)
@@ -160,12 +158,12 @@ def fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None 
 def lazy_fast_greedy(oracle: KernelOracle, cfg: GreedyConfig, deadline: float | None = None) -> RunReport:
     """Greedy via incremental factor rows refreshed lazily from a queue."""
     run = SolverRun("lazyfast", oracle, cfg.k)
-    state = CholeskyState(oracle, cfg.k)
-    queue = LazyMaxQueue.build(state.pivots)
+    state = run.count(CholeskyState(oracle, cfg.k))
+    queue = run.count(LazyMaxQueue.build(state.pivots))
     for step in run.steps(cfg.k, deadline):
         best, stop_key = pop_fresh_argmax(queue, state, ZERO_GAIN_PIVOT)
         if best is None:
             run.stop(step, stop_key, ZERO_GAIN_PIVOT)
             break
         state.commit(best)
-    return run.finish(state, pq_ops=queue.op_count)
+    return run.finish(state)

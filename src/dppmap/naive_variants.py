@@ -27,7 +27,6 @@ def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: Decisi
     run = SolverRun("random-naive", oracle, cfg.k, seed=stream.seed)
     report = run.report
     matrix = oracle.materialize()
-    setup_ms = run.ms()
     n = oracle.n
     rank_draws: list[int] = []
     dummy_steps: list[int] = []
@@ -43,7 +42,7 @@ def naive_random_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: Decisi
             run.decline(step, gain, 0.0)
             dummy_steps.append(step)
     report.extras.update(rank_draws=rank_draws, dummy_steps=dummy_steps)
-    return run.finish(setup_ms=setup_ms)
+    return run.finish()
 
 
 def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
@@ -54,7 +53,6 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
     run = SolverRun("stochastic-naive", oracle, cfg.k, seed=stream.seed, epsilon=cfg.epsilon)
     report = run.report
     matrix = oracle.materialize()
-    setup_ms = run.ms()
     skipped_steps: list[int] = []
     for step in run.steps(cfg.k, deadline):
         pool = np.array([i for i in range(n) if i not in report.selection], dtype=np.int64)
@@ -67,7 +65,7 @@ def naive_stochastic_greedy(oracle: KernelOracle, cfg: VariantConfig, stream: De
             run.decline(step, gain, 0.0)
             skipped_steps.append(step)
     report.extras.update(sample_size=s, skipped_steps=skipped_steps)
-    return run.finish(setup_ms=setup_ms)
+    return run.finish()
 
 
 def naive_interlace_greedy(oracle: KernelOracle, cfg: GreedyConfig,
@@ -75,7 +73,6 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: GreedyConfig,
     require_size("interlace", oracle.n, cfg.k, 4)
     run = SolverRun("interlace-naive", oracle, cfg.k)
     matrix = oracle.materialize()
-    setup_ms = run.ms()
     n = oracle.n
 
     def pair(first, steps):
@@ -94,4 +91,4 @@ def naive_interlace_greedy(oracle: KernelOracle, cfg: GreedyConfig,
         return runs
 
     interlace(run, cfg.k, pair, deadline)
-    return run.finish(setup_ms=setup_ms)
+    return run.finish()

@@ -34,6 +34,10 @@ class LazyMaxQueue:
         heapq.heappush(self._heap, (-float(key), index, self._version[index]))
         self.op_count += 1
 
+    def clear(self) -> None:
+        """Drop every entry, counting no operation; exclusions stay."""
+        self._heap.clear()
+
     def exclude(self, index: int) -> None:
         """Mark an index dead for this queue (picked up by a sibling, or committed)."""
         self._excluded[index] = True

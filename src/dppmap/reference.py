@@ -65,8 +65,13 @@ def log_det(matrix: np.ndarray, subset) -> float:
 def gains(matrix: np.ndarray, selection, base: float, candidates) -> list[tuple[float, int, float]]:
     """``(gain, item, objective)`` per candidate, in candidate order: ``objective`` is
     ``log_det(matrix, selection + [item])``, ``gain`` is ``objective - base`` for the
-    caller's ``base = log_det(matrix, selection)``.  A commit records its row's objective."""
-    objectives = [(int(i), log_det(matrix, [*selection, i])) for i in candidates]
+    caller's ``base = log_det(matrix, selection)``.  A commit records its row's objective.
+    A candidate with no kernel entry on the selection is a block of its own, so its
+    objective is ``base + log_det(matrix, [item])``: its gain does not depend on where
+    a Cholesky of the whole subset, whose rounding moves with it, would put it."""
+    selection = list(selection)
+    objectives = [(int(i), base + log_det(matrix, [i]) if not matrix[i, selection].any()
+                   else log_det(matrix, [*selection, i])) for i in candidates]
     return [(objective - base, i, objective) for i, objective in objectives]
 
 

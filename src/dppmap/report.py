@@ -2,9 +2,10 @@
 
 :class:`RunReport` is everything a solver run produces besides its side
 effects.  Every solver keeps its run bookkeeping in a :class:`SolverRun`,
-the one writer of the report's per-step results: :meth:`SolverRun.take`
-records each commit, whichever solver family made it, and
-:meth:`SolverRun.decline` each step that commits nothing.
+the one writer of the report's per-step results and reader of its work:
+:meth:`SolverRun.take` records each commit, :meth:`SolverRun.decline` each
+step that commits nothing, and :meth:`SolverRun.count` each factor state
+and queue whose work the report sums.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ class SolverRun:
     :class:`~dppmap.cholesky.CholeskyState`, whose ``picks`` :meth:`finish`
     hands over.  A step that commits nothing is recorded by :meth:`decline`,
     and a greedy run that no gain can continue ends through :meth:`stop`.
+    Solvers neither count nor time their work: each factor state and queue
+    is registered with :meth:`count`, and ``setup_ms`` is the time before
+    the first step.
     """
 
     def __init__(self, algo: str, oracle, k: int, **fields):
@@ -99,19 +103,27 @@ class SolverRun:
         self.report = RunReport(algo=algo, n=oracle.n, d=oracle.d, k=k,
                                 input_kind=oracle.input_kind, **fields)
         self._evals0 = oracle.eval_count
+        self._parts = []  # the factor states and queues whose work the report sums
         self._t0 = time.perf_counter()
 
     def ms(self) -> float:
         """Milliseconds since the run started."""
         return (time.perf_counter() - self._t0) * 1000.0
 
+    def count(self, part):
+        """Register a factor state or queue, whose work :meth:`finish` counts, and return it."""
+        self._parts.append(part)
+        return part
+
     def steps(self, count: int, deadline: float | None):
         """Yield steps ``1..count``, each counted in ``steps_attempted``.
 
-        Stops, setting ``timed_out``, when the deadline has passed before a
-        step starts; a step that has started always runs to its end.
+        The first call records ``setup_ms`` as its first step starts.  Stops,
+        setting ``timed_out``, when the deadline has passed before a step
+        starts; a step that has started always runs to its end.
         """
         report = self.report
+        report.timings.setdefault("setup_ms", self.ms())
         for step in range(1, count + 1):
             if _deadline_hit(deadline):
                 report.timed_out = True
@@ -140,21 +152,21 @@ class SolverRun:
         self.decline(step, key, boundary)
         self.report.terminated_early = True
 
-    def finish(self, state=None, pq_ops: int = 0, setup_ms: float = 0.0) -> RunReport:
-        """Record the final state and counters and return the report.
+    def finish(self, state=None) -> RunReport:
+        """Record the counters and timings and return the report.
 
-        A :class:`~dppmap.cholesky.CholeskyState` hands its ``picks`` to
-        :meth:`take` and gives ``offdiag_count``; without one, the solver has
-        taken its commits itself.  ``greedy_ms`` is the time after the first
-        ``setup_ms``.
+        A :class:`~dppmap.cholesky.CholeskyState` ``state`` hands its
+        ``picks`` to :meth:`take`; without one, the solver has taken its
+        commits itself.  ``offdiag_count`` and ``pq_ops`` sum the registered
+        parts, and ``greedy_ms`` is the time after ``setup_ms``.
         """
         report = self.report
         if state is not None:
             for gain, item, objective in state.picks:
                 self.take(item, gain, objective)
-            report.offdiag_count = state.offdiag_count
+        report.offdiag_count = sum(getattr(part, "offdiag_count", 0) for part in self._parts)
+        report.pq_ops = sum(getattr(part, "op_count", 0) for part in self._parts)
         report.kernel_evals = self.oracle.eval_count - self._evals0
-        report.pq_ops = pq_ops
         total_ms = self.ms()
-        report.timings.update(setup_ms=setup_ms, greedy_ms=total_ms - setup_ms, total_ms=total_ms)
+        report.timings.update(greedy_ms=total_ms - report.timings["setup_ms"], total_ms=total_ms)
         return report

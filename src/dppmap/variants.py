@@ -68,8 +68,8 @@ def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionS
     """
     require_size("random", oracle.n, cfg.k, 2)
     run = SolverRun("random", oracle, cfg.k, seed=stream.seed)
-    state = CholeskyState(oracle, cfg.k)
-    queue = LazyMaxQueue.build(state.pivots)
+    state = run.count(CholeskyState(oracle, cfg.k))
+    queue = run.count(LazyMaxQueue.build(state.pivots))
     rank_draws: list[int] = []
     dropped: list[int] = []
     dummy_steps: list[int] = []
@@ -94,36 +94,35 @@ def random_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionS
         if committed is None:
             dummy_steps.append(step)
     run.report.extras.update(rank_draws=rank_draws, dropped=dropped, dummy_steps=dummy_steps)
-    return run.finish(state, pq_ops=queue.op_count)
+    return run.finish(state)
 
 
 def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: DecisionStream,
                          deadline: float | None = None) -> RunReport:
     """Stochastic greedy: per step, the best element of a uniform sample.
 
-    Pivot state is global and persists across steps; each step builds a small
-    throwaway queue over the sampled ids seeded with their current (stale)
-    pivots, then refreshes lazily within the sample.  Row pivots are
-    initialized from the kernel diagonal only when a row is first sampled.
-    With n >= 3k, no sample is empty.
+    Pivot state is global and persists across steps.  One queue serves the
+    whole run: each step clears it, pushes the sampled ids with their
+    current (stale) pivots, then refreshes lazily within the sample.  Row
+    pivots are initialized from the kernel diagonal only when a row is
+    first sampled.  With n >= 3k, no sample is empty.
     """
     require_size("stochastic", oracle.n, cfg.k, 3)
     n = oracle.n
     s = stochastic_sample_size(n, cfg.k, cfg.epsilon)
     run = SolverRun("stochastic", oracle, cfg.k, seed=stream.seed, epsilon=cfg.epsilon)
-    state = CholeskyState(oracle, cfg.k, lazy_diag=True)
+    state = run.count(CholeskyState(oracle, cfg.k, lazy_diag=True))
+    queue = run.count(LazyMaxQueue(n))
     sample_sizes: list[int] = []
     skipped_steps: list[int] = []
-    pq_ops = 0
     for step in run.steps(cfg.k, deadline):
         pool = np.flatnonzero(~state.in_selection)
         sample = stream.sample_sorted(pool, s)
         sample_sizes.append(int(sample.size))
-        queue = LazyMaxQueue(n)
+        queue.clear()
         for i in sample:
             queue.push(int(i), state.touch(int(i)))
         winner, _ = pop_fresh_argmax(queue, state, None)
-        pq_ops += queue.op_count
         piv = float(state.pivots[winner])
         if piv > ZERO_GAIN_PIVOT:
             state.commit(winner)
@@ -131,7 +130,7 @@ def stochastic_greedy_lf(oracle: KernelOracle, cfg: VariantConfig, stream: Decis
             run.decline(step, piv, ZERO_GAIN_PIVOT)
             skipped_steps.append(step)
     run.report.extras.update(sample_size=s, sample_sizes=sample_sizes, skipped_steps=skipped_steps)
-    return run.finish(state, pq_ops=pq_ops)
+    return run.finish(state)
 
 
 def interlace(run: SolverRun, k: int, pair, deadline: float | None = None) -> dict:
@@ -160,14 +159,14 @@ def interlace(run: SolverRun, k: int, pair, deadline: float | None = None) -> di
     return runs
 
 
-def _interlaced_pair(oracle: KernelOracle, k: int, first, steps, spent: list) -> list[list]:
+def _interlaced_pair(run: SolverRun, k: int, first, steps) -> list[list]:
     """:func:`interlace`'s pair builder on two factor states, each with its lazy queue.
 
-    Each run's picks are its state's ``picks``; each run's
-    ``(offdiag_count, pq_ops)`` goes to ``spent``.
+    Each run's picks are its state's ``picks``.  The states and queues are
+    registered with ``run``, which counts their work.
     """
-    states = [CholeskyState(oracle, k) for _ in range(2)]
-    queues = [LazyMaxQueue.build(state.pivots) for state in states]
+    states = [run.count(CholeskyState(run.oracle, k)) for _ in range(2)]
+    queues = [run.count(LazyMaxQueue.build(state.pivots)) for state in states]
     sides = list(zip(states, queues, queues[::-1]))
     if first is not None:
         for state, _, other in sides:
@@ -182,7 +181,6 @@ def _interlaced_pair(oracle: KernelOracle, k: int, first, steps, spent: list) ->
             if i is not None and state.pivots[i] >= ZERO_GAIN_PIVOT:
                 state.commit(i)
                 other.exclude(i)
-    spent += [(state.offdiag_count, queue.op_count) for state, queue in zip(states, queues)]
     return [state.picks for state in states]
 
 
@@ -190,18 +188,14 @@ def interlace_greedy_lf(oracle: KernelOracle, cfg: GreedyConfig,
                         deadline: float | None = None) -> RunReport:
     """:func:`interlace` on lazy, incrementally factored runs; consumes no randomness.
 
-    Adds each run's prefix objectives, and the four runs' total
-    ``offdiag_count`` and ``pq_ops``.
+    Adds each run's prefix objectives.
     """
     require_size("interlace", oracle.n, cfg.k, 4)
     run = SolverRun("interlace", oracle, cfg.k)
-    spent: list[tuple[int, int]] = []
-    runs = interlace(run, cfg.k, lambda first, steps: _interlaced_pair(oracle, cfg.k, first, steps, spent),
-                     deadline)
-    run.report.offdiag_count = sum(count for count, _ in spent)
+    runs = interlace(run, cfg.k, lambda first, steps: _interlaced_pair(run, cfg.k, first, steps), deadline)
     run.report.extras["prefix_objectives"] = {label: [0.0] + [obj for *_, obj in picks]
                                               for label, picks in runs.items()}
-    return run.finish(pq_ops=sum(ops for _, ops in spent))
+    return run.finish()
 
 
 # -- off-diagonal-count bands -----------------------------------------------

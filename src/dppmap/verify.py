@@ -55,7 +55,12 @@ def _close_rel(a: float, b: float, tol: float) -> bool:
 # -- priority queue ----------------------------------------------------------
 
 def check_pqueue(total_ops: int = 100_000) -> CheckResult:
-    """Differential test against a linear-scan model of live entries."""
+    """Differential test against a linear-scan model of live entries.
+
+    Pushes, exclusions, peeks and pops come in equal shares; now and then a
+    ``clear`` empties the queue and the model, and exclusions stay.  The
+    queue's ``op_count`` must count the build, each push and each pop.
+    """
     rng = np.random.default_rng(11)
     sequences = 20
     per_seq = total_ops // sequences
@@ -66,15 +71,20 @@ def check_pqueue(total_ops: int = 100_000) -> CheckResult:
         queue = LazyMaxQueue.build(keys)
         model: dict[int, float] = {i: float(k) for i, k in enumerate(keys)}
         excluded: set[int] = set()
+        counted = n  # the build counts one operation per key
         for _ in range(per_seq):
             op = rng.integers(0, 4)
             ops_done += 1
             live = {i: k for i, k in model.items() if i not in excluded}
-            if op == 0:
+            if rng.random() < 0.02:
+                queue.clear()
+                model.clear()
+            elif op == 0:
                 i = int(rng.integers(0, n))
                 key = float(rng.integers(0, 12))
                 queue.push(i, key)
                 model[i] = key
+                counted += 1
             elif op == 1:
                 i = int(rng.integers(0, n))
                 queue.exclude(i)
@@ -99,6 +109,9 @@ def check_pqueue(total_ops: int = 100_000) -> CheckResult:
                     return CheckResult("pqueue-differential", False,
                                        f"pop mismatch: {(got_i, got_k)} != {(want_i, want_k)}")
                 del model[want_i]
+                counted += 1
+        if queue.op_count != counted:
+            return CheckResult("pqueue-differential", False, f"op_count {queue.op_count} != {counted}")
     return CheckResult("pqueue-differential", True, f"{ops_done} ops agree with the scan model")
 
 
@@ -437,6 +450,16 @@ def check_monotone_bound(instances: int = 50) -> CheckResult:
 
 # -- variants ----------------------------------------------------------------
 
+def _zero_gain_features(rng, n: int, d: int) -> np.ndarray:
+    """d Gaussian dimensions scaled by 1/sqrt(d), where 1 <= z < max(2, n // 2) items, then
+    permuted among the rest, have exact zero gains: each is a 1.0 in a private extra dimension."""
+    z = int(rng.integers(1, max(2, n // 2)))
+    features = np.zeros((d + z, n))
+    features[:d, z:] = rng.standard_normal((d, n - z)) / math.sqrt(d)
+    features[d + np.arange(z), np.arange(z)] = 1.0
+    return features[:, rng.permutation(n)]
+
+
 def check_variant_coupling(instances: int = 50) -> CheckResult:
     """Each accelerated variant matches its brute-force twin draw for draw.
 
@@ -446,65 +469,60 @@ def check_variant_coupling(instances: int = 50) -> CheckResult:
     Random greedy's ``boundary_gain_steps`` are left out: the accelerated
     solver judges the first nonpositive pivot it pops, not the rank-th best
     gain its twin judges, and drops that item for good, so on the same draws
-    the two can record different boundary steps.
+    the two can record different boundary steps.  Each instance's sizes,
+    seed and epsilon also run on :func:`_zero_gain_features`, in B and in L
+    form, where steps meet the zero-gain boundary exactly.
     """
+    with_steps = {"random dummy": 0, "stochastic boundary": 0}  # zero-gain runs with such steps
     for t in range(instances):
         rng = np.random.default_rng(3000 + t)
         k = int(rng.integers(1, 7))
         n = int(rng.integers(4 * k, 31))
         d = int(rng.integers(2, 31))
-        oracle = build_synthetic_oracle(n, d, 3000 + t, "B")
         seed = 3000 + 7 * t
         eps = float(rng.uniform(0.05, 0.9))  # stochastic greedy's; the other variants ignore it
-        twins = {}
-        for algo, keys in (("random", ("rank_draws", "dummy_steps")),
-                           ("stochastic", ("skipped_steps", "boundary_gain_steps")),
-                           ("interlace", ("sequences", "best_prefix"))):
-            twins[algo] = [run_algorithm(name, oracle, k, seed=seed, epsilon=eps) for name in (algo, f"{algo}-naive")]
-            views = [{**rep.extras, **vars(rep)} for rep in twins[algo]]
-            for key in ("selection",) + keys:
-                if views[0][key] != views[1][key]:
-                    return CheckResult("variant-coupling", False, f"instance {t}: {algo} greedy diverged "
-                                       f"(eps={eps}) in {key}: {views[0][key]} vs {views[1][key]}")
+        zero_gain = KernelOracle.from_dense_features(_zero_gain_features(rng, n, d))
+        for where, oracle in ((f"instance {t}", build_synthetic_oracle(n, d, 3000 + t, "B")),
+                              (f"zero-gain instance {t} (B)", zero_gain),
+                              (f"zero-gain instance {t} (L)", KernelOracle.from_dense_kernel(zero_gain.materialize()))):
+            def fail(fault: str) -> CheckResult:
+                return CheckResult("variant-coupling", False, f"{where}: {fault}")
 
-        fast_rep, naive_rep = twins["random"]
-        if set(fast_rep.extras["dropped"]) & set(naive_rep.selection):
-            return CheckResult("variant-coupling", False,
-                               f"instance {t}: a dropped element was selected by the twin")
-        # rank draws only widen the pool, so the eager sweep over all k steps still caps the count
-        lo, hi = greedy_band(n, len(fast_rep.selection), k)
-        if not lo <= fast_rep.offdiag_count <= hi:
-            return CheckResult("variant-coupling", False,
-                               f"instance {t}: random count {fast_rep.offdiag_count} outside [{lo},{hi}]")
+            twins = {}
+            for algo, keys in (("random", ("rank_draws", "dummy_steps")),
+                               ("stochastic", ("skipped_steps", "boundary_gain_steps")),
+                               ("interlace", ("sequences", "best_prefix"))):
+                twins[algo] = [run_algorithm(name, oracle, k, seed=seed, epsilon=eps)
+                               for name in (algo, f"{algo}-naive")]
+                views = [{**rep.extras, **vars(rep)} for rep in twins[algo]]
+                for key in ("selection",) + keys:
+                    if views[0][key] != views[1][key]:
+                        return fail(f"{algo} greedy diverged (eps={eps}) in {key}: {views[0][key]} vs {views[1][key]}")
+            if oracle is zero_gain:
+                with_steps["random dummy"] += bool(twins["random"][0].extras["dummy_steps"])
+                with_steps["stochastic boundary"] += bool(twins["stochastic"][0].boundary_gain_steps)
 
-        fast_rep = twins["stochastic"][0]
-        s = stochastic_sample_size(n, k, eps)
-        hi = stochastic_upper_bound(n, k, s)
-        if not triangle(len(fast_rep.selection)) <= fast_rep.offdiag_count <= hi:
-            return CheckResult("variant-coupling", False,
-                               f"instance {t}: stochastic count {fast_rep.offdiag_count} "
-                               f"outside [{triangle(len(fast_rep.selection))},{hi}]")
-
-        fast_rep = twins["interlace"][0]
-        commits = [len(seq) for seq in fast_rep.extras["sequences"].values()]
-        if len(commits) == 2:
-            commits += [0, 0]
-        lo, hi = interlace_band(n, k, commits)
-        if not lo <= fast_rep.offdiag_count <= hi:
-            return CheckResult("variant-coupling", False,
-                               f"instance {t}: interlace count {fast_rep.offdiag_count} "
-                               f"outside [{lo},{hi}]")
-        matrix = oracle.materialize()
-        best = fast_rep.final_objective
-        for seq in fast_rep.extras["sequences"].values():
-            for m in range(len(seq) + 1):
-                pref = reference.log_det(matrix, seq[:m])
-                if pref > best + 1e-8:
-                    return CheckResult("variant-coupling", False,
-                                       f"instance {t}: prefix beats returned objective")
+            random_rep, stochastic_rep, interlace_rep = (reps[0] for reps in twins.values())
+            if set(random_rep.extras["dropped"]) & set(twins["random"][1].selection):
+                return fail("a dropped element was selected by the twin")
+            bands = {  # rank draws only widen random's pool, so the eager sweep over all k steps still caps it
+                "random": greedy_band(n, len(random_rep.selection), k),
+                "stochastic": (triangle(len(stochastic_rep.selection)),
+                               stochastic_upper_bound(n, k, stochastic_sample_size(n, k, eps))),
+                "interlace": interlace_band(n, k, [len(seq) for seq in interlace_rep.extras["sequences"].values()])}
+            for algo, (lo, hi) in bands.items():
+                if not lo <= twins[algo][0].offdiag_count <= hi:
+                    return fail(f"{algo} count {twins[algo][0].offdiag_count} outside [{lo},{hi}]")
+            matrix = oracle.materialize()
+            for seq in interlace_rep.extras["sequences"].values():
+                if any(reference.log_det(matrix, seq[:m]) > interlace_rep.final_objective + 1e-8
+                       for m in range(len(seq) + 1)):
+                    return fail("prefix beats returned objective")
+    counts = ", ".join(f"{kind} steps in {runs}" for kind, runs in with_steps.items())
     return CheckResult("variant-coupling", True,
-                       f"{instances} instances per variant; selections, steps without a commit (interlace: "
-                       "all four runs and the best prefix) identical, bands hold")
+                       f"{instances} instances per variant and form (Gaussian B; zero-gain B, L), "
+                       f"{counts} of the zero-gain B runs; selections, steps without a commit "
+                       "(interlace: all four runs and the best prefix) identical, bands hold")
 
 
 # -- double greedy -----------------------------------------------------------

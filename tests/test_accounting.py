@@ -22,11 +22,14 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from dppmap import doublegreedy, report as report_module  # noqa: E402
-from dppmap.bench import build_synthetic_oracle, run_algorithm  # noqa: E402
+from dppmap.bench import SOLVERS, build_synthetic_oracle, run_algorithm  # noqa: E402
 from dppmap.cholesky import CholeskyState  # noqa: E402
 from dppmap.doublegreedy import fast_double_greedy  # noqa: E402
 from dppmap.stream import DecisionStream  # noqa: E402
 from perfbench.tracer import Tracer  # noqa: E402
+
+
+FACTOR_SOLVERS = ("fast", "lazyfast", "random", "stochastic", "interlace", "double-fast")
 
 
 @pytest.fixture
@@ -38,13 +41,14 @@ def tracer():
 
 
 @pytest.mark.parametrize("input_kind", ["B", "L"])
-@pytest.mark.parametrize("algo", ["double-fast", "fast", "lazyfast", "random"])
+@pytest.mark.parametrize("algo", SOLVERS)
 def test_per_call_counts_reconcile_with_the_report(tracer, algo, input_kind):
     for seed in (3, 4):
         oracle = build_synthetic_oracle(40, 40, seed, input_kind, 0.9, 0.1)
         tracer.reset_counts()
-        report = run_algorithm(algo, oracle, 8, seed=seed)
-        assert report.offdiag_count > 0
+        report = run_algorithm(algo, oracle, 8, seed=seed, epsilon=0.5)
+        if algo in FACTOR_SOLVERS:
+            assert report.offdiag_count > 0
         assert tracer.offdiag == report.offdiag_count
         assert tracer.evals[id(oracle)] == report.kernel_evals
         assert tracer.pq_ops == report.pq_ops

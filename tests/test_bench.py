@@ -15,6 +15,8 @@ from dppmap.bench import (
 )
 from dppmap.report import RunReport
 
+DOUBLES = ("double-naive", "double-fast")
+
 
 def test_resolve_adjustment_defaults():
     assert resolve_adjustment("fast", None, None) == (1.0, 0.0)
@@ -34,13 +36,15 @@ def test_run_algorithm_dispatch_smoke():
         run_algorithm("bogus", oracle, 2)
 
 
-@pytest.mark.parametrize("algo", ["naive", "lazy", "random-naive", "stochastic-naive", "interlace-naive",
-                                  "double-naive"])
+@pytest.mark.parametrize("algo", SOLVERS)
 def test_brute_force_solvers_time_their_materialize_as_setup(algo):
-    """Every solver that materializes the kernel reports that time as ``setup_ms``."""
+    """Every solver reports the time before its first step as ``setup_ms``: a brute-force
+    solver's materialize, a factor's diagonal lookups and queue build."""
     scale, shift = resolve_adjustment(algo, None, None)
     report = run_algorithm(algo, build_synthetic_oracle(40, 40, 1, "B", scale, shift), 5, seed=1, epsilon=0.5)
-    assert report.timings["setup_ms"] > 0.0
+    timings = report.timings
+    assert timings["setup_ms"] > 0.0
+    assert timings["greedy_ms"] == timings["total_ms"] - timings["setup_ms"]
 
 
 @pytest.mark.parametrize("algo", SOLVERS)
@@ -83,7 +87,10 @@ def test_bench_cells_records_a_failed_cell():
 
 @pytest.mark.parametrize("input_kind", ["B", "L"])
 def test_bench_cells_share_an_instance_without_changing_a_report(input_kind):
-    """Every algorithm on a shared instance reports what it reports on a fresh one, timings aside."""
+    """Every algorithm on a shared instance reports what it reports on a fresh one, timings aside.
+
+    The double greedies decide on all n items whatever k, so each runs once per (n, seed), with k = n.
+    """
     grid = dict(n_values=[12, 14], k_values=[2, 3], seeds=(1, 2))
     shared = bench_cells(ALGORITHMS, **grid, input_kind=input_kind)
 
@@ -91,9 +98,10 @@ def test_bench_cells_share_an_instance_without_changing_a_report(input_kind):
         return build_synthetic_oracle(n, None, seed, input_kind, *resolve_adjustment(algo, None, None))
 
     fresh = (run_algorithm(algo, fresh_oracle(n, seed, algo), k, seed=seed, epsilon=EPSILON)
-             for n in grid["n_values"] for seed in grid["seeds"] for algo in ALGORITHMS for k in grid["k_values"])
+             for n in grid["n_values"] for seed in grid["seeds"] for algo in ALGORITHMS
+             for k in ([n] if algo in DOUBLES else grid["k_values"]))
     pairs = list(zip(shared, fresh, strict=True))
-    assert len(pairs) == 2 * 2 * len(ALGORITHMS) * 2
+    assert len(pairs) == 2 * 2 * ((len(ALGORITHMS) - len(DOUBLES)) * 2 + len(DOUBLES))
     for got, want in pairs:
         assert "error" not in got.extras, got.algo
         assert got.to_json(include_timings=False) == want.to_json(include_timings=False), (got.algo, got.n, got.k)
@@ -103,7 +111,14 @@ def test_a_failed_build_gives_one_error_report_per_cell():
     algos = ["fast", "lazyfast", "double-fast"]
     reports = list(bench_cells(algos, [-3], [2, 3], seeds=(1, 2)))
     assert [(r.algo, r.seed, r.k, r.d, r.extras) for r in reports] == [
-        (algo, seed, k, -3, {"error": "ValueError"}) for seed in (1, 2) for algo in algos for k in (2, 3)]
+        (algo, seed, k, -3, {"error": "ValueError"}) for seed in (1, 2) for algo in algos
+        for k in ([-3] if algo == "double-fast" else [2, 3])]
+
+
+def test_each_double_greedy_runs_once_per_instance():
+    """A double greedy ignores k, so a k grid does not repeat its cell."""
+    reports = list(bench_cells(["double-fast", "fast"], [30], [3, 5]))
+    assert [(r.algo, r.k) for r in reports] == [("double-fast", 30), ("fast", 3), ("fast", 5)]
 
 
 def test_bench_cells_grid_shape():

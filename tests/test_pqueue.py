@@ -55,6 +55,18 @@ def test_push_after_exclude_stays_dead():
     assert q.peek_entry() is None
 
 
+def test_clear_drops_every_entry_counts_nothing_and_keeps_exclusions():
+    q = LazyMaxQueue.build([1.0, 4.0, 2.0])
+    q.exclude(1)
+    q.clear()
+    assert q.op_count == 3
+    assert q.peek_entry() is None
+    q.push(1, 9.0)
+    q.push(0, 3.0)
+    assert q.pop_max() == (0, 3.0)
+    assert q.peek_entry() is None
+
+
 def test_stale_entries_skipped_at_most_once():
     """Every dead heap record is discarded exactly once, so heap traffic is
     bounded by pushes."""

@@ -258,3 +258,21 @@ def test_brute_force_solvers_take_each_ln_det_once(monkeypatch, algo):
     report = run_algorithm(algo, oracle, 4, seed=3, epsilon=0.5)
     assert report.selection
     assert len(calls) == _expected_ln_dets(report, n)
+
+
+def test_an_item_decoupled_from_the_selection_gains_exactly_its_own_ln_det():
+    """Unit items with no kernel entry on anything else gain exactly 0 against every selection,
+    wherever they sit in index order among the selected items."""
+    rng = np.random.default_rng(7)
+    d, n = 6, 14
+    features = np.zeros((d + 5, n))
+    features[:d, 5:] = rng.standard_normal((d, n - 5)) / math.sqrt(d)
+    features[d + np.arange(5), np.arange(5)] = 1.0
+    matrix = dppmap.KernelOracle.from_dense_features(features[:, rng.permutation(n)]).materialize()
+    units = [i for i in range(n) if matrix[i, i] == 1.0 and np.count_nonzero(matrix[i]) == 1]
+    assert len(units) == 5
+    for _ in range(300):
+        selection = sorted(rng.permutation(n)[: int(rng.integers(1, 7))].tolist())
+        base = reference.log_det(matrix, selection)
+        rows = reference.gains(matrix, selection, base, [u for u in units if u not in selection])
+        assert all(gain == 0.0 and objective == base for gain, _, objective in rows), (selection, rows)
