@@ -146,8 +146,7 @@ def naive_double_greedy(kernel: KernelOracle | np.ndarray, stream: DecisionStrea
     report = run.report
     if matrix is None:
         matrix = oracle.materialize()
-    product_ms = run.ms()
-    report.timings["product_ms"] = product_ms
+    report.timings["product_ms"] = run.ms()
     ab_gains: list[tuple[float, float]] = []
     kept = reference.log_det(matrix, range(n))  # ln det of the survivors going into the step
     for step in run.steps(n, deadline):

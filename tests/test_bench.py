@@ -115,12 +115,6 @@ def test_a_failed_build_gives_one_error_report_per_cell():
         for k in ([-3] if algo == "double-fast" else [2, 3])]
 
 
-def test_each_double_greedy_runs_once_per_instance():
-    """A double greedy ignores k, so a k grid does not repeat its cell."""
-    reports = list(bench_cells(["double-fast", "fast"], [30], [3, 5]))
-    assert [(r.algo, r.k) for r in reports] == [("double-fast", 30), ("fast", 3), ("fast", 5)]
-
-
 def test_bench_cells_grid_shape():
     reports = list(bench_cells(["fast", "lazyfast"], [15, 20], [3], seeds=(1, 2)))
     assert len(reports) == 2 * 2 * 1 * 2
