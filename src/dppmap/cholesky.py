@@ -57,24 +57,25 @@ holds, for every row ``r`` after the newest commit, the left fold from
 in ascending order, which is the sum :func:`seq_dot` returns, bit for bit.
 A commit of item ``j`` reads its column's dots from the cache, then folds
 the new column into the whole cache rows of the candidates after ``j`` with
-one contiguous outer-product add, ``dots[c:] += outer(full[c:W], full)``,
-where ``full`` is the new column over rows ``a..n-1`` with ``+0.0`` on the
-rows ``a..j`` the sweep has passed.  Entries of those rows go stale, and no
-later prefetch reads them; folding them too keeps every add contiguous,
-which numpy does several times faster than the same add over the strided
-block of live rows.  The cache is rebuilt from the factor, one add per
-committed column in ascending order, when its record does not vouch for
-the rows or the committed item leaves the window.  Every other schedule
-takes the generic column sweep.
+one rank-1 update, ``dots[c:] += outer(full[c:W], full)``, where ``full`` is
+the new column over rows ``a..n-1`` with ``+0.0`` on the rows ``a..j`` the
+sweep has passed.  Entries of those rows go stale, and no later prefetch
+reads them; folding them too keeps the target one contiguous block, which
+the in-place call below needs.  The cache is rebuilt from the factor, one
+rank-1 update per committed column in ascending order, when its record does
+not vouch for the rows or the committed item leaves the window.  Every other
+schedule takes the generic column sweep.
 
-Each outer product comes from ``np.einsum`` into a kept buffer: one
-``"i,j->ij"`` call per commit, and one ``"si,sj->sij"`` call per
-``REBUILD_BLOCK`` columns in a rebuild, whose products are then added one
-column at a time.  einsum rounds every product once, as ``x[:, None] * y``
-does, with less per-row and per-call overhead.  It can return ``+0.0`` where
-the multiply gives ``-0.0``.  That cannot change a sum: each cache entry is
-a left fold from ``+0.0``, so it is never ``-0.0`` (see above), and adding a
-zero of either sign to a value that is not ``-0.0`` leaves it unchanged.
+Each rank-1 update is one BLAS ``dgemm`` call, :func:`add_outer`, with
+k = 1 and alpha = beta = 1, in place on the cache's column-major transpose.
+With k = 1 each product is rounded on its own, and with alpha = beta = 1 it
+is added to the cache entry with one more rounding: the two roundings of
+``dots += x[:, None] * y`` (BLAS ``dger`` fuses them into one FMA).  A
+product may come out ``+0.0`` where the multiply gives ``-0.0``; a left fold
+from ``+0.0`` is never ``-0.0`` (see above), and adding a zero of either
+sign to any other value leaves it unchanged.  An empty update (the window's
+last candidate committed) is skipped, as the wrapper refuses zero-size
+arrays, and a target the wrapper would copy, losing the update, raises.
 """
 
 from __future__ import annotations
@@ -83,13 +84,20 @@ import math
 
 import numpy as np
 
+from . import reference
 from .errors import SingularPivotError, StaleRowError
 from .kernel import KernelOracle, seq_dot
 
 PIVOT_FLOOR = 1e-12
 WINDOW = 64  # candidate items the in-order dot cache covers
-REBUILD_BLOCK = 8  # committed columns whose outer products one einsum call forms in a cache rebuild
 SHORT_FOLD = 32  # the scalar loop folds dot products of fewer terms in Python floats
+
+
+def add_outer(target: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """``target += np.multiply.outer(x, y)`` bit for bit, in place on a column-major float64 ``target``."""
+    dgemm = reference._blas().dgemm
+    if x.size and y.size and dgemm(1.0, x[:, None], y[None, :], 1.0, target, overwrite_c=1) is not target:
+        raise ValueError("add_outer needs a column-major float64 target to update in place")
 
 
 class CholeskyState:
@@ -124,8 +132,6 @@ class CholeskyState:
         self._diag_ready = np.zeros(n, dtype=bool)
         self._lazy_diag = lazy_diag
         self._dots = np.zeros((0, 0))  # the in-order dot cache, see the module docstring
-        self._products = np.empty(0)  # outer products of REBUILD_BLOCK columns, kept across rebuilds
-        self._outer = self._full = None  # the fold's buffers: one outer product, one zero-padded column
         self._dots_at = 0    # first item of its window
         self._dots_cols = 0  # committed columns folded in
         self._dots_lo = 0    # first row and candidate the last fold reached; n once voided
@@ -257,29 +263,20 @@ class CholeskyState:
         j = lo - 1
         if not (self._dots_cols == t and self._dots_lo <= j < self._dots_at + len(self._dots)):
             self._rebuild_dots(j, t)
-        a, dots, full = self._dots_at, self._dots, self._full
+        a, dots = self._dots_at, self._dots
         c = lo - a  # the candidates after j, and the rows from lo on
-        full[:c] = 0.0  # the dead rows a..j
+        full = np.zeros(self.n - a)  # +0.0 on the dead rows a..j
         self._write_column(t, slice(lo, self.n), dots[j - a, c:], out=full[c:])
         self._ready[lo:] = t + 1
-        dots[c:] += np.einsum("i,j->ij", full[c:len(dots)], full, out=self._outer[c:])
+        add_outer(dots[c:].T, full, full[c:len(dots)])
         self._dots_cols, self._dots_lo = t + 1, lo
 
     def _rebuild_dots(self, a: int, t: int) -> None:
         """Fold the first ``t`` columns afresh for the window starting at item ``a``."""
-        cols = self.factor[a:, :t].T.copy()  # one contiguous row per committed column
-        shape = (REBUILD_BLOCK, min(WINDOW, self.n - a), self.n - a)
-        size = math.prod(shape)
-        if self._products.size < size:  # windows only move forward, so only the first rebuild allocates
-            self._products = np.empty(size)
-        products = self._products[:size].reshape(shape)
-        dots = np.zeros(shape[1:])
-        for s in range(0, t, REBUILD_BLOCK):
-            block = cols[s:s + REBUILD_BLOCK]
-            for outer in np.einsum("si,sj->sij", block[:, :len(dots)], block, out=products[:len(block)]):
-                dots += outer
-        self._dots, self._outer, self._full = dots, products[0], np.zeros(self.n - a)
-        self._dots_at, self._dots_cols, self._dots_lo = a, t, a
+        dots = np.zeros((min(WINDOW, self.n - a), self.n - a))
+        for col in self.factor[a:, :t].T.copy():  # one contiguous row per committed column
+            add_outer(dots.T, col, col[:len(dots)])
+        self._dots, self._dots_at, self._dots_cols, self._dots_lo = dots, a, t, a
 
     def _write_column(self, t: int, rows, dots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Set column ``t`` of ``rows`` (an index array or a range), shrink their pivots, return the column.

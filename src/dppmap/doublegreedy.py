@@ -69,15 +69,14 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
     (:meth:`CholeskyState.prefetch`); ``update_row`` then only adopts the
     values, which are bit-identical to its own scalar loop.  Commits arrive
     in index order, so each prefetch reads its dot products from the
-    factor's windowed dot cache instead of re-folding every row from
-    column 0; the cache sums in the same order, so factors, pivots and the
-    report do not change.  The off-diagonal count is ``T*(T-1)/2`` for ``T``
-    attempted steps; prefetched columns of rows a deadline leaves unvisited
-    are not counted.  The grow factor's picks are the report's commits,
-    handed over by :meth:`SolverRun.finish`.  The per-step series
-    (``gains`` and ``objective_trace`` over the G grown items, and
-    ``extras["ab_gains"]``) are float64 arrays of shapes (G,), (G,) and
-    (T, 2); their JSON is the same as that of the equivalent lists.
+    factor's windowed dot cache, which sums in the same order.  The
+    off-diagonal count is ``T*(T-1)/2`` for ``T`` attempted steps;
+    prefetched columns of rows a deadline leaves unvisited are not counted.
+    The grow factor's picks are the report's commits, handed over by
+    :meth:`SolverRun.finish`.  The per-step series (``gains`` and
+    ``objective_trace`` over the G grown items, and ``extras["ab_gains"]``)
+    are float64 arrays of shapes (G,), (G,) and (T, 2); their JSON is the
+    same as that of the equivalent lists.
     """
     n = oracle.n
     run = SolverRun("double-fast", oracle, n, seed=stream.seed)
@@ -95,9 +94,9 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
 
     # Bare constructor, which judges only the diagonal: both come from an already
     # checked oracle, and from_dense_kernel would refuse the inverse, which is not
-    # bitwise symmetric.
+    # bitwise symmetric.  The inverse stays column-major, so its column reads are contiguous.
     grow = run.count(CholeskyState(KernelOracle(matrix=matrix), n))
-    shrink = run.count(CholeskyState(KernelOracle(matrix=np.ascontiguousarray(inv)), n))
+    shrink = run.count(CholeskyState(KernelOracle(matrix=inv), n))
     ab_gains: list[tuple[float, float]] = []
     try:
         for step in run.steps(n, deadline):

@@ -8,14 +8,15 @@ path shares no code with the incremental factor updates it is used to check.
 
 The inverse calls LAPACK's ``dpotrf``/``dpotrs`` through scipy's compiled
 ``_flapack`` wrappers, the calls ``scipy.linalg.cho_factor(lower=True)`` and
-``cho_solve`` make, so its bits are theirs.  The extension is loaded from its
-file in scipy's installed ``linalg`` directory, which skips running
-``scipy/linalg/__init__.py``: loading the extension alone adds about 2.5 MB
-of RSS to a 27 MB numpy process, where ``import scipy.linalg`` adds about
-28 MB.  Where that file
-is missing, ``scipy.linalg.lapack`` is imported instead; both routes give the
-same wrapper functions, and a later ``import scipy.linalg`` reuses the
-extension already loaded.  numpy's own LAPACK is not used: it bundles
+``cho_solve`` make, so its bits are theirs; the in-order dot cache of
+:mod:`dppmap.cholesky` takes ``dgemm`` from the ``_fblas`` wrappers.  Each
+extension is loaded from its file in scipy's installed ``linalg`` directory,
+which skips running ``scipy/linalg/__init__.py``: ``_flapack`` adds about
+2.5 MB of RSS to a 27 MB numpy process and ``_fblas`` about 1.2 MB more,
+where ``import scipy.linalg`` adds about 28 MB.  Where a file is missing,
+``scipy.linalg.lapack`` or ``.blas`` is imported instead; both routes give
+the same wrapper functions, and a later ``import scipy.linalg`` reuses the
+extensions already loaded.  numpy's own LAPACK is not used: it bundles
 another OpenBLAS build, whose inverses differ in the last bits.
 """
 
@@ -101,21 +102,22 @@ def exhaustive_map(matrix: np.ndarray, k: int | None = None) -> tuple[tuple[int,
     return best_set, best_val
 
 
-@functools.cache
-def _lapack():
-    """scipy's ``_flapack`` extension, loaded once per process without ``import scipy.linalg``."""
+def _linalg_extension(name: str):
+    """scipy's compiled ``linalg`` wrappers ``name`` (``_flapack`` or ``_fblas``), without ``import scipy.linalg``."""
     spec = importlib.util.find_spec("scipy")
     for base in spec.submodule_search_locations if spec else ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            path = os.path.join(base, "linalg", name + suffix)
             if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+                loader = importlib.machinery.ExtensionFileLoader("scipy.linalg." + name, path)
                 module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
                 loader.exec_module(module)
                 return module
-    from scipy.linalg import lapack
+    return importlib.import_module("scipy.linalg." + name[2:])  # lapack or blas
 
-    return lapack
+
+_lapack = functools.cache(functools.partial(_linalg_extension, "_flapack"))  # each loaded once per process
+_blas = functools.cache(functools.partial(_linalg_extension, "_fblas"))
 
 
 def inverse(matrix: np.ndarray) -> np.ndarray:
@@ -142,7 +144,7 @@ def inverse(matrix: np.ndarray) -> np.ndarray:
                                   "of the array is not positive definite")
     if info < 0:
         raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
-    inv, info = lapack.dpotrs(factor, np.eye(n), lower=1)
+    inv, info = lapack.dpotrs(factor, np.eye(n, order="F"), lower=1, overwrite_b=1)  # solved in place
     if info:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return inv

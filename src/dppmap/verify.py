@@ -460,7 +460,7 @@ def _zero_gain_features(rng, n: int, d: int) -> np.ndarray:
     return features[:, rng.permutation(n)]
 
 
-def check_variant_coupling(instances: int = 50) -> CheckResult:
+def check_variant_coupling(instances: int = 50, first: int = 0) -> CheckResult:
     """Each accelerated variant matches its brute-force twin draw for draw.
 
     The twins agree on the selection and on the steps that commit nothing:
@@ -473,8 +473,8 @@ def check_variant_coupling(instances: int = 50) -> CheckResult:
     seed and epsilon also run on :func:`_zero_gain_features`, in B and in L
     form, where steps meet the zero-gain boundary exactly.
     """
-    with_steps = {"random dummy": 0, "stochastic boundary": 0}  # zero-gain runs with such steps
-    for t in range(instances):
+    with_steps = {"random dummy": 0, "random step-1 dummy": 0, "stochastic boundary": 0}  # zero-gain B runs
+    for t in range(first, first + instances):
         rng = np.random.default_rng(3000 + t)
         k = int(rng.integers(1, 7))
         n = int(rng.integers(4 * k, 31))
@@ -499,7 +499,9 @@ def check_variant_coupling(instances: int = 50) -> CheckResult:
                     if views[0][key] != views[1][key]:
                         return fail(f"{algo} greedy diverged (eps={eps}) in {key}: {views[0][key]} vs {views[1][key]}")
             if oracle is zero_gain:
-                with_steps["random dummy"] += bool(twins["random"][0].extras["dummy_steps"])
+                dummies = twins["random"][0].extras["dummy_steps"]
+                with_steps["random dummy"] += bool(dummies)
+                with_steps["random step-1 dummy"] += 1 in dummies
                 with_steps["stochastic boundary"] += bool(twins["stochastic"][0].boundary_gain_steps)
 
             random_rep, stochastic_rep, interlace_rep = (reps[0] for reps in twins.values())
@@ -678,7 +680,7 @@ _BATTERY = (
     (check_four_way, {"instances": 15}),
     (check_termination, {}),
     (check_monotone_bound, {"instances": 10}),
-    (check_variant_coupling, {"instances": 10}),
+    (check_variant_coupling, {"instances": 10, "first": 30}),  # instances 30..39: 36 declines random's step 1
     (check_double, {"instances": 10}),
     (check_jacobi, {"trials": 50}),
     (check_double_half_expectation, None),

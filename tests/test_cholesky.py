@@ -1,6 +1,10 @@
 import ast
 import functools
 import math
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 import dppmap
 from dppmap import reference
 from dppmap.doublegreedy import fast_double_greedy
-from dppmap.cholesky import SHORT_FOLD, WINDOW, CholeskyState
+from dppmap.cholesky import SHORT_FOLD, WINDOW, CholeskyState, add_outer
 from dppmap.errors import NegativeDiagonalError, SingularPivotError, StaleRowError
 from dppmap.kernel import KernelOracle, SparseColumns, seq_dot
 from dppmap.stream import DecisionStream
@@ -334,7 +338,7 @@ def test_in_order_prefetch_rebuilds_after_an_interruption():
 
 
 def test_every_cache_entry_a_prefetch_reads_is_seq_dot_and_none_is_negative_zero(monkeypatch):
-    """The einsum outer products may give +0.0 where a multiply gives -0.0.  The cache is a left fold
+    """The BLAS rank-1 updates may give +0.0 where a multiply gives -0.0.  The cache is a left fold
     from +0.0, so it never holds -0.0, and the sign of a zero product cannot reach a sum it is read for."""
     reads = []
     write = CholeskyState._write_column
@@ -353,6 +357,90 @@ def test_every_cache_entry_a_prefetch_reads_is_seq_dot_and_none_is_negative_zero
     assert np.signbit(state.factor[state.factor == 0.0]).any()  # so some products are -0.0
     assert any(at > 0 and lo > at for at, lo in reads)  # reads after a rebuild at a > 0 and further folds
     assert not np.signbit(state._dots[state._dots == 0.0]).any()
+
+
+def _fold_cases():
+    """``(x, y, target)`` triples for :func:`add_outer`: signed zeros, subnormals and magnitudes from
+    1e-30 to 1e30 of either sign, at the cache's sizes, one column (W = 1) and empty sides.  Targets
+    hold no -0.0, as no cache entry does."""
+    rng = np.random.default_rng(29)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-30, -1e-30, 1e30, -1e30, 1.0])
+
+    def draw(shape):
+        values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-30, 30, shape)
+        pick = rng.random(shape) < 0.3
+        values[pick] = rng.choice(special, int(pick.sum()))
+        return values
+
+    cases = []
+    for m, w in ((236, 44), (300, 64), (17, 1), (1, 9), (1, 1), (0, 5), (5, 0)):
+        for _ in range(20):
+            target = np.asfortranarray(draw((m, w)) + 0.0)  # + 0.0 turns -0.0 into +0.0
+            cases.append((draw(m), draw(w), target))
+    return cases
+
+
+def _numpy_fold(x, y, target):
+    want = target.copy()
+    want += np.multiply.outer(x, y)
+    return want
+
+
+def test_add_outer_is_numpys_outer_add_bit_for_bit():
+    for x, y, target in _fold_cases():
+        want = _numpy_fold(x, y, target)
+        add_outer(target, x, y)
+        assert target.tobytes() == want.tobytes(), (len(x), len(y))
+
+
+def test_add_outer_refuses_a_target_it_would_copy():
+    x, y = np.arange(1.0, 6.0), np.arange(1.0, 4.0)
+    dots = np.zeros((4, 5))
+    for target in (np.zeros((4, 3)), dots[1:, 1:].T):  # C-ordered, and a strided block of the cache
+        with pytest.raises(ValueError, match="column-major"):
+            add_outer(target, x[1:], y)
+        assert not target.any()
+    add_outer(dots[1:].T, x, y)  # the cache's whole rows, transposed, are updated in place
+    assert dots[1:].T.tobytes() == np.multiply.outer(x, y).tobytes() and not dots[0].any()
+
+
+FOLD_CHILD = """
+import sys
+import numpy as np
+from dppmap.cholesky import add_outer
+cases = np.load(sys.argv[1])
+folded = {}
+for i in range(len(cases.files) // 3):
+    target = np.asfortranarray(cases[f"t{i}"])
+    add_outer(target, cases[f"x{i}"], cases[f"y{i}"])
+    folded[f"t{i}"] = target
+np.savez(sys.argv[2], **folded)
+"""
+
+
+def test_add_outer_is_exact_on_every_blas_core_and_thread_count(tmp_path):
+    """The same folds in child processes that force each OpenBLAS core type and one or two
+    threads; only the child's environment changes.  About 3 s for the eight children."""
+    cases = _fold_cases()
+    np.savez(tmp_path / "cases.npz", **{f"{key}{i}": array for i, case in enumerate(cases)
+                                        for key, array in zip("xyt", case)})
+    src = str(Path(dppmap.__file__).parents[1])
+    ran = []
+    for core in ("Haswell", "SkylakeX", "Sandybridge", "Nehalem"):
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"{core}-{threads}.npz"
+            proc = subprocess.run([sys.executable, "-c", FOLD_CHILD, str(tmp_path / "cases.npz"), str(out)],
+                                  capture_output=True, text=True, timeout=120, env=env)
+            if proc.returncode == -signal.SIGILL:
+                continue  # a core type this CPU cannot run
+            assert proc.returncode == 0, proc.stderr
+            folded = np.load(out)
+            for i, (x, y, target) in enumerate(cases):
+                assert folded[f"t{i}"].tobytes() == _numpy_fold(x, y, target).tobytes(), (core, threads, i)
+            ran.append(core)
+    assert ran
 
 
 def _scanned_in_order(state, lo):

@@ -517,13 +517,14 @@ print(json.dumps(loaded))
 
 def test_only_double_greedy_loads_scipy(tmp_path):
     """A process that imports dppmap and runs the greedy solvers never imports scipy;
-    double greedy loads only scipy's compiled LAPACK wrappers for its kernel inverse,
-    never ``scipy.linalg`` or the ``scipy`` package, and still runs."""
+    double greedy loads only scipy's compiled BLAS wrappers for its dot cache and its
+    LAPACK wrappers for its kernel inverse, never ``scipy.linalg`` or the ``scipy``
+    package, and still runs."""
     src = str(Path(dppmap.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(tmp_path)],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "import": [], "random": [], "lazyfast": [], "double-fast": ["scipy.linalg._flapack"]}
+        "import": [], "random": [], "lazyfast": [], "double-fast": ["scipy.linalg._fblas", "scipy.linalg._flapack"]}
     assert RunReport.from_json((tmp_path / "r.json").read_text()).algo == "double-fast"

@@ -82,23 +82,26 @@ def golden_digest() -> str:
     return sha.hexdigest()
 
 
-def openblas_core(package: str, symbol: str) -> str:
-    """The core name of the OpenBLAS bundled in ``package.libs``, read through ``ctypes``, or ``unknown``."""
+def openblas_query(package: str, symbol: str, restype=ctypes.c_char_p):
+    """What ``symbol`` of the OpenBLAS bundled in ``package.libs`` returns, read through ``ctypes``, or ``unknown``."""
     libs = Path(importlib.util.find_spec(package).origin).parent.parent / f"{package}.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so")):
         try:
-            corename = getattr(ctypes.CDLL(str(path)), symbol)
+            query = getattr(ctypes.CDLL(str(path)), symbol)
         except (OSError, AttributeError):
             continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
+        query.argtypes, query.restype = [], restype
+        value = query()
+        return value.decode() if isinstance(value, bytes) else value
     return "unknown"
 
 
 def test_timing_stripped_reports_match_the_pinned_digest():
-    """55 of the 252 reports take bits from LAPACK/BLAS, which differ between OpenBLAS cores."""
-    cores = (f"numpy's OpenBLAS core {openblas_core('numpy', 'scipy_openblas_get_corename64_')}, "
-             f"scipy's {openblas_core('scipy', 'scipy_openblas_get_corename')}")
+    """55 of the 252 reports take bits from LAPACK/BLAS, which differ between OpenBLAS cores, and
+    at larger n than these between thread counts too."""
+    cores = (f"numpy's OpenBLAS core {openblas_query('numpy', 'scipy_openblas_get_corename64_')}, "
+             f"scipy's {openblas_query('scipy', 'scipy_openblas_get_corename')} with "
+             f"{openblas_query('scipy', 'scipy_openblas_get_num_threads', ctypes.c_int)} thread(s)")
     assert golden_digest() == GOLDEN, f"digest pinned on the SkylakeX core; this run has {cores}"
 
 

@@ -156,7 +156,7 @@ class _IllegalArgument:
     def dpotrf(self, a, lower, clean):
         return a, self.potrf_info
 
-    def dpotrs(self, c, b, lower):
+    def dpotrs(self, c, b, lower, overwrite_b):
         return b, self.potrs_info
 
 
@@ -170,12 +170,16 @@ def test_inverse_raises_on_an_illegal_lapack_argument(monkeypatch):
 
 
 def test_lapack_falls_back_to_scipy_linalg_without_the_extension_file(monkeypatch):
-    """Where no ``_flapack`` file is found, the wrappers come from ``scipy.linalg.lapack``."""
-    lean = reference._lapack()
+    """Where no ``_flapack`` or ``_fblas`` file is found, the wrappers come from
+    ``scipy.linalg.lapack`` or ``scipy.linalg.blas``."""
+    lean_lapack, lean_blas = reference._lapack(), reference._blas()
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
     fallback = reference._lapack.__wrapped__()
     assert fallback.__name__ == "scipy.linalg.lapack"
-    assert fallback.dpotrf is lean.dpotrf and fallback.dpotrs is lean.dpotrs
+    assert fallback.dpotrf is lean_lapack.dpotrf and fallback.dpotrs is lean_lapack.dpotrs
+    fallback = reference._blas.__wrapped__()
+    assert fallback.__name__ == "scipy.linalg.blas"
+    assert fallback.dgemm is lean_blas.dgemm
 
 
 LEAN_INVERSE = """

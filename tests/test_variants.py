@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dppmap.variants import (
     stochastic_upper_bound,
     triangle,
 )
-from dppmap.verify import check_variant_coupling
+from dppmap.verify import _BATTERY, check_variant_coupling
 
 
 class ScriptedStream:
@@ -243,6 +244,14 @@ def test_stochastic_degenerate_matches_naive_greedy():
 def test_variant_coupling_battery():
     result = check_variant_coupling(instances=15)
     assert result.ok, result.detail
+
+
+def test_quick_variant_coupling_reaches_a_step_1_dummy():
+    """``verify --quick`` runs a zero-gain instance whose random greedy declines step 1, so a solver
+    that leaves step 1 out of ``dummy_steps`` fails the quick battery too."""
+    result = check_variant_coupling(**dict(_BATTERY)[check_variant_coupling])
+    assert result.ok, result.detail
+    assert int(re.search(r"random step-1 dummy steps in (\d+)", result.detail)[1]) >= 1
 
 
 def test_random_band_lower_attained():
