@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from dppmap import stream
 from dppmap.datagen import SyntheticSpec, binarize_ratings, convert_netflix, gen_synthetic, read_triples
 from dppmap.errors import NonFiniteInputError
 from dppmap.stream import NORMAL_BLOCK, DecisionStream
 
-from test_matrixio import columns_of
+from test_matrixio import columns_of, traced_peak
 from test_stream import one_shot_normals
 
 
@@ -208,3 +211,26 @@ def test_streamed_generation_keeps_the_one_shot_bits(n, d):
     want = one_shot_features(n, d, n + d)
     assert got.shape == (d, n) and got.T.flags.c_contiguous  # item-major: one row per item
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, d, digest", [
+    (1000, 2000, "efa5258fd817f1c6388745c9bc47714a1035d8494b376534a84f2db63406da34"),
+    (300, 300, "76ffbc50e12007a9bb03fda647788190fee70daee7b8c2ad89f6e0922a5c46bc"),
+], ids=["random-sparse-run", "double-L"])
+def test_the_benchmark_instances_keep_their_bytes(n, d, digest):
+    """The features the two gated perfbench workloads build, at seed 1."""
+    got = hashlib.sha256(gen_synthetic(SyntheticSpec(n=n, d=d, seed=1)).tobytes()).hexdigest()
+    assert got == digest, ("the normals changed; if only the host did, this may be its libm's "
+                           "log/cos/sin rounding, which the dppmap.stream docstring leaves unspecified")
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_generation_holds_one_copy_plus_a_block_per_worker(monkeypatch, cpus):
+    monkeypatch.setattr(stream, "_available_cpus", lambda: cpus)
+    blocks = 5
+    spec = SyntheticSpec(n=blocks, d=2 * NORMAL_BLOCK, seed=3)  # one block of normals per item
+    gen_synthetic(spec)  # a first draw may import numpy.random, which is not generation's memory
+    features, peak = traced_peak(gen_synthetic, spec)
+    block_buffers = 4 * 8 * NORMAL_BLOCK  # u1, u2 and a block of values
+    objects = 64 << 10  # generators, threads and array views
+    assert peak <= features.nbytes + min(cpus, blocks) * block_buffers + objects

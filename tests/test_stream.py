@@ -1,8 +1,11 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from dppmap import stream
 from dppmap.stream import NORMAL_BLOCK, DecisionStream
 
 
@@ -114,3 +117,85 @@ def test_streamed_normals_keep_the_one_shot_bits_and_words(count):
     assert got.tobytes() == want.tobytes()
     assert streamed.words_drawn == one_shot.words_drawn
     assert streamed.uniform() == one_shot.uniform()
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The ``threading.Thread`` objects started while the test runs."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+def blocks_of(count):
+    pairs = (count + 1) // 2
+    return -(-pairs // NORMAL_BLOCK)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("count", [
+    3 * BLOCK_VALUES,                   # 3 blocks: 1 + 2 over two workers
+    5 * BLOCK_VALUES,                   # 5 blocks: 1 + 2 + 2 over three workers
+    4 * BLOCK_VALUES + 2 * 1001 + 1,    # odd, with a partial last block
+    BLOCK_VALUES,                       # exactly one block
+    1001,                               # below one block
+], ids=["3-blocks", "5-blocks", "odd-partial", "1-block", "part-block"])
+def test_normals_keep_their_bits_and_words_on_any_worker_count(monkeypatch, started_threads, cpus, count):
+    monkeypatch.setattr(stream, "_available_cpus", lambda: cpus)
+    drawn, one_shot = DecisionStream(cpus), DecisionStream(cpus)
+    drawn.uniform(), one_shot.uniform()  # start part-way into the stream
+    got = drawn.normals(count)
+    want = one_shot_normals(one_shot, count)
+    assert got.tobytes() == want.tobytes()
+    assert drawn.words_drawn == one_shot.words_drawn
+    assert drawn.uniform() == one_shot.uniform()
+    assert len(started_threads) == min(cpus, blocks_of(count)) - 1  # none for a one-block draw
+
+
+@pytest.mark.parametrize("faulty_range", ["helper", "caller"])
+def test_a_fault_in_any_range_reaches_the_caller_after_every_helper_ends(monkeypatch, faulty_range):
+    """A helper's fault is raised by ``normals``, not swallowed with ``out`` part filled;
+    a fault in the caller's own range still waits for the helpers."""
+    monkeypatch.setattr(stream, "_available_cpus", lambda: 3)
+    fill = stream._fill_range
+
+    def filler(out, job):
+        lo = job[2]
+        if lo > 0:
+            time.sleep(0.05)  # helpers end after the caller's own range
+        if (lo > 0) == (faulty_range == "helper"):
+            raise MemoryError(f"range from pair {lo}")
+        fill(out, job)
+
+    monkeypatch.setattr(stream, "_fill_range", filler)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="range from pair"):
+        DecisionStream(1).normals(5 * BLOCK_VALUES)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_generator_random_is_the_uniform_word_map(seed):
+    """``Generator(PCG64).random`` is ``(w >> 11) * 2**-53``, one word a value."""
+    raw, drawn = np.random.PCG64(seed), np.random.PCG64(seed)
+    want = (raw.random_raw(1001) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    got = np.random.Generator(drawn).random(1001)
+    assert got.tobytes() == want.tobytes()
+    assert drawn.random_raw() == raw.random_raw()
+
+
+@pytest.mark.parametrize("k", [0, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1])
+def test_the_u1_offset_rounds_as_half_a_word_step(k):
+    """u1 as ``random()`` plus ``2**-54`` is ``((w >> 11) + 0.5) * 2**-53`` bit for bit,
+    including the ties past 2**52 and the top word, which rounds to 1.0."""
+    shifted = np.array([k], dtype=np.uint64)
+    u1 = shifted.astype(np.float64) * 2.0 ** -53
+    u1 += 0.5 * stream._INV_2_53
+    want = (shifted.astype(np.float64) + 0.5) * 2.0 ** -53
+    assert u1.tobytes() == want.tobytes()
