@@ -16,12 +16,12 @@ readable once the stamp equals the selection length, and only
 :meth:`CholeskyState.update_row` advances it, counting the columns it adopts
 in ``offdiag_count``.  The private ``_ready[i]`` (never below the stamp) is the
 number of columns whose factor entries, and the pivot, are already computed.
-:meth:`CholeskyState.prefetch` advances ``_ready`` for a block of rows with
-one vectorized sweep per column; a later ``update_row`` then only adopts those
-values, and computes the rest with its scalar loop.  Both paths use the same
-arithmetic in the same order, so a row's values do not depend on which one
-computed them.  Between a prefetch and the adopting ``update_row`` a row's
-pivot is ahead of its stamp; only fresh rows' gains are ever read.
+:meth:`CholeskyState.prefetch` may advance ``_ready`` for rows ``lo..n-1`` by
+one column in one vectorized step; a later ``update_row`` then only adopts
+those values, and computes the rest with its scalar loop.  Both paths use the
+same arithmetic in the same order, so a row's values do not depend on which
+one computed them.  Between a prefetch and the adopting ``update_row`` a
+row's pivot is ahead of its stamp; only fresh rows' gains are ever read.
 
 The scalar loop folds a dot product of fewer than ``SHORT_FOLD`` terms in
 Python floats: it reads the row's computed columns once with ``tolist``, and
@@ -38,33 +38,34 @@ catch-ups of a small selection (``random`` on sparse input); long ones are
 eager one-column refreshes late in a long run (``fast`` at k = 50), which a
 Python fold alone made about 10% slower.
 
-A prefetch usually follows the schedule fast double greedy produces: the
-newest commit is item ``lo - 1``, and every row ``lo..n-1`` is uncommitted and
-lacks only that commit's column.  The state tells that schedule apart in
-O(1) by the record ``(_dots_lo, _dots_cols)`` of the dot cache below: the
-fold that made it left rows ``_dots_lo..n-1`` uncommitted and holding
-exactly ``_dots_cols`` columns (as a fresh state's ``(0, 0)`` does), so with
-item ``lo - 1`` the one commit since and ``_dots_lo < lo``, rows ``lo..n-1``
-are in order.  :meth:`CholeskyState.update_row`'s scalar loop on a row at or
-after ``_dots_lo``, and every generic prefetch, void the record by setting
-``_dots_lo`` to ``n``.  Where the record does not vouch for the rows, two
-O(n) scans answer; on fast double greedy's schedule they never run.
+A prefetch is a hint for the schedule fast double greedy produces: the newest
+commit is item ``lo - 1``, and every row ``lo..n-1`` is uncommitted and lacks
+only that commit's column.  The state tells that schedule apart in O(1) by
+the record ``(_dots_lo, _dots_cols)`` of the dot cache below: the fold that
+made it left rows ``_dots_lo..n-1`` uncommitted and holding exactly
+``_dots_cols`` columns (as a fresh state's ``(0, 0)`` does), so with item
+``lo - 1`` the one commit since and ``_dots_lo < lo``, rows ``lo..n-1`` are
+in order.  :meth:`CholeskyState.update_row`'s scalar loop on a row at or
+after ``_dots_lo`` voids the record by setting ``_dots_lo`` to ``n``, and a
+lazy-diagonal state, whose pivots may not be set, starts with it void.  A
+prefetch the record does not vouch for does nothing: the rows' later
+``update_row`` computes the same bits with its scalar loop, and a record
+once void stays void.
 
-That schedule takes a cheaper path through a per-state dot cache over a
-window of ``WINDOW`` candidate items ``a..a+WINDOW-1``: ``_dots[c, r - a]``
-holds, for every row ``r`` after the newest commit, the left fold from
-``+0.0`` of ``F[r, s] * F[a + c, s]`` over the first ``_dots_cols`` columns
-in ascending order, which is the sum :func:`seq_dot` returns, bit for bit.
-A commit of item ``j`` reads its column's dots from the cache, then folds
-the new column into the whole cache rows of the candidates after ``j`` with
-one rank-1 update, ``dots[c:] += outer(full[c:W], full)``, where ``full`` is
-the new column over rows ``a..n-1`` with ``+0.0`` on the rows ``a..j`` the
-sweep has passed.  Entries of those rows go stale, and no later prefetch
-reads them; folding them too keeps the target one contiguous block, which
-the in-place call below needs.  The cache is rebuilt from the factor, one
-rank-1 update per committed column in ascending order, when its record does
-not vouch for the rows or the committed item leaves the window.  Every other
-schedule takes the generic column sweep.
+The in-order step reads its dots from a per-state cache over a window of
+``WINDOW`` candidate items ``a..a+WINDOW-1``: ``_dots[c, r - a]`` holds, for
+every row ``r`` after the newest commit, the left fold from ``+0.0`` of
+``F[r, s] * F[a + c, s]`` over the first ``_dots_cols`` columns in ascending
+order, which is the sum :func:`seq_dot` returns, bit for bit.  A commit of
+item ``j`` reads its column's dots from the cache, then folds the new column
+into the whole cache rows of the candidates after ``j`` with one rank-1
+update, ``dots[c:] += outer(full[c:W], full)``, where ``full`` is the new
+column over rows ``a..n-1`` with ``+0.0`` on the rows ``a..j`` the sweep has
+passed.  Entries of those rows go stale, and no later prefetch reads them;
+folding them too keeps the target one contiguous block, which the in-place
+call below needs.  The cache is rebuilt from the factor, one rank-1 update
+per committed column in ascending order, when the committed item leaves the
+window.
 
 Each rank-1 update is one BLAS ``dgemm`` call, :func:`add_outer`, with
 k = 1 and alpha = beta = 1, in place on the cache's column-major transpose.
@@ -130,11 +131,10 @@ class CholeskyState:
         self.in_selection = np.zeros(n, dtype=bool)
         self.offdiag_count = 0
         self._diag_ready = np.zeros(n, dtype=bool)
-        self._lazy_diag = lazy_diag
         self._dots = np.zeros((0, 0))  # the in-order dot cache, see the module docstring
         self._dots_at = 0    # first item of its window
         self._dots_cols = 0  # committed columns folded in
-        self._dots_lo = 0    # first row and candidate the last fold reached; n once voided
+        self._dots_lo = n if lazy_diag else 0  # first row and candidate the last fold reached; n once voided
         if not lazy_diag:
             entry = oracle.entry
             self.pivots[:] = np.sqrt([entry(i, i) for i in range(n)])
@@ -144,14 +144,11 @@ class CholeskyState:
     def n(self) -> int:
         return self.oracle.n
 
-    def _init_pivot(self, i: int) -> None:
-        self.pivots[i] = math.sqrt(self.oracle.entry(i, i))
-        self._diag_ready[i] = True
-
     def touch(self, i: int) -> float:
         """Ensure row i's pivot is initialized; return the current pivot."""
         if not self._diag_ready[i]:
-            self._init_pivot(i)
+            self.pivots[i] = math.sqrt(self.oracle.entry(i, i))
+            self._diag_ready[i] = True
         return float(self.pivots[i])
 
     def is_fresh(self, i: int) -> bool:
@@ -209,64 +206,31 @@ class CholeskyState:
         return piv
 
     def prefetch(self, lo: int) -> None:
-        """Compute the missing columns of the uncommitted rows ``lo..n-1``.
+        """Hint that item ``lo - 1`` is the newest commit and rows ``lo..n-1`` catch up next.
 
-        One vectorized sweep per column: the kernel values come from
-        :meth:`KernelOracle.column`, each row's dot product with the committed
-        row ``j_t`` is the same ascending single-accumulator sum
-        :func:`seq_dot` takes, and the entry and pivot updates are the scalar
-        loop's operations elementwise, so every value matches
-        :meth:`update_row` bit for bit.  The in-order schedule reads its dots
-        from the cache instead (:meth:`_prefetch_in_order`).  Stamps and
-        ``offdiag_count`` do not move: the columns count when ``update_row``
-        adopts them, and a column that is never adopted (a run cut short) is
-        never counted.
+        When the dot cache's record vouches for the rows (see the module
+        docstring), computes their new column and pivots in one vectorized
+        step (:meth:`_prefetch_in_order`), every value bit for bit the one
+        :meth:`update_row` would compute; the kernel values come from one
+        :meth:`KernelOracle.column` read, so the oracle must hold an L
+        kernel.  Otherwise does nothing.  Stamps and ``offdiag_count`` do
+        not move: the column counts when ``update_row`` adopts it, and a
+        column that is never adopted (a run cut short) is never counted.
         """
         m = len(self.selection)
-        n = self.n
-        if self._lazy_diag:
-            for i in np.flatnonzero(~self._diag_ready[lo:]) + lo:
-                self._init_pivot(int(i))
-        if self._in_order(lo):
+        if self._dots_cols == m - 1 and self._dots_lo < lo < self.n and self.selection[-1] == lo - 1:
             self._prefetch_in_order(lo)
-            return
-        live = np.flatnonzero(~self.in_selection[lo:]) + lo
-        ready = self._ready[live]
-        block = slice(lo, n) if live.size == n - lo else live  # a range when no row lo..n-1 is committed
-        for t in range(int(ready.min()) if live.size else m, m):
-            lacking = ready == t  # rows lacking column t hold exactly t columns
-            rows = block if lacking.all() else live[lacking]
-            jt = self.selection[t]
-            dots = np.zeros(int(lacking.sum()))
-            if t:
-                dots = np.add.accumulate(self.factor[rows, :t] * self.factor[jt, :t], axis=1)[:, -1] + 0.0
-            self._write_column(t, rows, dots)
-            ready[lacking] = t + 1
-        self._ready[live] = m
-        self._dots_lo = n  # the sweep may have written the column an in-order prefetch would
-
-    def _in_order(self, lo: int) -> bool:
-        """Is item ``lo - 1`` the newest commit, with rows ``lo..n-1`` uncommitted and one column behind?
-
-        Answered in O(1) when the dot cache's record vouches for the rows,
-        and by scanning them otherwise (see the module docstring).
-        """
-        m = len(self.selection)
-        if not (lo < self.n and m > 0 and self.selection[-1] == lo - 1):
-            return False
-        return ((self._dots_cols == m - 1 and self._dots_lo < lo)  # the record vouches for the rows
-                or (not self.in_selection[lo:].any() and bool((self._ready[lo:] == m - 1).all())))
 
     def _prefetch_in_order(self, lo: int) -> None:
         """Write the newest column of rows ``lo..n-1`` from the dot cache, then fold it in."""
         t = len(self.selection) - 1
         j = lo - 1
-        if not (self._dots_cols == t and self._dots_lo <= j < self._dots_at + len(self._dots)):
+        if j >= self._dots_at + len(self._dots):  # the sweep left the window, or none is built yet
             self._rebuild_dots(j, t)
         a, dots = self._dots_at, self._dots
         c = lo - a  # the candidates after j, and the rows from lo on
         full = np.zeros(self.n - a)  # +0.0 on the dead rows a..j
-        self._write_column(t, slice(lo, self.n), dots[j - a, c:], out=full[c:])
+        self._write_column(t, lo, dots[j - a, c:], full[c:])
         self._ready[lo:] = t + 1
         add_outer(dots[c:].T, full, full[c:len(dots)])
         self._dots_cols, self._dots_lo = t + 1, lo
@@ -278,22 +242,15 @@ class CholeskyState:
             add_outer(dots.T, col, col[:len(dots)])
         self._dots, self._dots_at, self._dots_cols, self._dots_lo = dots, a, t, a
 
-    def _write_column(self, t: int, rows, dots: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Set column ``t`` of ``rows`` (an index array or a range), shrink their pivots, return the column.
-
-        The column is computed into ``out`` when one is given, and a range's
-        pivots shrink in place.
-        """
-        vals = np.subtract(self.oracle.column(self.selection[t], rows), dots, out=out)
+    def _write_column(self, t: int, lo: int, dots: np.ndarray, out: np.ndarray) -> None:
+        """Compute column ``t`` of rows ``lo..n-1`` into ``out``, write it, and shrink their pivots in place."""
+        vals = np.subtract(self.oracle.column(self.selection[t], lo), dots, out=out)
         vals /= self.selected_pivots[t]
-        self.factor[rows, t] = vals
-        piv = self.pivots[rows]  # a view of a range, a copy of an index array
+        self.factor[lo:, t] = vals
+        piv = self.pivots[lo:]
         piv *= piv
         piv -= vals * vals
         np.sqrt(np.maximum(piv, 0.0, out=piv), out=piv)
-        if not isinstance(rows, slice):
-            self.pivots[rows] = piv
-        return vals
 
     def marginal_gain(self, i: int) -> float:
         """2*ln(pivot) of a fresh row; -inf encodes a linearly dependent item."""

@@ -64,19 +64,20 @@ def fast_double_greedy(oracle: KernelOracle, stream: DecisionStream,
     greedy phases.
 
     Item ``i`` is caught up on each factor through every column committed
-    there before it, so after each commit the receiving factor prefetches
-    the new column for all later rows in one vectorized step
+    there before it, so after each commit the receiving factor computes the
+    new column for all later rows in one vectorized step
     (:meth:`CholeskyState.prefetch`); ``update_row`` then only adopts the
     values, which are bit-identical to its own scalar loop.  Commits arrive
-    in index order, so each prefetch reads its dot products from the
-    factor's windowed dot cache, which sums in the same order.  The
-    off-diagonal count is ``T*(T-1)/2`` for ``T`` attempted steps;
-    prefetched columns of rows a deadline leaves unvisited are not counted.
-    The grow factor's picks are the report's commits, handed over by
-    :meth:`SolverRun.finish`.  The per-step series (``gains`` and
-    ``objective_trace`` over the G grown items, and ``extras["ab_gains"]``)
-    are float64 arrays of shapes (G,), (G,) and (T, 2); their JSON is the
-    same as that of the equivalent lists.
+    in index order, which is the one schedule the step takes: it reads the
+    kernel values as one :meth:`KernelOracle.column` range of the factor's
+    L oracle, and the dot products from the factor's windowed dot cache,
+    which sums in the same order.  The off-diagonal count is ``T*(T-1)/2``
+    for ``T`` attempted steps; prefetched columns of rows a deadline leaves
+    unvisited are not counted.  The grow factor's picks are the report's
+    commits, handed over by :meth:`SolverRun.finish`.  The per-step series
+    (``gains`` and ``objective_trace`` over the G grown items, and
+    ``extras["ab_gains"]``) are float64 arrays of shapes (G,), (G,) and
+    (T, 2); their JSON is the same as that of the equivalent lists.
     """
     n = oracle.n
     run = SolverRun("double-fast", oracle, n, seed=stream.seed)

@@ -389,57 +389,28 @@ class KernelOracle:
             v += self.shift
         return v
 
-    def column(self, j: int, rows) -> np.ndarray:
-        """``entry(r, j)`` for every ``r`` in ``rows``, bit for bit, as one array.
+    def column(self, j: int, lo: int) -> np.ndarray:
+        """``entry(r, j)`` for ``r = lo..n-1`` of an L kernel, bit for bit, as one array.
 
-        ``rows`` is an index array, or ``slice(lo, hi)`` for the rows
-        ``lo..hi-1``: a range is bounds-checked in O(1) and read through a
-        view (L reads ``matrix[lo:hi, j]``, the ``matrix[r, j]`` orientation
-        ``entry(r, j)`` reads), and the shift goes to row ``j`` only when
-        ``lo <= j < hi``.  Dense kinds gather or sum all rows in one numpy
-        pass; each row's sum keeps the ascending single-accumulator order of
-        :func:`seq_dot`.  Bitset features take one popcount per row; other
-        sparse features hold item ``j`` in the scratch (scattering it unless
-        it is already held) and gather per row.  Counts one lookup per row.
+        Reads the view ``matrix[lo:, j]``, the ``matrix[r, j]`` orientation
+        ``entry(r, j)`` reads, and scales it; ``j < lo``, so row ``j`` and its
+        shift are never in range.  Counts one lookup per row.  Raises
+        ``TypeError`` on feature kinds and ``IndexError`` unless
+        ``0 <= j < lo <= n``.
         """
-        if isinstance(rows, slice):
-            lo, hi = rows.start, rows.stop
-            if rows.step is not None or not (0 <= j < self.n and 0 <= lo <= hi <= self.n):
-                raise IndexError(f"kernel column {j} or its rows {lo}..{hi} out of range for n={self.n}")
-            count, diag = hi - lo, (j - lo if lo <= j < hi else None)
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-            if not 0 <= j < self.n or (rows.size and not (0 <= rows.min() and rows.max() < self.n)):
-                raise IndexError(f"kernel column {j} or its rows out of range for n={self.n}")
-            count, diag = rows.size, rows == j
-        self.eval_count += count
-        if self.kind == L_DENSE:
-            raw = self._matrix[rows, j]
-        elif self.kind == B_DENSE:
-            products = self._feats[rows] * self._feats[j]
-            raw = np.add.accumulate(products, axis=1)[:, -1] + 0.0 if self.d else np.zeros(count)
-        elif self.kind == B_BITS:
-            bits, bits_j = self._bits, self._bits[j]
-            items = bits[rows] if isinstance(rows, slice) else [bits[r] for r in rows.tolist()]
-            raw = np.fromiter(((b & bits_j).bit_count() for b in items), np.float64, count)
-        else:
-            idx, values, dot = self._sparse_idx, self._sparse_val, self._dot
-            buf = self._hold(self._scratch, j)
-            items = range(rows.start, rows.stop) if isinstance(rows, slice) else rows.tolist()
-            raw = np.array([dot(buf[idx[r]], values[r]) for r in items])
-        v = self.scale * raw
-        if diag is not None:
-            v[diag] += self.shift
-        return v
+        if self.kind != L_DENSE:
+            raise TypeError(f"column reads an L kernel, not {self.kind} features")
+        if not 0 <= j < lo <= self.n:
+            raise IndexError(f"kernel column {j} from row {lo} out of range for n={self.n}")
+        self.eval_count += self.n - lo
+        return self.scale * self._matrix[lo:, j]
 
-    def _hold(self, scratch: _Scratch, i: int) -> np.ndarray:
-        """Make ``scratch`` hold item ``i``, unloading the item it held; return its vector.
+    def _hold(self, scratch: _Scratch, i: int) -> None:
+        """Make ``scratch`` hold item ``i``, unloading the item it held.
 
         If this fails part-way, the scratch is zeroed and holds no item.
         """
         idx, buf = self._sparse_idx, scratch.buf
-        if scratch.held == i:
-            return buf
         try:
             if scratch.held >= 0:
                 buf[idx[scratch.held]] = 0.0
@@ -449,7 +420,6 @@ class KernelOracle:
             buf.fill(0.0)
             scratch.held = -1
             raise
-        return buf
 
     def materialize(self) -> np.ndarray:
         """Dense adjusted kernel, for reference-path algorithms.

@@ -224,63 +224,47 @@ def check_pythagoras(instances: int = 10) -> CheckResult:
 
 
 def check_row_independence() -> CheckResult:
-    """Row refresh order and vectorized prefetch cannot change any value, bit for bit.
+    """Row refresh order and the in-order prefetch cannot change any value, bit for bit.
 
-    Three schedules fill the same factor: scalar catch-up in ascending and in
-    descending row order, and one that prefetches row blocks of varying
-    start after each commit before the scalar catch-up adopts them.  Two more
-    follow fast double greedy at ``n = 2*WINDOW + 5``, so the in-order dot
-    cache's window rolls over at least twice: commits in index order that
-    skip some items, each followed by ``prefetch(i + 1)``, once
-    uninterrupted and once broken by a scalar catch-up and by a generic
-    prefetch, each of which forces a cache rebuild.  A sixth alternates the
-    same commits between a factor over the kernel and one over its inverse,
-    which takes the other items, each commit followed by ``prefetch(i + 1)``
-    on the factor that received it, as fast double greedy does.  Factor and
-    pivots must match the ascending scalar schedule byte for byte, sign of
-    zero included.
+    Every schedule runs on the L kernels fast double greedy builds: an
+    oracle's materialized kernel and its inverse, wrapped by the bare
+    constructor.  Three fill one factor with the same commits: scalar
+    catch-up in ascending and in descending row order, and one that follows
+    each commit with ``prefetch(c + 1)``, where the in-order commits take the
+    in-order step and the commit behind them must be refused.  Three more
+    follow fast double greedy at ``n = 2*WINDOW + 5``, so the dot cache's
+    window rolls over at least twice: commits in index order that skip some
+    items, each followed by ``prefetch(i + 1)``, on the kernel and, with the
+    skipped items, on its inverse; and the same commits alternating between
+    a factor over the kernel and one over its inverse, each commit followed
+    by ``prefetch(i + 1)`` on the factor that received it.  Factor and pivots
+    must match the ascending scalar schedule byte for byte, sign of zero
+    included.
     """
-    def run(oracle, commits, order, prefetch_from=None):
+    def run(oracle, commits, order, hinted=False):
         state = CholeskyState(oracle, len(commits))
-        for c, lo in zip(commits, prefetch_from or [None] * len(commits)):
+        for c in commits:
             state.update_row(c)
             state.commit(c)
-            if lo is not None:
-                state.prefetch(lo)
+            if hinted:
+                state.prefetch(c + 1)
         for i in order:
             if not state.in_selection[i]:
                 state.update_row(i)
         return state
 
-    def in_order(oracle, commits, catch_up_at=None, generic_at=None):
+    def in_order(oracle, commits, inverse=None):
+        """Fast double greedy's schedule: ``commits`` to a factor over ``oracle``, the rest over ``inverse``."""
         n = oracle.n
-        state = CholeskyState(oracle, len(commits))
-        for i in range(n):
-            state.update_row(i)
-            if i not in commits:
-                continue
-            state.commit(i)
-            if i == catch_up_at:  # scalar catch-up in place of the prefetch
-                for r in range(i + 1, n):
-                    state.update_row(r)
-            elif i == generic_at:  # a generic sweep from rows the run already passed
-                state.prefetch(i - 3)
-            else:
-                state.prefetch(i + 1)
-        for i in range(n):
-            if not state.in_selection[i]:
-                state.update_row(i)
-        return state
-
-    def alternating(oracle, inverse, commits):
-        n = oracle.n
-        grow, shrink = CholeskyState(oracle, len(commits)), CholeskyState(inverse, n - len(commits))
+        grow = CholeskyState(oracle, len(commits))
+        shrink = grow if inverse is None else CholeskyState(inverse, n - len(commits))
         for i in range(n):
             grow.update_row(i)
             shrink.update_row(i)
-            side = grow if i in commits else shrink
-            side.commit(i)
-            side.prefetch(i + 1)
+            if i in commits or inverse is not None:
+                side = grow if i in commits else shrink
+                side.commit(i)
+                side.prefetch(i + 1)
         for state in (grow, shrink):
             for i in range(n):
                 if not state.in_selection[i]:
@@ -294,42 +278,34 @@ def check_row_independence() -> CheckResult:
             return f"pivots differ: ascending vs {label}"
         return None
 
-    oracle = build_synthetic_oracle(14, 14, 150, "B")
-    commits = [3, 7, 1, 10]
-    prefetch_from = [5, 0, 12, 2]  # after each commit; rows reach the last commit with mixed progress
-    ascending = run(oracle, commits, range(14))
-    for label, other in (("descending", run(oracle, commits, range(13, -1, -1))),
-                         ("prefetched", run(oracle, commits, range(14), prefetch_from))):
+    kernel = KernelOracle(matrix=build_synthetic_oracle(14, 14, 150, "B").materialize())
+    commits = [3, 7, 1, 10]  # 3 and 7 in index order, then 1 behind them
+    ascending = run(kernel, commits, range(14))
+    hinted = run(kernel, commits, range(14), hinted=True)
+    if hinted._dots_cols != 2:
+        return CheckResult("row-independence", False, "hinted: the in-order path ran for commits other than 3, 7")
+    for label, other in (("descending", run(kernel, commits, range(13, -1, -1))), ("hinted", hinted)):
         fault = differ(ascending, other, label)
         if fault:
             return CheckResult("row-independence", False, fault)
 
     n = 2 * WINDOW + 5
-    oracle = build_synthetic_oracle(n, n, 150, "B", 0.9, 0.1)
-    commits = [i for i in range(n) if i % 3 != 1 and i % 7 != 5]  # the other side takes the rest
-    ascending = run(oracle, commits, range(n))
-    for label, breaks in (("in-order", ()), ("in-order, interrupted", (commits[20], commits[60]))):
-        other = in_order(oracle, set(commits), *breaks)
-        if other._dots_cols != len(commits) - 1:  # the last commit, item n - 1, has no rows to prefetch
+    matrix = build_synthetic_oracle(n, n, 150, "B", 0.9, 0.1).materialize()
+    kernel, inverse = KernelOracle(matrix=matrix), KernelOracle(matrix=reference.inverse(matrix))
+    taken = {i for i in range(n) if i % 3 != 1 and i % 7 != 5}
+    commits, rest = sorted(taken), [i for i in range(n) if i not in taken]
+    grow, shrink = in_order(kernel, taken, inverse)
+    for label, oracle, side, state in (("in-order, kernel", kernel, commits, in_order(kernel, taken)[0]),
+                                       ("in-order, inverse", inverse, rest, in_order(inverse, set(rest))[0]),
+                                       ("alternating, kernel", kernel, commits, grow),
+                                       ("alternating, inverse", inverse, rest, shrink)):
+        if state._dots_cols != sum(i < n - 1 for i in side):  # item n - 1 has no rows to prefetch
             return CheckResult("row-independence", False, f"{label}: the in-order path did not reach the end")
-        fault = differ(ascending, other, label)
-        if fault:
-            return CheckResult("row-independence", False, fault)
-
-    # like fast_double_greedy, which wraps the inverse with the bare constructor
-    inverse = KernelOracle(matrix=np.ascontiguousarray(reference.inverse(oracle.materialize())))
-    taken = set(commits)
-    rest = [i for i in range(n) if i not in taken]
-    grow, shrink = alternating(oracle, inverse, taken)
-    for label, state, want, side in (("alternating, kernel", grow, ascending, commits),
-                                     ("alternating, inverse", shrink, run(inverse, rest, range(n)), rest)):
-        if state._dots_cols != sum(i < n - 1 for i in side):
-            return CheckResult("row-independence", False, f"{label}: the in-order path did not reach the end")
-        fault = differ(want, state, label)
+        fault = differ(run(oracle, side, range(n)), state, label)
         if fault:
             return CheckResult("row-independence", False, fault)
     return CheckResult("row-independence", True,
-                       "refresh order, prefetch and the in-order dot cache, on one factor or"
+                       "refresh order, prefetch hints and the in-order dot cache, on one factor or"
                        " alternating between a kernel's and its inverse's, are bitwise irrelevant")
 
 

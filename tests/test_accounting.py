@@ -6,9 +6,11 @@ call catches a row up by ``len(selection) - stamps[i]`` columns, each
 ``KernelOracle.entry`` call (or a ``materialize``, as n(n+1)/2 lookups) is
 one lookup on the oracle it is called on, and each queue build, push or pop
 is a queue operation.  Summed over a run these must equal the report's
-``offdiag_count``, ``kernel_evals`` and ``pq_ops``.  Columns a
-``CholeskyState.prefetch`` computes count only when ``update_row`` adopts
-them.
+``offdiag_count``, ``kernel_evals`` and ``pq_ops``.  The column a
+``CholeskyState.prefetch`` computes in fast double greedy's in-order step
+counts only when ``update_row`` adopts it; its ``KernelOracle.column`` read,
+which the ledger does not wrap, is on the factor's own L oracle, not on the
+oracle the report counts.
 """
 
 import itertools

@@ -188,22 +188,30 @@ def test_prop1_against_reference_random():
         state.commit(max(fresh, key=lambda i: state.pivots[i]))
 
 
-def _committed_states(lazy_diag=False):
-    """Two states over one B-input kernel with the same commits: one to prefetch, one scalar."""
+def _committed_states():
+    """Two states over the L kernel double greedy builds from one B-input kernel: one to prefetch, one scalar."""
     rng = np.random.default_rng(21)
     feats = rng.standard_normal((9, 16))
     feats[rng.random(feats.shape) < 0.3] = 0.0
-    oracle = KernelOracle.from_dense_features(feats, 0.9, 0.1)
-    return [CholeskyState(oracle, 6, lazy_diag=lazy_diag) for _ in range(2)]
+    oracle = _as_double_greedy_builds(KernelOracle.from_dense_features(feats, 0.9, 0.1))
+    return [CholeskyState(oracle, 6) for _ in range(2)]
+
+
+def _as_double_greedy_builds(oracle):
+    """The L kernel fast double greedy prefetches on: ``oracle``'s materialized kernel, bare-wrapped."""
+    return KernelOracle(matrix=oracle.materialize())
 
 
 def test_prefetch_then_update_row_is_bitwise_scalar():
+    """Each commit hints ``prefetch(c + 1)``: 4 and 11 take the in-order step, 0 and 7 are refused
+    (behind the last fold, then a record one commit behind), 15 has no rows after it."""
     fetched, scalar = _committed_states()
-    for c, lo in zip((4, 11, 0, 7, 15), (0, 9, 3, 12, 16)):
+    for c in (4, 11, 0, 7, 15):
         for state in (fetched, scalar):
             state.update_row(c)
             state.commit(c)
-        fetched.prefetch(lo)
+        fetched.prefetch(c + 1)
+    assert fetched._dots_cols == 2
     for state in (fetched, scalar):
         for i in range(16):
             if not state.in_selection[i]:
@@ -216,35 +224,22 @@ def test_prefetch_then_update_row_is_bitwise_scalar():
 
 def test_prefetch_moves_no_stamp_and_counts_nothing():
     state, _ = _committed_states()
-    for c in (2, 9):
+    evals, offdiag = state.oracle.eval_count, state.offdiag_count
+    for c in (0, 1):
         state.update_row(c)
         state.commit(c)
-    evals, offdiag = state.oracle.eval_count, state.offdiag_count
-    state.prefetch(0)
-    assert state.offdiag_count == offdiag
-    assert not state.stamps[[0, 1, 3]].any()
-    assert state.oracle.eval_count == evals + 2 * 14  # two columns for the 14 uncommitted rows
+        state.prefetch(c + 1)
+    assert state.offdiag_count == offdiag + 1  # row 1 adopted column 0
+    assert not state.stamps[2:].any()
+    assert state.oracle.eval_count == evals + 15 + 14  # one column for rows 1..15, one for rows 2..15
     with pytest.raises(StaleRowError):
-        state.marginal_gain(0)
-    state.update_row(0)
-    assert state.offdiag_count == offdiag + 2
-    assert state.oracle.eval_count == evals + 2 * 14  # adopting computes nothing
-    state.prefetch(0)  # nothing missing
+        state.marginal_gain(2)
+    state.update_row(2)
+    assert state.offdiag_count == offdiag + 1 + 2
+    assert state.oracle.eval_count == evals + 15 + 14  # adopting computes nothing
+    state.prefetch(2)  # nothing missing
     state.prefetch(16)  # no rows
-    assert state.oracle.eval_count == evals + 2 * 14
-
-
-def test_prefetch_skips_committed_rows_and_initializes_lazy_pivots():
-    state, scalar = _committed_states(lazy_diag=True)
-    for s in (state, scalar):
-        s.touch(5)
-        s.commit(5)
-    state.prefetch(3)
-    assert state.factor[5].tobytes() == scalar.factor[5].tobytes()
-    assert state._diag_ready[3:].all() and not state._diag_ready[:3].any()
-    for i in (3, 4, 6, 15):
-        assert state.pivots[i] != scalar.touch(i)
-        assert state.update_row(i) == scalar.update_row(i)
+    assert state.oracle.eval_count == evals + 15 + 14
 
 
 def _in_order_oracle(kind, n, shift=0.5):
@@ -268,11 +263,12 @@ def _in_order_oracle(kind, n, shift=0.5):
     return KernelOracle.from_dense_kernel(np.where(matrix == 0.0, -0.0, matrix), 20.0, 0.5)
 
 
-def _in_order_run(oracle, prefetch, lazy_diag=False):
-    """Double greedy's schedule: visit items in order, commit two in three, prefetch after each commit."""
+def _in_order_run(oracle, prefetch):
+    """Double greedy's schedule on the L kernel it builds from ``oracle``: visit items in order,
+    commit two in three, prefetch after each commit."""
     n = oracle.n
     commits = [i for i in range(n) if i % 3 != 1]
-    state = CholeskyState(oracle, len(commits), lazy_diag=lazy_diag)
+    state = CholeskyState(_as_double_greedy_builds(oracle), len(commits))
     for i in range(n):
         state.update_row(i)
         if i in commits:
@@ -288,6 +284,7 @@ def _in_order_run(oracle, prefetch, lazy_diag=False):
 @pytest.mark.parametrize("kind", ["B", "L", "sparse", "L-signed-zero"])
 @pytest.mark.parametrize("n", [WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 5])
 def test_in_order_prefetch_is_bitwise_generic_and_scalar(kind, n, monkeypatch):
+    """The in-order step against the all-scalar schedule, on the kernel of each input kind."""
     in_order_calls = []
     cached = CholeskyState._prefetch_in_order
 
@@ -299,42 +296,15 @@ def test_in_order_prefetch_is_bitwise_generic_and_scalar(kind, n, monkeypatch):
     fast = _in_order_run(_in_order_oracle(kind, n), prefetch=True)
     cached_lo = [i + 1 for i in fast.selection if i + 1 < n]  # item n - 1 leaves no rows to prefetch
     assert in_order_calls == cached_lo
-    monkeypatch.setattr(CholeskyState, "_in_order", lambda self, lo: False)
-    generic = _in_order_run(_in_order_oracle(kind, n), prefetch=True)
     scalar = _in_order_run(_in_order_oracle(kind, n), prefetch=False)
     assert in_order_calls == cached_lo
     if kind == "L-signed-zero":
         assert np.signbit(scalar.factor[scalar.factor == 0.0]).any()
-    for other in (generic, scalar):
-        assert fast.factor.tobytes() == other.factor.tobytes()
-        assert fast.pivots.tobytes() == other.pivots.tobytes()
-        assert fast.stamps.tobytes() == other.stamps.tobytes()
-        assert fast.offdiag_count == other.offdiag_count
-    assert fast.oracle.eval_count == generic.oracle.eval_count
-
-
-def test_in_order_prefetch_rebuilds_after_an_interruption():
-    """A commit without prefetch, or a generic one, leaves the cache behind; the next in-order prefetch rebuilds it."""
-    n = 2 * WINDOW + 5
-    oracle = _in_order_oracle("B", n)
-    state = CholeskyState(oracle, n)
-    for i in range(40):
-        state.update_row(i)
-        state.commit(i)
-        if i == 10:
-            continue  # no prefetch: the next prefetch sweeps two columns generically
-        state.prefetch(i + 1)
-        assert state._dots_cols == (10 if i == 11 else i + 1)  # the generic sweep leaves the cache as it was
-    assert state._dots_at == 12  # rebuilt for item 12, within the old window
-    scalar = CholeskyState(oracle, n)
-    for i in range(40):
-        scalar.update_row(i)
-        scalar.commit(i)
-    for s in (state, scalar):
-        for i in range(40, n):
-            s.update_row(i)
-    assert state.factor.tobytes() == scalar.factor.tobytes()
-    assert state.pivots.tobytes() == scalar.pivots.tobytes()
+    assert fast.factor.tobytes() == scalar.factor.tobytes()
+    assert fast.pivots.tobytes() == scalar.pivots.tobytes()
+    assert fast.stamps.tobytes() == scalar.stamps.tobytes()
+    assert fast.offdiag_count == scalar.offdiag_count
+    assert fast.oracle.eval_count == scalar.oracle.eval_count
 
 
 def test_every_cache_entry_a_prefetch_reads_is_seq_dot_and_none_is_negative_zero(monkeypatch):
@@ -343,14 +313,13 @@ def test_every_cache_entry_a_prefetch_reads_is_seq_dot_and_none_is_negative_zero
     reads = []
     write = CholeskyState._write_column
 
-    def checked(self, t, rows, dots, out=None):
-        if out is not None:  # the in-order path, reading one cache row for rows lo..n-1
-            jt = self.selection[t]
-            want = [seq_dot(self.factor[r, :t], self.factor[jt, :t]) for r in range(rows.start, rows.stop)]
-            assert np.array(want).tobytes() == dots.tobytes(), t
-            assert not np.signbit(self._dots[self._dots == 0.0]).any(), t
-            reads.append((self._dots_at, self._dots_lo))
-        return write(self, t, rows, dots, out)
+    def checked(self, t, lo, dots, out):
+        jt = self.selection[t]
+        want = [seq_dot(self.factor[r, :t], self.factor[jt, :t]) for r in range(lo, self.n)]
+        assert np.array(want).tobytes() == dots.tobytes(), t
+        assert not np.signbit(self._dots[self._dots == 0.0]).any(), t
+        reads.append((self._dots_at, self._dots_lo))
+        return write(self, t, lo, dots, out)
 
     monkeypatch.setattr(CholeskyState, "_write_column", checked)
     state = _in_order_run(_in_order_oracle("L-signed-zero", 2 * WINDOW + 5), prefetch=True)
@@ -444,21 +413,30 @@ def test_add_outer_is_exact_on_every_blas_core_and_thread_count(tmp_path):
 
 
 def _scanned_in_order(state, lo):
-    """The in-order test by two O(n) scans, the reference the O(1) record must answer like."""
+    """The in-order test by two O(n) scans, the reference the O(1) record must never vouch beyond."""
     m = len(state.selection)
     return (lo < state.n and m > 0 and state.selection[-1] == lo - 1
             and not state.in_selection[lo:].any() and bool((state._ready[lo:] == m - 1).all()))
 
 
+def _snapshot(state):
+    """Everything a prefetch may change, as bytes."""
+    return (state.factor.tobytes(), state.pivots.tobytes(), state._ready.tobytes(), state.stamps.tobytes(),
+            state.oracle.eval_count)
+
+
 @pytest.fixture
 def in_order_answers(monkeypatch):
-    """``(_in_order(lo), the scanned answer)`` at every prefetch, in call order."""
+    """``(whether the prefetch took the in-order step, the scanned answer)`` at every prefetch, in call order.
+
+    A prefetch took the step when it read a kernel column, which counts a lookup per row."""
     answers = []
     prefetch = CholeskyState.prefetch
 
     def checked(self, lo):
-        answers.append((self._in_order(lo), _scanned_in_order(self, lo)))
-        return prefetch(self, lo)
+        scanned, evals = _scanned_in_order(self, lo), self.oracle.eval_count
+        prefetch(self, lo)
+        answers.append((self.oracle.eval_count > evals, scanned))
 
     monkeypatch.setattr(CholeskyState, "prefetch", checked)
     return answers
@@ -501,45 +479,76 @@ def test_in_order_mark_answers_like_the_scans_on_the_verify_schedules(in_order_a
     assert {got for got, _ in in_order_answers} == {True, False}
 
 
-def test_in_order_mark_answers_like_the_scans_on_a_lazy_diagonal(in_order_answers):
-    n = WINDOW + 9
-    lazy = _in_order_run(_in_order_oracle("L", n), prefetch=True, lazy_diag=True)
-    assert all(got == want for got, want in in_order_answers)
-    assert sum(got for got, _ in in_order_answers) == len(lazy.selection) - 1
-    eager = _in_order_run(_in_order_oracle("L", n), prefetch=True)
-    assert lazy.factor.tobytes() == eager.factor.tobytes()
-    assert lazy.pivots.tobytes() == eager.pivots.tobytes()
+def _caught_up(state):
+    for i in np.flatnonzero(~state.in_selection):
+        state.update_row(int(i))
+    return state
 
 
-def test_in_order_mark_is_cleared_by_a_skipping_sweep_and_a_scalar_catch_up(in_order_answers):
+def test_a_prefetch_the_record_does_not_vouch_for_changes_nothing():
+    """Refused hints leave factor, pivots, ``_ready``, stamps and lookups as they were: item ``lo - 1``
+    not the newest commit, ``lo == n``, a commit behind the last fold, a record a scalar catch-up
+    voided, and a lazy diagonal.  The runs still end with the scalar schedule's bytes."""
     n = 20
-    oracle = _in_order_oracle("B", n)
+    oracle = _in_order_oracle("L", n)
+
+    def commit(state, c):
+        state.update_row(c)
+        state.commit(c)
+
+    def hint(state, lo, vouched):
+        before = _snapshot(state)
+        state.prefetch(lo)
+        assert (_snapshot(state) != before) == vouched, lo
+
     state = CholeskyState(oracle, n)
-    for i, catch_up, starts in ((0, (), (1,)), (1, (), (2,)),
-                                (10, (), (3,)),    # a generic sweep of rows 3..19 that skips committed row 10
-                                (5, (), (6,)),     # item 5 is the newest commit, but row 10 is committed
-                                (12, (), (13,)),
-                                (13, (15,), (14,)),  # row 15 catches up alone, so rows 14..19 are not level
-                                (14, (), (15,)),
-                                (15, (), (0, 16))):  # a generic sweep writes item 15's column before rows 16..19 ask
-        state.update_row(i)
-        state.commit(i)
-        for r in catch_up:
-            state.update_row(r)
-        for lo in starts:
-            state.prefetch(lo)
-    assert in_order_answers == [(True, True), (True, True), (False, False), (False, False),
-                                (True, True), (False, False), (True, True), (False, False), (False, False)]
-    scalar = CholeskyState(oracle, n)
-    for i in state.selection:
-        scalar.update_row(i)
-        scalar.commit(i)
-    for s in (state, scalar):
-        for i in range(n):
-            if not s.in_selection[i]:
-                s.update_row(i)
-    assert state.factor.tobytes() == scalar.factor.tobytes()
-    assert state.pivots.tobytes() == scalar.pivots.tobytes()
+    for c in (0, 1):
+        commit(state, c)
+        hint(state, c + 1, vouched=True)
+    commit(state, 5)
+    hint(state, 5, vouched=False)  # item 4 is not the newest commit
+    hint(state, n, vouched=False)  # no rows
+    hint(state, 6, vouched=True)
+    commit(state, 2)
+    hint(state, 3, vouched=False)  # behind the last fold: row 5 is committed
+
+    voided = CholeskyState(oracle, n)
+    commit(voided, 0)
+    hint(voided, 1, vouched=True)
+    commit(voided, 1)
+    voided.update_row(7)  # a scalar catch-up of a row the record vouched for voids it
+    hint(voided, 2, vouched=False)
+    commit(voided, 2)
+    hint(voided, 3, vouched=False)  # a void record stays void
+
+    lazy = CholeskyState(oracle, n, lazy_diag=True)
+    lazy.touch(0)
+    lazy.commit(0)
+    hint(lazy, 1, vouched=False)
+    assert not lazy._diag_ready[1:].any()
+
+    for fetched in (state, voided, lazy):
+        scalar = CholeskyState(oracle, n)
+        for c in fetched.selection:
+            commit(scalar, c)
+        _caught_up(fetched)
+        _caught_up(scalar)
+        assert fetched.factor.tobytes() == scalar.factor.tobytes()
+        assert fetched.pivots.tobytes() == scalar.pivots.tobytes()
+        assert fetched.stamps.tobytes() == scalar.stamps.tobytes()
+
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((8, 6))
+    dense[rng.random(dense.shape) < 0.5] = 0.0
+    features = [KernelOracle.from_dense_features(dense)] + [
+        KernelOracle.from_sparse_features(SparseColumns.from_dense(f)) for f in (dense, np.ones((8, 6)))]
+    assert [ora.kind for ora in features] == ["bdense", "bsparse", "bbits"]
+    for ora in features:
+        with pytest.raises(TypeError):
+            ora.column(0, 1)
+    for j, lo in ((3, 3), (3, 2), (0, n + 1), (-1, 0)):
+        with pytest.raises(IndexError):
+            oracle.column(j, lo)
 
 
 SCHEDULE_EXAMPLES = 100  # about 2 s of tier-1; every example ends with a byte comparison against the scalar schedule
@@ -547,7 +556,7 @@ SCHEDULE_EXAMPLES = 100  # about 2 s of tier-1; every example ends with a byte c
 
 @functools.cache
 def _schedule_oracle(kind, n):
-    return _in_order_oracle(kind, n)
+    return _as_double_greedy_builds(_in_order_oracle(kind, n))
 
 
 # three in four commits take a successor of the newest commit, skipping `pick % 8`; the rest any live item
@@ -562,8 +571,9 @@ _AFTER = st.lists(st.one_of(st.tuples(st.just("in-order"), st.just(0)),  # prefe
        st.lists(st.tuples(_COMMIT, _AFTER, st.booleans()), max_size=48))
 def test_in_order_answers_like_the_scans_on_random_schedules(kind, n, steps):
     """Random interleavings of commits, prefetches from any start (several per commit) and scalar
-    catch-ups: each prefetch's in-order answer equals the scans', and the values the scalar schedule's.
-    A step may end as double greedy's does, with a prefetch from the newest commit + 1."""
+    catch-ups on the kernel double greedy builds: no prefetch takes the in-order step where the scans
+    refuse, a refused one changes nothing, and the values are the scalar schedule's.  A step may end
+    as double greedy's does, with a prefetch from the newest commit + 1."""
     oracle = _schedule_oracle(kind, n)
     state, scalar = CholeskyState(oracle, n), CholeskyState(oracle, n)
     for (how, pick), after, in_order in steps:
@@ -585,11 +595,13 @@ def test_in_order_answers_like_the_scans_on_random_schedules(kind, n, steps):
                     state.update_row(int(live[value % live.size]))
                 continue
             lo = state.selection[-1] + 1 if op == "in-order" else min(value, n)
-            assert state._in_order(lo) == _scanned_in_order(state, lo), (op, lo)
+            scanned, before = _scanned_in_order(state, lo), _snapshot(state)
             state.prefetch(lo)
+            took = oracle.eval_count > before[-1]
+            assert scanned or not took, (op, lo)
+            assert took or _snapshot(state) == before, (op, lo)
     for s in (state, scalar):
-        for i in np.flatnonzero(~s.in_selection):
-            s.update_row(int(i))
+        _caught_up(s)
     assert state.factor.tobytes() == scalar.factor.tobytes()
     assert state.pivots.tobytes() == scalar.pivots.tobytes()
     assert state.stamps.tobytes() == scalar.stamps.tobytes()

@@ -174,27 +174,28 @@ def _both_sides_oracle(kind, n):
 @pytest.mark.parametrize("kind", ["B", "L", "sparse"])
 @pytest.mark.parametrize("n", [70, 140])
 def test_in_order_cache_leaves_reports_byte_identical(kind, n, monkeypatch):
+    """Against a run whose prefetches do nothing, so every row catches up by the scalar loop."""
     cached = fast_double_greedy(_both_sides_oracle(kind, n), DecisionStream(n))
     assert 0 < len(cached.selection) < n  # both factors commit
-    monkeypatch.setattr(CholeskyState, "_in_order", lambda self, lo: False)
-    swept = fast_double_greedy(_both_sides_oracle(kind, n), DecisionStream(n))
-    assert cached.to_json(include_timings=False) == swept.to_json(include_timings=False)
+    monkeypatch.setattr(CholeskyState, "prefetch", lambda self, lo: None)
+    scalar = fast_double_greedy(_both_sides_oracle(kind, n), DecisionStream(n))
+    assert cached.to_json(include_timings=False) == scalar.to_json(include_timings=False)
 
 
 def test_in_order_cache_counts_only_adopted_columns_when_cut(monkeypatch):
     n, steps = 140, 97
     reports = []
     for in_order in (True, False):
-        if not in_order:
-            monkeypatch.setattr(CholeskyState, "_in_order", lambda self, lo: False)
+        if not in_order:  # every row catches up by the scalar loop
+            monkeypatch.setattr(CholeskyState, "prefetch", lambda self, lo: None)
         calls = itertools.count()
         monkeypatch.setattr(report_module, "_deadline_hit", lambda deadline: next(calls) >= steps)
         reports.append(fast_double_greedy(_both_sides_oracle("L", n), DecisionStream(3), deadline=0.0))
-    cached, swept = reports
+    cached, scalar = reports
     assert cached.timed_out and cached.steps_attempted == steps
     assert 0 < len(cached.selection) < steps
     assert cached.offdiag_count == steps * (steps - 1) // 2
-    assert cached.to_json(include_timings=False) == swept.to_json(include_timings=False)
+    assert cached.to_json(include_timings=False) == scalar.to_json(include_timings=False)
 
 
 @pytest.mark.parametrize("oracle", [

@@ -432,54 +432,48 @@ def _oracles_of_every_kind(scale=1.0, shift=0.0):
     ]
 
 
+def _l_kernel(scale=1.0, shift=0.0):
+    """The L oracle of :func:`_oracles_of_every_kind`, with its ``-0.0`` entries."""
+    [ora] = [ora for label, ora in _oracles_of_every_kind(scale, shift) if label == "L"]
+    return ora
+
+
 @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.9, 0.1)])
 def test_column_bitwise_matches_entry(scale, shift):
-    for label, ora in _oracles_of_every_kind(scale, shift):
-        n = ora.n
-        for j in range(n):
-            for rows in (np.arange(n), np.array([j, 0, n - 1, j, 3])):
-                want = np.array([ora.entry(int(r), j) for r in rows])
-                got = ora.column(j, rows)
-                assert got.dtype == np.float64 and got.shape == rows.shape
-                assert got.tobytes() == want.tobytes(), (label, j, rows)
-
-
-def test_column_signed_zeros_are_positive():
-    for label, ora in _oracles_of_every_kind():
-        col = ora.column(1, np.arange(ora.n))
-        assert _bits(col[0]) == _bits(ora.entry(0, 1)), label
-        if label != "L":
-            assert _bits(ora.column(5, np.array([6]))[0]) == _bits(0.0), label
-    ora = _oracles_of_every_kind()[0][1]
-    assert _bits(ora.column(0, np.array([0]))[0]) == _bits(0.0)  # -0.0 + shift 0.0 on the diagonal
+    ora = _l_kernel(scale, shift)
+    n = ora.n
+    assert _bits(ora.column(0, 1)[0]) == _bits(ora.entry(1, 0)) == _bits(-0.0)
+    for j in range(n):
+        for lo in range(j + 1, n + 1):
+            want = np.array([ora.entry(r, j) for r in range(lo, n)])
+            got = ora.column(j, lo)
+            assert got.dtype == np.float64 and got.shape == (n - lo,)
+            assert got.tobytes() == want.tobytes(), (j, lo)
 
 
 def test_column_counts_one_eval_per_row_and_accepts_empty_rows():
-    for label, ora in _oracles_of_every_kind():
-        empty = ora.column(2, np.array([], dtype=np.intp))
-        assert empty.shape == (0,) and empty.dtype == np.float64, label
-        assert ora.eval_count == 0, label
-        ora.column(2, [0, 2, 2])
-        assert ora.eval_count == 3, label
+    ora = _l_kernel()
+    empty = ora.column(2, ora.n)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    assert ora.eval_count == 0
+    ora.column(2, 3)
+    assert ora.eval_count == ora.n - 3
 
 
 def test_column_bounds():
     ora = KernelOracle.from_dense_kernel(np.eye(3))
-    for j, rows in ((3, [0]), (-1, [0]), (0, [3]), (0, [-1, 1]),
-                    (3, slice(0, 1)), (-1, slice(0, 1)), (0, slice(-1, 2)), (0, slice(0, 4)),
-                    (0, slice(2, 1)), (0, slice(0, 3, 2))):
+    for j, lo in ((0, 0), (1, 1), (2, 1), (3, 3), (-1, 0), (0, 4), (3, 4)):
         with pytest.raises(IndexError):
-            ora.column(j, rows)
+            ora.column(j, lo)
     assert ora.eval_count == 0
 
 
 def _range_oracles(shift):
-    """(label, oracle) for every kind, plus the L oracle fast double greedy builds over the inverse."""
+    """(label, oracle) for the L kernel, and the L oracle fast double greedy builds over the inverse."""
     matrix = build_synthetic_oracle(40, 40, 1, "L", 0.9, 0.1).materialize()
     inv = reference.inverse(matrix)
     assert not np.array_equal(inv, inv.T)  # so reading matrix[j, r] for matrix[r, j] would show
-    inverse = KernelOracle(1.0, shift, matrix=np.ascontiguousarray(inv))
-    return _oracles_of_every_kind(0.9, shift) + [("L inverse", inverse)]
+    return [("L", _l_kernel(0.9, shift)), ("L inverse", KernelOracle(1.0, shift, matrix=inv))]
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.1])
@@ -487,23 +481,21 @@ def test_column_over_a_range_bitwise_matches_entry(shift):
     for label, ora in _range_oracles(shift):
         n = ora.n
         for j in range(n):
-            for lo, hi in ((0, n), (j, n), (min(j + 1, n), n), (n // 3, n // 2), (j, j)):
+            for lo in range(j + 1, n + 1):
                 evals = ora.eval_count
-                got = ora.column(j, slice(lo, hi))
-                assert ora.eval_count == evals + hi - lo, (label, j, lo, hi)
-                want = np.array([ora.entry(r, j) for r in range(lo, hi)])
-                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (label, j, lo, hi)
+                got = ora.column(j, lo)
+                assert ora.eval_count == evals + n - lo, (label, j, lo)
+                want = np.array([ora.entry(r, j) for r in range(lo, n)])
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (label, j, lo)
 
 
 def test_column_over_a_range_shifts_row_j_once():
+    """Row ``j`` is never in its column's range: the shift reaches ``entry(j, j)`` once, and no column."""
     for (label, plain), (_, shifted) in zip(_range_oracles(0.0), _range_oracles(0.25)):
         n = plain.n
-        for j, lo, hi in ((3, 0, n), (3, 3, 9), (3, 4, n), (n - 1, 2, n), (0, 1, n)):
-            base, got = plain.column(j, slice(lo, hi)), shifted.column(j, slice(lo, hi))
-            want = base.copy()
-            if lo <= j < hi:
-                want[j - lo] += 0.25
-            assert got.tobytes() == want.tobytes(), (label, j, lo, hi)
+        for j, lo in ((3, 4), (3, 9), (n - 2, n - 1), (0, 1), (0, n)):
+            assert shifted.column(j, lo).tobytes() == plain.column(j, lo).tobytes(), (label, j, lo)
+            assert _bits(shifted.entry(j, j)) == _bits(plain.entry(j, j) + 0.25), (label, j)
 
 
 def _integer_features(seed, signed, d=40, n=24):
@@ -563,7 +555,7 @@ def test_the_exact_dot_bound_is_max_nnz_times_the_largest_square(max_nnz, exact)
 
 @pytest.mark.parametrize("signed", [False, True])
 def test_interleaved_lookups_on_one_oracle_keep_the_bits(signed):
-    """``entry`` in both argument orders, ``column`` and ``sparse_dot`` mixed on one oracle."""
+    """``entry`` in both argument orders and ``sparse_dot`` mixed on one oracle."""
     dense = _integer_features(4, signed)
     cols = SparseColumns.from_dense(dense)
     columns = columns_of(cols)
@@ -573,13 +565,11 @@ def test_interleaved_lookups_on_one_oracle_keep_the_bits(signed):
     for _ in range(400):
         i, j = (int(v) for v in rng.integers(0, ora.n, 2))
         want = ora_d.entry(i, j)
-        op = int(rng.integers(0, 4))
+        op = int(rng.integers(0, 3))
         if op == 0:
             got = ora.entry(i, j)
         elif op == 1:
             got = ora.entry(j, i)
-        elif op == 2:
-            got = ora.column(j, np.array([i, j, 0]))[0]
         else:
             got = sparse_dot(*columns[i], *columns[j])
         assert _bits(got) == _bits(want), (op, i, j)
@@ -601,7 +591,7 @@ def test_lookups_scatter_only_when_neither_item_is_held():
         assert scratch.held == 5
     ora.entry(8, 5)
     assert scratch.held == 5
-    ora.column(7, [0, 5, 7])               # column unloads 5 and holds 7
+    ora.entry(7, 0)                        # neither item held: unloads 5 and holds 7
     assert scratch.held == 7
     assert np.array_equal(scratch.buf, dense[:, 7])
 
@@ -645,9 +635,8 @@ def _binary_oracles(scale, shift):
 
 @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.9, 0.1)])
 def test_bitset_lookups_keep_the_bits_of_the_fold(scale, shift):
-    """``entry`` and ``column`` (index arrays and ranges) on 0/1 bitset oracles equal the
-    searchsorted fold and the dense ``seq_dot`` oracle bit for bit, empty columns and the
-    shifted diagonal included."""
+    """``entry`` on 0/1 bitset oracles equals the searchsorted fold and the dense ``seq_dot``
+    oracle bit for bit, empty columns and the shifted diagonal included."""
     for label, dense, ora in _binary_oracles(scale, shift):
         columns = columns_of(SparseColumns.from_dense(dense))
         ora_d = KernelOracle.from_dense_features(dense, scale, shift)
@@ -659,11 +648,6 @@ def test_bitset_lookups_keep_the_bits_of_the_fold(scale, shift):
                 if i == j:
                     want += shift
                 assert _bits(ora.entry(i, j)) == _bits(want) == _bits(ora_d.entry(i, j)), (label, i, j)
-        for j in range(n):
-            for rows in (np.arange(n), np.array([j, 0, n - 1, j]), np.zeros(0, np.intp),
-                         slice(0, n), slice(j, n), slice(0, 0)):
-                got, want = ora.column(j, rows), ora_d.column(j, rows)
-                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (label, j, rows)
 
 
 def test_two_threads_read_one_bitset_oracle():
@@ -714,8 +698,6 @@ def test_lookups_and_materialize_are_bitwise_equal_across_layouts(scale, shift):
     everyone = np.arange(a.n)
     for j in range(a.n):
         assert [_bits(a.entry(i, j)) for i in everyone] == [_bits(b.entry(i, j)) for i in everyone]
-        assert a.column(j, everyone).tobytes() == b.column(j, everyone).tobytes()
-        assert a.column(j, slice(1, a.n)).tobytes() == b.column(j, slice(1, b.n)).tobytes()
     assert a.materialize().tobytes() == b.materialize().tobytes()
 
 
