@@ -263,12 +263,12 @@ def _in_order_oracle(kind, n, shift=0.5):
     return KernelOracle.from_dense_kernel(np.where(matrix == 0.0, -0.0, matrix), 20.0, 0.5)
 
 
-def _in_order_run(oracle, prefetch):
+def _in_order_run(oracle, prefetch, lazy_diag=False):
     """Double greedy's schedule on the L kernel it builds from ``oracle``: visit items in order,
     commit two in three, prefetch after each commit."""
     n = oracle.n
     commits = [i for i in range(n) if i % 3 != 1]
-    state = CholeskyState(_as_double_greedy_builds(oracle), len(commits))
+    state = CholeskyState(_as_double_greedy_builds(oracle), len(commits), lazy_diag=lazy_diag)
     for i in range(n):
         state.update_row(i)
         if i in commits:
@@ -477,6 +477,53 @@ def test_in_order_mark_answers_like_the_scans_on_the_verify_schedules(in_order_a
     assert check_row_independence().ok
     assert all(got == want for got, want in in_order_answers)
     assert {got for got, _ in in_order_answers} == {True, False}
+
+
+def test_in_order_mark_answers_like_the_scans_on_a_lazy_diagonal(in_order_answers):
+    """A lazy-diagonal state starts with its record void: no hint takes the in-order step, even the
+    first, which the scans would allow, and the run ends with the eager prefetched run's bytes."""
+    n = WINDOW + 9
+    lazy = _in_order_run(_in_order_oracle("L", n), prefetch=True, lazy_diag=True)
+    assert len(in_order_answers) == len(lazy.selection)
+    assert in_order_answers[0] == (False, True)
+    assert not any(got or want for got, want in in_order_answers[1:])
+    eager = _in_order_run(_in_order_oracle("L", n), prefetch=True)
+    assert lazy.factor.tobytes() == eager.factor.tobytes()
+    assert lazy.pivots.tobytes() == eager.pivots.tobytes()
+
+
+def test_in_order_mark_is_cleared_by_a_skipping_sweep_and_a_scalar_catch_up(in_order_answers):
+    """A hint over rows that would have to skip a committed row, and a row caught up alone, each leave
+    the record behind for good: every later hint is refused, and the runs end with the scalar bytes."""
+    n = 20
+    oracle = _in_order_oracle("B", n)
+    skipped = ((0, (), (1,)), (1, (), (2,)),
+               (10, (), (3,)),    # rows 3..19 hold committed row 10
+               (5, (), (6,)),     # item 5 is the newest commit, but row 10 is committed
+               (12, (), (13,)), (13, (), (14,)), (15, (), (0, 16)))
+    caught_up = ((0, (), (1,)),
+                 (1, (15,), (2,)),  # row 15 catches up alone, so rows 2..19 are not level
+                 (2, (), (3,)), (3, (), (4,)))
+    for schedule, answers in ((skipped, [(True, True), (True, True)] + [(False, False)] * 6),
+                              (caught_up, [(True, True)] + [(False, False)] * 3)):
+        in_order_answers.clear()
+        state = CholeskyState(_as_double_greedy_builds(oracle), n)
+        for i, catch_up, starts in schedule:
+            state.update_row(i)
+            state.commit(i)
+            for r in catch_up:
+                state.update_row(r)
+            for lo in starts:
+                state.prefetch(lo)
+        assert in_order_answers == answers
+        scalar = CholeskyState(_as_double_greedy_builds(oracle), n)
+        for i in state.selection:
+            scalar.update_row(i)
+            scalar.commit(i)
+        for s in (state, scalar):
+            _caught_up(s)
+        assert state.factor.tobytes() == scalar.factor.tobytes()
+        assert state.pivots.tobytes() == scalar.pivots.tobytes()
 
 
 def _caught_up(state):

@@ -451,6 +451,16 @@ def test_column_bitwise_matches_entry(scale, shift):
             assert got.tobytes() == want.tobytes(), (j, lo)
 
 
+def test_column_signed_zeros_are_positive():
+    """The L kernel double greedy builds from a B input keeps the fold's +0.0 where the one common
+    product underflows to -0.0, and column reads it as entry does; the -0.0 diagonal, which column
+    never reads, comes back +0.0 from entry once the 0.0 shift is added."""
+    for label, ora in _oracles_of_every_kind():
+        built = KernelOracle(matrix=ora.materialize())
+        assert _bits(built.column(5, 6)[0]) == _bits(ora.entry(6, 5)) == _bits(0.0), label
+    assert _bits(_l_kernel().entry(0, 0)) == _bits(0.0)
+
+
 def test_column_counts_one_eval_per_row_and_accepts_empty_rows():
     ora = _l_kernel()
     empty = ora.column(2, ora.n)
