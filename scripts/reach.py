@@ -10,8 +10,9 @@ small mix of the commands the package ships: ``gen``; ``ingest`` of a
 triples CSV and of a netflix file; ``run`` of every algorithm on dense B
 features, their L kernel, an identity kernel, a dense CSV, 0/1 DPPS1 files
 at 5% and 0.4% density, integer and float sparse files and two ingested
-files, plus a few runs that reach full rank, ``--check``, ``--timeout-s``
-and a second dot-cache window; and a ``bench`` sweep on B and on L input.
+files, plus a few runs that reach full rank, ask for more items than there
+are (``--k n + 1``), ``--check``, ``--timeout-s`` and a second dot-cache
+window; and a ``bench`` sweep on B and on L input.
 It then prints, function by function, the executable lines none of them
 reached.
 
@@ -19,8 +20,8 @@ A ``raise`` statement and the body of an ``except`` clause are error
 branches, and may stay unreached.  So may what ``ALLOWED`` names, each with
 its reason.  The script exits 1 if any other line is unreached, and 0
 otherwise; an ``ALLOWED`` entry with nothing unreached is noted, since
-threads and timing differ between hosts.  It takes about 3 s, and is not
-part of the test suite.
+threads and timing differ between hosts.  It takes about 5 s, and
+``tests/test_reach.py`` runs it in the test suite.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ ALLOWED = {
     # guards no production input reaches
     "cholesky.py:CholeskyState.marginal_gain": "a zero pivot: the inverse gate refuses every kernel that "
                                                "gives one to fast double greedy, the only production caller",
-    "greedy.py:pop_fresh_argmax": "an empty queue: each solver's size bound keeps k at most its candidates",
-    "pqueue.py:LazyMaxQueue.peek_entry": "an empty queue, as above",
     "reference.py:inverse": "an empty matrix: every oracle holds at least one item",
     "reference.py:_linalg_extension": "scipy without its compiled wrapper files where it keeps them",
     # decided by the host, not by the input
@@ -125,6 +124,8 @@ def drive(work: Path) -> None:
                  "--out", work / "report.json")
             if path == feats:  # full rank: every greedy run takes all k items
                 main("run", "--algo", algo, "--input", path, *k, "--shift", 1.0, "--out", work / "report.json")
+    for algo in ("naive", "lazy", "fast", "lazyfast"):  # no size bound: k past n empties the queue
+        main("run", "--algo", algo, "--input", feats, "--k", n + 1, "--shift", 1.0, "--out", work / "report.json")
     main("run", "--algo", "double-fast", "--input", work / "large.dppm", "--out", work / "report.json")
     main("run", "--algo", "lazyfast", "--input", work / "identity.dppm", "--input-kind", "L", "--k", 5,
          "--check")  # an empty selection, its report to stdout

@@ -134,7 +134,10 @@ def naive_double_greedy(kernel: KernelOracle | np.ndarray, stream: DecisionStrea
     with :meth:`KernelOracle.from_dense_kernel` and reads as it is, counting
     no kernel lookups.  The add gain is a :func:`dppmap.reference.gains`
     row; the remove gain subtracts the survivors' ln det, carried from the
-    step before, so ``T`` steps take ``2T + 1`` log-determinants.
+    step before, so ``T`` steps take ``2T + 1`` log-determinants.  An item
+    with no kernel entry on the other survivors gets the remove gain
+    ``0.0 - ln K_ii`` instead, by the block rule ``gains`` applies on the
+    add side, at one more log-determinant each.
     """
     if isinstance(kernel, KernelOracle):
         oracle, matrix = kernel, None
@@ -152,8 +155,10 @@ def naive_double_greedy(kernel: KernelOracle | np.ndarray, stream: DecisionStrea
     for step in run.steps(n, deadline):
         i = step - 1
         [(add_gain, _, added)] = reference.gains(matrix, report.selection, report.final_objective, [i])
-        dropped = reference.log_det(matrix, report.selection + list(range(i + 1, n)))
-        remove_gain = dropped - kept
+        others = report.selection + list(range(i + 1, n))  # the survivors but i
+        dropped = reference.log_det(matrix, others)
+        # with no kernel entry on the others, i is a block of its own, as in reference.gains
+        remove_gain = dropped - kept if matrix[i, others].any() else 0.0 - reference.log_det(matrix, [i])
         if not (math.isfinite(add_gain) and math.isfinite(remove_gain)):
             raise SingularKernelError("kernel numerically singular under brute-force gains")
         ab_gains.append((add_gain, remove_gain))

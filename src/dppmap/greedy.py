@@ -41,18 +41,15 @@ from .report import RunReport, SolverRun
 ZERO_GAIN_PIVOT = 1.0  # pivot == 1  <=>  marginal gain == 0
 
 
-def require_positive_k(k: int) -> None:
-    """Raise :class:`NonPositiveKError` unless the cardinality bound is at least 1."""
-    if k < 1:
-        raise NonPositiveKError(f"k must be at least 1, got {k}")
-
-
 @dataclass
 class GreedyConfig:
+    """The cardinality bound ``k``, which must be at least 1 (else :class:`NonPositiveKError`)."""
+
     k: int
 
     def __post_init__(self):
-        require_positive_k(self.k)
+        if self.k < 1:
+            raise NonPositiveKError(f"k must be at least 1, got {self.k}")
 
 
 def pop_fresh_argmax(queue: LazyMaxQueue, state: CholeskyState, stop_threshold: float | None):

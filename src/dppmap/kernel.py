@@ -30,7 +30,7 @@ The oracle decides once, at construction; every other input stays on the fold.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +68,13 @@ class SparseColumns:
     at the same positions.  ``indptr`` is int64 of length ``ncols + 1``,
     ``indices`` uint32 and ``values`` float64, both of length ``indptr[-1]``.
     Indices are strictly increasing within each column and below ``dim``;
-    explicit zeros are never stored.  The defaults hold no columns.
+    explicit zeros are never stored.
     """
 
     dim: int
-    indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
-    indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint32))
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
 
     @property
     def ncols(self) -> int:

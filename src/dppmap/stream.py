@@ -62,10 +62,8 @@ class DecisionStream:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._bits = np.random.PCG64(self.seed)
-        self.words_drawn = 0
 
     def _word(self) -> int:
-        self.words_drawn += 1
         return int(self._bits.random_raw())
 
     def uniform(self) -> float:
@@ -129,7 +127,6 @@ class DecisionStream:
                    lo, hi, np.empty(block), np.empty(block), np.empty(2 * block))
                   for lo, hi in zip(bounds, bounds[1:])]
         self._bits.advance(2 * pairs)
-        self.words_drawn += 2 * pairs
         out = np.empty(count)
         faults = []
 

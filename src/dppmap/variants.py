@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cholesky import CholeskyState
-from .greedy import ZERO_GAIN_PIVOT, GreedyConfig, pop_fresh_argmax, require_positive_k
+from .greedy import ZERO_GAIN_PIVOT, GreedyConfig, pop_fresh_argmax
 from .kernel import KernelOracle
 from .pqueue import LazyMaxQueue
 from .report import RunReport, SolverRun
@@ -31,13 +31,11 @@ from .stream import DecisionStream
 
 
 @dataclass
-class VariantConfig:
-    k: int
+class VariantConfig(GreedyConfig):
+    """:class:`GreedyConfig`, whose check on ``k`` it inherits, and the randomized variants' settings."""
+
     epsilon: float | None = None  # stochastic greedy only
     seed: int = 0  # read by no solver: the draws and the report's seed come from the DecisionStream
-
-    def __post_init__(self):
-        require_positive_k(self.k)
 
 
 def require_size(name: str, n: int, k: int, ratio: int) -> None:
@@ -178,7 +176,7 @@ def _interlaced_pair(run: SolverRun, k: int, first, steps) -> list[list]:
             if top is None or top[1] < ZERO_GAIN_PIVOT:
                 continue  # even the stale bound rules everything out
             i, _ = pop_fresh_argmax(queue, state, None)
-            if i is not None and state.pivots[i] >= ZERO_GAIN_PIVOT:
+            if state.pivots[i] >= ZERO_GAIN_PIVOT:
                 state.commit(i)
                 other.exclude(i)
     return [state.picks for state in states]

@@ -511,18 +511,22 @@ def check_double(instances: int = 50) -> CheckResult:
     The default adjustment (scale 0.9, shift 0.1) grows nearly every item.
     The mixed family keeps the same instance shapes and seeds at scale
     ``1.5 / d``, where about half of the decisions commit on the shrink side.
+    Each instance also runs on :func:`_zero_gain_features` of its sizes under
+    the default adjustment, where some items share no kernel entry with any
+    other: both twins must give those the same gains.
     """
-    shrinks = {"0.9": 0, "1.5/d": 0}  # shrink commits per scale
-    decisions = 0  # per scale: both families share the instance shapes
+    shrinks = {"0.9": 0, "1.5/d": 0, "0.9 zero-gain": 0}  # shrink commits per family
+    decisions = 0  # per family: the families share the instance shapes
     for t in range(instances):
         rng = np.random.default_rng(4000 + t)
         n = int(rng.integers(4, 31))
         d = n + int(rng.integers(0, 8))
         seed = 4000 + 13 * t
         decisions += n
-        for family in shrinks:
-            scale = 0.9 if family == "0.9" else 1.5 / d
-            oracle = build_synthetic_oracle(n, d, 4000 + t, "B", scale=scale, shift=0.1)
+        oracles = {"0.9": build_synthetic_oracle(n, d, 4000 + t, "B", scale=0.9, shift=0.1),
+                   "1.5/d": build_synthetic_oracle(n, d, 4000 + t, "B", scale=1.5 / d, shift=0.1),
+                   "0.9 zero-gain": KernelOracle.from_dense_features(_zero_gain_features(rng, n, d), 0.9, 0.1)}
+        for family, oracle in oracles.items():
             fast_rep = run_algorithm("double-fast", oracle, n, seed=seed)
             naive_rep = run_algorithm("double-naive", oracle, n, seed=seed)
             if fast_rep.selection != naive_rep.selection:
@@ -539,7 +543,7 @@ def check_double(instances: int = 50) -> CheckResult:
     counts = "; ".join(f"scale {family}: {count} of {decisions} decisions shrink commits"
                        for family, count in shrinks.items())
     return CheckResult("double-coupling", True,
-                       f"{instances} instances per scale (shift 0.1): identical selections, "
+                       f"{instances} instances per family (shift 0.1): identical selections, "
                        f"gains within 1e-8; {counts}")
 
 
@@ -665,6 +669,15 @@ _BATTERY = (
 )
 
 
+def _outcome(check, kwargs: dict) -> CheckResult:
+    """``check(**kwargs)``, or a failed result naming the exception it raised."""
+    try:
+        return check(**kwargs)
+    except Exception as exc:
+        return CheckResult(check.__name__, False, f"raised {type(exc).__name__}: {exc}")
+
+
 def run_all(quick: bool = False) -> list[CheckResult]:
-    return [check(**quick_kwargs) if quick else check() for check, quick_kwargs in _BATTERY
+    """Every check of the battery, in order: one that raises fails, and the rest still run."""
+    return [_outcome(check, quick_kwargs if quick else {}) for check, quick_kwargs in _BATTERY
             if not quick or quick_kwargs is not None]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dppmap
-from dppmap import matrixio
+from dppmap import matrixio, verify
 from dppmap.cli import load_oracle, main
 from dppmap.errors import AsymmetricKernelError, NonFiniteInputError
 from dppmap.kernel import B_BITS, SparseColumns, _int_dot, seq_dot
@@ -89,6 +89,23 @@ def test_run_stochastic_without_epsilon_takes_the_bench_default(tmp_path):
         reports.append(RunReport.from_json(out.read_text()).to_json(include_timings=False))
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["epsilon"] == 0.5
+
+
+def test_k_past_n_takes_every_item_in_one_order(tmp_path):
+    """The greedies with no size bound take all n items, then find no candidate on step n + 1."""
+    n = 12
+    b = tmp_path / "b.dppm1"
+    main(["gen", "--n", str(n), "--seed", "3", "--out", str(b)])
+    reports = []
+    for algo in ("naive", "lazy", "fast", "lazyfast"):
+        out = tmp_path / f"{algo}.json"
+        assert main(["run", "--algo", algo, "--input", str(b), "--k", str(n + 3), "--shift", "1.0",
+                     "--out", str(out)]) == 0
+        reports.append(RunReport.from_json(out.read_text()))
+    assert sorted(reports[0].selection) == list(range(n))
+    for report in reports:
+        assert report.selection == reports[0].selection, report.algo
+        assert (report.steps_attempted, report.terminated_early) == (n + 1, True), report.algo
 
 
 def test_run_l_input(tmp_path):
@@ -296,6 +313,19 @@ def test_verify_quick_exits_zero(capsys):
     assert main(["verify", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_fails_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    def check_raises():
+        raise ZeroDivisionError("planted")
+
+    def check_after():
+        return verify.CheckResult("after", True, "ran")
+
+    monkeypatch.setattr(verify, "_BATTERY", ((check_raises, {}), (check_after, {})))
+    assert main(["verify", "--quick"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["FAIL  check_raises: raised ZeroDivisionError: planted",
+                                                    "PASS  after: ran", "1/2 checks passed"]
 
 
 def test_unknown_algo_rejected(tmp_path):

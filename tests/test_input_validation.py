@@ -203,7 +203,8 @@ FAULTS = {
     "overflowing-bitset-diagonal": (NonFiniteInputError, r"^kernel diagonal at \d+ is not finite: inf$",
                                     {"S": _BINARY}, {"scale": 1e308}),
     "no-items": (ValueError, "a kernel needs at least one item",
-                 {"B": np.zeros((10, 0)), "S": SparseColumns(dim=10), "L": np.zeros((0, 0))}, {}),
+                 {"B": np.zeros((10, 0)), "S": SparseColumns.from_dense(np.zeros((10, 0))),
+                  "L": np.zeros((0, 0))}, {}),
 }
 
 
